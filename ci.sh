@@ -53,8 +53,7 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # output diverges from serial, the warm-start saving regresses below 20%,
     # the cached repeat campaign is less than 5x faster than its cold run (the
     # evaluation-cache gate; hit rate and dedup count land in the JSON), the
-    # batched lanes=8 campaign is slower than (or diverges from) the cold
-    # scalar solver, the modified-Newton fast path is less than 1.5x the
+    # modified-Newton fast path is less than 1.5x the
     # legacy full-Newton throughput (or reuses fewer than half its LU
     # factorizations, or shifts the extracted border), the three-design
     # sweep shares no healthy-reference grid across its equal-plan designs

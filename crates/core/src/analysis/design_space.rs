@@ -6,7 +6,7 @@
 //! [`DesignConfig`]s; one [`Session::design_sweep`] pass expands each into a
 //! [`DesignPlan`], builds one evaluation service per **distinct** plan,
 //! and fans every `(design, defect, operating point)` campaign through
-//! the batched plane pipeline. The outputs are per-design Table-1-style
+//! the plane-campaign pipeline. The outputs are per-design Table-1-style
 //! coverage matrices and border-resistance-vs-design-parameter trend
 //! tables.
 //!
@@ -434,7 +434,7 @@ impl DesignSweepResult {
 /// Runs the one-pass cross-design sweep.
 ///
 /// `template` supplies the recovery policy and solver tuning every
-/// per-design analyzer inherits; `config` supplies threads/chunk/lanes
+/// per-design analyzer inherits; `config` supplies threads/chunk/warm-start
 /// for each campaign. Designs sharing an expanded plan share one
 /// evaluation service, so their grids dedup through the memo cache.
 ///

@@ -36,7 +36,6 @@ use dso_defects::Defect;
 use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_dram::ops::{physical_write, OpTrace, Operation, OperationEngine};
 use dso_num::chaos::FaultPlan;
-use dso_num::newton::NewtonOptions;
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 use dso_spice::SolverTuning;
 
@@ -107,13 +106,6 @@ impl Analyzer {
     /// The solver tuning in use.
     pub fn tuning(&self) -> &SolverTuning {
         &self.tuning
-    }
-
-    /// The Newton options every engine built by this analyzer solves with
-    /// — what a [`dso_num::batch::BatchBackend`] must be built from to
-    /// drive this analyzer's transients in lockstep bit-identically.
-    pub fn newton_options(&self) -> NewtonOptions {
-        self.tuning.newton_options()
     }
 
     /// Builds an operation engine with `defect` injected at `resistance`,

@@ -365,11 +365,6 @@ fn run_grid(
     config: &CampaignConfig,
     hooks: &exec::ExecHooks,
 ) -> Result<Vec<PointOutcome>, exec::ChunkProgress> {
-    if config.lanes > 1 {
-        return run_grid_batched(
-            service, defect, op_point, r_values, n_ops, faults, config, hooks,
-        );
-    }
     exec::map_chunked_cancellable(r_values.len(), config, hooks, |range| {
         let mut seeds = WarmSeeds::default();
         range
@@ -417,199 +412,6 @@ fn run_grid(
                     cache_misses: cache.misses,
                 }
             })
-            .collect()
-    })
-}
-
-/// Batched variant of the grid fan-out (`config.lanes > 1`): each chunk's
-/// clean points run cold through the lane planner
-/// ([`EvalService::eval_batch_outcomes`]) in two stages — settles plus
-/// sense threshold first, then the read trajectories the thresholds
-/// position — so several sweep points advance per lockstep solve.
-/// Fault-armed points keep the scalar cache-bypassing path, likewise cold
-/// (lane batching and warm chaining are mutually exclusive). Plane values,
-/// reports, and error values are bit-identical to a scalar run with
-/// `warm_start` disabled at any thread count; only performance accounting
-/// on failure paths may differ (a failed settle no longer short-circuits
-/// the point's remaining stage-1 evaluations).
-#[allow(clippy::too_many_arguments)] // internal fan-out plumbing
-fn run_grid_batched(
-    service: &EvalService,
-    defect: &Defect,
-    op_point: &OperatingPoint,
-    r_values: &[f64],
-    n_ops: usize,
-    faults: &CampaignFaults,
-    config: &CampaignConfig,
-    hooks: &exec::ExecHooks,
-) -> Result<Vec<PointOutcome>, exec::ChunkProgress> {
-    /// Stage-crossing state of one clean (fault-free) point.
-    struct CleanPoint {
-        slot: usize,
-        r: f64,
-        stats: RecoveryStats,
-        cache: CacheTally,
-        error: Option<CoreError>,
-        w0: Vec<f64>,
-        w1: Vec<f64>,
-        vsa: f64,
-        below: Vec<f64>,
-        above: Vec<f64>,
-    }
-
-    impl CleanPoint {
-        fn new(slot: usize, r: f64) -> Self {
-            CleanPoint {
-                slot,
-                r,
-                stats: RecoveryStats::default(),
-                cache: CacheTally::default(),
-                error: None,
-                w0: Vec::new(),
-                w1: Vec::new(),
-                vsa: 0.0,
-                below: Vec::new(),
-                above: Vec::new(),
-            }
-        }
-
-        /// Folds one evaluation into the point's tallies, keeping the
-        /// first error in request order — the same error a scalar
-        /// `measure_point` would have short-circuited with.
-        fn absorb<T>(&mut self, value: Result<T, CoreError>, write: impl FnOnce(&mut Self, T)) {
-            match value {
-                Ok(v) => write(self, v),
-                Err(e) => {
-                    if self.error.is_none() {
-                        self.error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    exec::map_chunked_cancellable(r_values.len(), config, hooks, |range| {
-        let span = dso_obs::span("sweep.lane_chunk");
-        let mut chunk: Vec<Option<PointOutcome>> = range.clone().map(|_| None).collect();
-        let mut clean: Vec<CleanPoint> = Vec::new();
-        for (slot, i) in range.enumerate() {
-            let r = r_values[i];
-            match faults.plan_for(i) {
-                Some(plan) => {
-                    let mut stats = RecoveryStats::default();
-                    let mut cache = CacheTally::default();
-                    let outcome = measure_point(
-                        service,
-                        defect,
-                        r,
-                        op_point,
-                        n_ops,
-                        Some(plan),
-                        &WarmSeeds::default(),
-                        false,
-                        &mut stats,
-                        &mut cache,
-                    );
-                    chunk[slot] = Some(PointOutcome {
-                        data: outcome.map(|(point, _)| point),
-                        stats,
-                        warm_hits: 0,
-                        warm_misses: SEEDABLE_TRANSIENTS,
-                        cache_hits: cache.hits,
-                        disk_hits: cache.disk,
-                        cache_misses: cache.misses,
-                    });
-                }
-                None => clean.push(CleanPoint::new(slot, r)),
-            }
-        }
-        span.note("lane_points", clean.len() as f64);
-
-        // Stage 1: both settle sequences and the sense threshold, three
-        // requests per clean point (`measure_point`'s first three
-        // evaluations, in the same order).
-        let stage1: Vec<SimRequest> = clean
-            .iter()
-            .flat_map(|p| {
-                [
-                    SimRequest::settle(defect, p.r, op_point, false, n_ops),
-                    SimRequest::settle(defect, p.r, op_point, true, n_ops),
-                    SimRequest::vsa(defect, p.r, op_point),
-                ]
-            })
-            .collect();
-        let mut stage1_out = service
-            .eval_batch_outcomes(&stage1, config.lanes)
-            .into_iter();
-        for point in &mut clean {
-            let mut next = |point: &mut CleanPoint| {
-                let outcome = stage1_out.next().expect("stage-1 outcome per request");
-                point.cache.take(outcome, &mut point.stats)
-            };
-            let w0 = next(point).and_then(|(v, _)| v.into_series());
-            point.absorb(w0, |p, vcs| p.w0 = vcs);
-            let w1 = next(point).and_then(|(v, _)| v.into_series());
-            point.absorb(w1, |p, vcs| p.w1 = vcs);
-            let vsa = next(point).and_then(|(v, _)| v.scalar());
-            point.absorb(vsa, |p, v| p.vsa = v);
-        }
-
-        // Stage 2: the read trajectories, positioned by stage 1's
-        // thresholds, for every point still alive.
-        let live: Vec<usize> = (0..clean.len())
-            .filter(|&ci| clean[ci].error.is_none())
-            .collect();
-        let stage2: Vec<SimRequest> = live
-            .iter()
-            .flat_map(|&ci| {
-                let p = &clean[ci];
-                let below_start = (p.vsa - READ_START_OFFSET).max(0.0);
-                let above_start = (p.vsa + READ_START_OFFSET).min(op_point.vdd);
-                [
-                    SimRequest::reads(defect, p.r, op_point, below_start, n_ops),
-                    SimRequest::reads(defect, p.r, op_point, above_start, n_ops),
-                ]
-            })
-            .collect();
-        let mut stage2_out = service
-            .eval_batch_outcomes(&stage2, config.lanes)
-            .into_iter();
-        for &ci in &live {
-            let point = &mut clean[ci];
-            let mut next = |point: &mut CleanPoint| {
-                let outcome = stage2_out.next().expect("stage-2 outcome per request");
-                point.cache.take(outcome, &mut point.stats)
-            };
-            let below = next(point).and_then(|(v, _)| v.into_outcomes());
-            point.absorb(below, |p, (vcs, _)| p.below = vcs);
-            let above = next(point).and_then(|(v, _)| v.into_outcomes());
-            point.absorb(above, |p, (vcs, _)| p.above = vcs);
-        }
-
-        for point in clean {
-            let data = match point.error {
-                Some(e) => Err(e),
-                None => Ok(PointData {
-                    w0: point.w0,
-                    w1: point.w1,
-                    vsa: point.vsa,
-                    below: point.below,
-                    above: point.above,
-                }),
-            };
-            chunk[point.slot] = Some(PointOutcome {
-                data,
-                stats: point.stats,
-                warm_hits: 0,
-                warm_misses: SEEDABLE_TRANSIENTS,
-                cache_hits: point.cache.hits,
-                disk_hits: point.cache.disk,
-                cache_misses: point.cache.misses,
-            });
-        }
-        chunk
-            .into_iter()
-            .map(|slot| slot.expect("every sweep point resolved"))
             .collect()
     })
 }
@@ -728,7 +530,7 @@ pub fn result_planes(
 /// (border refinement, shmoo grids, repeat campaigns).
 ///
 /// Results are bit-identical for every `config.threads` value (given the
-/// same chunk size and warm-start/lane setting); see [`crate::exec`] for
+/// same chunk size and warm-start setting); see [`crate::exec`] for
 /// the determinism contract. On failure the whole grid is still evaluated,
 /// and the error of the lowest-index failed point is returned.
 pub(crate) fn result_planes_impl(
@@ -869,7 +671,7 @@ impl PlaneCampaign {
 /// The returned planes, [`SweepReport`], gaps, and border are
 /// bit-identical for every `config.threads` value — including under
 /// injected faults — because chunk decomposition, warm-seed chains,
-/// lane packing, and fault-plan resolution are all keyed on sweep index,
+/// and fault-plan resolution are all keyed on sweep index,
 /// never on scheduling (see [`crate::exec`]).
 #[allow(clippy::too_many_arguments)] // campaign plumbing: faults + config
 pub(crate) fn plane_campaign_impl(

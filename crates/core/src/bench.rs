@@ -133,10 +133,6 @@ pub fn to_json(records: &[BenchRecord]) -> String {
 ///   by the cores that could actually serve it
 ///   (`min(threads, available_parallelism)`), i.e. per-core scaling
 ///   efficiency in `(0, 1]`.
-/// * `batch_speedup` — cold points-per-second of the lanes=8 batched
-///   solver over the cold scalar solver at one thread. Single-threaded
-///   on both sides, so the ratio isolates the SoA payoff from scheduling
-///   noise and stays comparable across hosts.
 /// * `modified_newton_speedup` — cold points-per-second of the
 ///   modified-Newton fast path (LU reuse + device bypass, default
 ///   tuning) over the legacy full-Newton path at one thread. The CI
@@ -161,9 +157,6 @@ pub struct BenchBaseline {
     pub warm_iter_saving: f64,
     /// Parallel speedup per effective core (wall-clock derived).
     pub speedup_per_core: f64,
-    /// Cold batched (lanes=8) over cold scalar points-per-second at one
-    /// thread (wall-clock derived).
-    pub batch_speedup: f64,
     /// Cold modified-Newton (default tuning) over cold legacy-tuning
     /// points-per-second at one thread (wall-clock derived).
     pub modified_newton_speedup: f64,
@@ -191,7 +184,6 @@ impl BenchBaseline {
                 "speedup_per_core".to_string(),
                 Json::Num(self.speedup_per_core),
             ),
-            ("batch_speedup".to_string(), Json::Num(self.batch_speedup)),
             (
                 "modified_newton_speedup".to_string(),
                 Json::Num(self.modified_newton_speedup),
@@ -223,7 +215,6 @@ impl BenchBaseline {
         Ok(BenchBaseline {
             warm_iter_saving: field("warm_iter_saving")?,
             speedup_per_core: field("speedup_per_core")?,
-            batch_speedup: field("batch_speedup")?,
             modified_newton_speedup: field("modified_newton_speedup")?,
             cross_design_dedup_rate: field("cross_design_dedup_rate")?,
             serve_p99_ms: field("serve_p99_ms")?,
@@ -255,11 +246,6 @@ impl BenchBaseline {
             "parallel speedup per core",
             self.speedup_per_core,
             current.speedup_per_core,
-        );
-        gate(
-            "batched solver speedup over scalar",
-            self.batch_speedup,
-            current.batch_speedup,
         );
         gate(
             "modified-Newton speedup over legacy tuning",
@@ -379,7 +365,6 @@ mod tests {
         let base = BenchBaseline {
             warm_iter_saving: 0.4,
             speedup_per_core: 0.8,
-            batch_speedup: 2.0,
             modified_newton_speedup: 2.5,
             cross_design_dedup_rate: 0.333,
             serve_p99_ms: 800.0,
@@ -392,7 +377,6 @@ mod tests {
         let ok = BenchBaseline {
             warm_iter_saving: 0.35,
             speedup_per_core: 0.9,
-            batch_speedup: 2.4,
             modified_newton_speedup: 2.2,
             cross_design_dedup_rate: 0.3,
             serve_p99_ms: 900.0,
@@ -403,19 +387,17 @@ mod tests {
         let bad = BenchBaseline {
             warm_iter_saving: 0.2,
             speedup_per_core: 0.5,
-            batch_speedup: 1.1,
             modified_newton_speedup: 1.2,
             cross_design_dedup_rate: 0.1,
             serve_p99_ms: 1200.0,
         };
         let msgs = base.regressions(&bad, 0.25);
-        assert_eq!(msgs.len(), 6, "{msgs:?}");
+        assert_eq!(msgs.len(), 5, "{msgs:?}");
         assert!(msgs[0].contains("warm-start"), "{msgs:?}");
         assert!(msgs[1].contains("speedup per core"), "{msgs:?}");
-        assert!(msgs[2].contains("batched"), "{msgs:?}");
-        assert!(msgs[3].contains("modified-Newton"), "{msgs:?}");
-        assert!(msgs[4].contains("cross-design"), "{msgs:?}");
-        assert!(msgs[5].contains("p99"), "{msgs:?}");
+        assert!(msgs[2].contains("modified-Newton"), "{msgs:?}");
+        assert!(msgs[3].contains("cross-design"), "{msgs:?}");
+        assert!(msgs[4].contains("p99"), "{msgs:?}");
 
         // A zeroed latency baseline (no serve scenario yet) never trips.
         let unseeded = BenchBaseline {
@@ -424,7 +406,7 @@ mod tests {
         };
         assert_eq!(
             unseeded.regressions(&bad, 0.25).len(),
-            5,
+            4,
             "latency gate armed without a baseline"
         );
 

@@ -58,21 +58,13 @@ use crate::store::ResultStore;
 use crate::CoreError;
 use dso_defects::Defect;
 use dso_dram::design::OperatingPoint;
-use dso_dram::ops::{
-    fingerprint_ops, physical_write, run_batch, BatchJob, OpTrace, Operation, OperationEngine,
-};
-use dso_num::batch::{backend_with_lanes, AnyBackend};
+use dso_dram::ops::{fingerprint_ops, OpTrace, Operation};
 use dso_num::chaos::FaultPlan;
 use dso_num::fingerprint::Fingerprint;
 use dso_spice::recovery::RecoveryStats;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-
-/// One request's evaluation outcome, exactly as the scalar
-/// [`EvalService::execute`] path produces it: value, recovery stats, and
-/// the warm-start trace (when the request yields one).
-type TranOutcome = (Result<SimValue, CoreError>, RecoveryStats, Option<OpTrace>);
 
 /// The simulation task a request asks for, together with its payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -569,463 +561,14 @@ impl EvalService {
     /// returning one result per request in submission order. Duplicate
     /// requests within the batch are deduplicated in flight: one computes,
     /// the rest replay its value.
-    ///
-    /// With `config.lanes > 1`, each chunk's cache misses are grouped by
-    /// circuit structure and operation sequence and advanced in lockstep
-    /// through the structure-of-arrays Newton backend ([`dso_num::batch`]),
-    /// several sweep points per LU factorization. Every value stays
-    /// bit-identical to the scalar path at any thread count — lane packing
-    /// interleaves storage, never arithmetic.
     pub fn eval_batch(
         &self,
         requests: &[SimRequest],
         config: &CampaignConfig,
     ) -> Vec<Result<SimValue, CoreError>> {
-        if config.lanes <= 1 {
-            return exec::map_chunked(requests.len(), config, |range| {
-                range.map(|i| self.eval(&requests[i])).collect()
-            });
-        }
         exec::map_chunked(requests.len(), config, |range| {
-            self.eval_batch_outcomes(&requests[range], config.lanes)
-                .into_iter()
-                .map(|outcome| outcome.value)
-                .collect()
+            range.map(|i| self.eval(&requests[i])).collect()
         })
-    }
-
-    /// The lane planner: evaluates one chunk's worth of requests, packing
-    /// cache misses into solver lanes. Runs inside a chunk worker — the
-    /// caller owns the chunk decomposition, which keeps lane packs
-    /// chunk-local and therefore thread-count invariant.
-    ///
-    /// Protocol per request, preserving [`EvalService::eval_seeded`]
-    /// semantics exactly: memory hit → replay; someone else's in-flight
-    /// marker → deferred to a waiting scalar evaluation after the batch;
-    /// miss → claim the in-flight marker, consult the disk tier, else
-    /// schedule for batched compute. Duplicates of a key this chunk
-    /// already claimed are also deferred (they replay the published value,
-    /// or recompute scalar if the primary failed — failures are never
-    /// cached). Fault-armed evaluation never reaches this path: plans are
-    /// resolved per sweep point and routed through `eval_seeded`.
-    pub(crate) fn eval_batch_outcomes(
-        &self,
-        requests: &[SimRequest],
-        lanes: usize,
-    ) -> Vec<TaskOutcome> {
-        let span = dso_obs::span_fine("eval.lane_chunk");
-        span.note("requests", requests.len() as f64);
-        let mut slots: Vec<Option<TaskOutcome>> = requests.iter().map(|_| None).collect();
-        let mut claimed: HashSet<u64> = HashSet::new();
-        let mut computes: Vec<(usize, u64)> = Vec::new();
-        let mut deferred: Vec<usize> = Vec::new();
-        enum Claim {
-            Hit(SimValue, RecoveryStats),
-            Wait,
-            Compute,
-        }
-        for (i, request) in requests.iter().enumerate() {
-            let key = request.content_key(self.context_key);
-            if claimed.contains(&key) {
-                deferred.push(i);
-                continue;
-            }
-            let claim = {
-                let mut map = self.cache.lock().expect("eval cache poisoned");
-                match map.get(&key) {
-                    Some(Slot::Done { value, stats }) => Claim::Hit(value.clone(), *stats),
-                    Some(Slot::InFlight) => Claim::Wait,
-                    None => {
-                        map.insert(key, Slot::InFlight);
-                        Claim::Compute
-                    }
-                }
-            };
-            match claim {
-                Claim::Hit(value, stats) => {
-                    dso_obs::counter!("eval.requests").incr();
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    dso_obs::counter!("eval.cache_hits").incr();
-                    slots[i] = Some(TaskOutcome {
-                        value: Ok(value),
-                        stats,
-                        trace: None,
-                        cached: true,
-                        from_disk: false,
-                    });
-                }
-                Claim::Wait => deferred.push(i),
-                Claim::Compute => {
-                    dso_obs::counter!("eval.requests").incr();
-                    // Disk tier, outside the cache lock, holding the
-                    // in-flight marker — as the scalar path.
-                    if let Some(found) = self.store.as_ref().and_then(|s| s.get(key)) {
-                        {
-                            let mut map = self.cache.lock().expect("eval cache poisoned");
-                            map.insert(
-                                key,
-                                Slot::Done {
-                                    value: found.value.clone(),
-                                    stats: found.stats,
-                                },
-                            );
-                        }
-                        self.done.notify_all();
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        dso_obs::counter!("eval.disk_hits").incr();
-                        slots[i] = Some(TaskOutcome {
-                            value: Ok(found.value),
-                            stats: found.stats,
-                            trace: None,
-                            cached: true,
-                            from_disk: true,
-                        });
-                        continue;
-                    }
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    dso_obs::counter!("eval.cache_misses").incr();
-                    claimed.insert(key);
-                    computes.push((i, key));
-                }
-            }
-        }
-
-        if !computes.is_empty() {
-            // Built from the analyzer's tuning-adjusted options so the
-            // lockstep path engages (mismatched options fall back scalar).
-            let mut backend = backend_with_lanes(lanes, self.analyzer.newton_options());
-            // Group by structure so lanes of one lockstep call share step
-            // counts and sequences (packing quality only — lane results
-            // are bit-identical to scalar regardless of grouping).
-            let mut tran_groups: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
-            let mut vsa_groups: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
-            for &(i, key) in &computes {
-                let request = &requests[i];
-                let target = match request.task() {
-                    SimTask::Vsa => &mut vsa_groups,
-                    _ => &mut tran_groups,
-                };
-                target
-                    .entry(lane_group_key(request))
-                    .or_default()
-                    .push((i, key));
-            }
-            for group in tran_groups.into_values() {
-                let reqs: Vec<&SimRequest> = group.iter().map(|&(i, _)| &requests[i]).collect();
-                let outs = self.execute_tran_batch(&reqs, &mut backend);
-                for ((i, key), (value, stats, trace)) in group.into_iter().zip(outs) {
-                    self.publish(key, &value, stats);
-                    slots[i] = Some(TaskOutcome {
-                        value,
-                        stats,
-                        trace,
-                        cached: false,
-                        from_disk: false,
-                    });
-                }
-            }
-            for group in vsa_groups.into_values() {
-                let reqs: Vec<&SimRequest> = group.iter().map(|&(i, _)| &requests[i]).collect();
-                let outs = self.execute_vsa_batch(&reqs, &mut backend);
-                for ((i, key), (value, stats)) in group.into_iter().zip(outs) {
-                    self.publish(key, &value, stats);
-                    slots[i] = Some(TaskOutcome {
-                        value,
-                        stats,
-                        trace: None,
-                        cached: false,
-                        from_disk: false,
-                    });
-                }
-            }
-        }
-
-        for i in deferred {
-            slots[i] = Some(self.eval_seeded(&requests[i], None, None, false));
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every request resolved"))
-            .collect()
-    }
-
-    /// Publishes one computed result under the in-flight marker `key`:
-    /// successes are memoized (and written through to the store), failures
-    /// release the marker uncached — the same contract as the tail of
-    /// [`EvalService::eval_seeded`].
-    fn publish(&self, key: u64, value: &Result<SimValue, CoreError>, stats: RecoveryStats) {
-        {
-            let mut map = self.cache.lock().expect("eval cache poisoned");
-            match value {
-                Ok(v) => {
-                    self.inserts.fetch_add(1, Ordering::Relaxed);
-                    map.insert(
-                        key,
-                        Slot::Done {
-                            value: v.clone(),
-                            stats,
-                        },
-                    );
-                }
-                Err(_) => {
-                    map.remove(&key);
-                }
-            }
-        }
-        self.done.notify_all();
-        match value {
-            Ok(v) => {
-                if let Some(store) = &self.store {
-                    store.put(key, v, &stats);
-                }
-            }
-            Err(_) => self.note_failure(),
-        }
-    }
-
-    /// Executes one structure group of transient-shaped tasks (`Settle`,
-    /// `Run`, `WriteEnd`) as lockstep lanes, returning per-request
-    /// `(value, stats, trace)` triples exactly as the scalar
-    /// [`EvalService::execute`] would have produced them.
-    fn execute_tran_batch(
-        &self,
-        requests: &[&SimRequest],
-        backend: &mut AnyBackend,
-    ) -> Vec<TranOutcome> {
-        let mut out: Vec<Option<TranOutcome>> = requests.iter().map(|_| None).collect();
-        let mut lanes: Vec<TranLane> = Vec::with_capacity(requests.len());
-        let mut lane_idx: Vec<usize> = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            match self.prepare_tran_lane(request) {
-                Ok(lane) => {
-                    lane_idx.push(i);
-                    lanes.push(lane);
-                }
-                Err(e) => out[i] = Some((Err(e), RecoveryStats::default(), None)),
-            }
-        }
-        let jobs: Vec<BatchJob<'_>> = lanes
-            .iter()
-            .map(|lane| BatchJob {
-                engine: &lane.engine,
-                ops: &lane.seq,
-                vc_init: lane.vc_init,
-            })
-            .collect();
-        let results = run_batch(backend, &jobs);
-        drop(jobs);
-        for ((&i, lane), result) in lane_idx.iter().zip(&lanes).zip(results) {
-            out[i] = Some(finish_tran_lane(requests[i], lane, result));
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every lane resolved"))
-            .collect()
-    }
-
-    /// Builds the engine and operation sequence for one transient-shaped
-    /// request, mirroring the scalar executors (`Analyzer::settle_trace`,
-    /// the `Run` arm of `execute`, `Analyzer::write_end_voltage`).
-    fn prepare_tran_lane(&self, request: &SimRequest) -> Result<TranLane, CoreError> {
-        let defect = request.defect();
-        let op_point = request.op_point();
-        match request.task() {
-            SimTask::Settle { high, n_ops } => {
-                if *n_ops == 0 {
-                    return Err(CoreError::BadRequest("n_ops must be positive".into()));
-                }
-                let engine =
-                    self.analyzer
-                        .engine_with(defect, request.resistance(), op_point, None)?;
-                let target = physical_write(*high, defect.side());
-                let mut seq = Vec::with_capacity(n_ops + 2);
-                let skip = if *high {
-                    0
-                } else {
-                    let setup = physical_write(true, defect.side());
-                    seq.push(setup);
-                    seq.push(setup);
-                    2
-                };
-                seq.extend(std::iter::repeat_n(target, *n_ops));
-                Ok(TranLane {
-                    engine,
-                    seq,
-                    vc_init: 0.0,
-                    skip,
-                })
-            }
-            SimTask::Run { seq, vc_init } => {
-                let engine =
-                    self.analyzer
-                        .engine_with(defect, request.resistance(), op_point, None)?;
-                Ok(TranLane {
-                    engine,
-                    seq: seq.clone(),
-                    vc_init: *vc_init,
-                    skip: 0,
-                })
-            }
-            SimTask::WriteEnd { high } => {
-                let engine =
-                    self.analyzer
-                        .engine_with(defect, request.resistance(), op_point, None)?;
-                let vc_init = if *high { 0.0 } else { op_point.vdd };
-                Ok(TranLane {
-                    engine,
-                    seq: vec![physical_write(*high, defect.side())],
-                    vc_init,
-                    skip: 0,
-                })
-            }
-            SimTask::Vsa => unreachable!("Vsa requests run through execute_vsa_batch"),
-        }
-    }
-
-    /// Executes one group of `Vsa` requests as a lockstep bisection: every
-    /// round batches the active lanes' single-read probes (endpoint probes
-    /// first, then per-lane midpoints) through the backend. Each lane's
-    /// probe sequence — and therefore its threshold — is bit-identical to
-    /// the scalar `Analyzer::vsa_probed` with cold probes.
-    fn execute_vsa_batch(
-        &self,
-        requests: &[&SimRequest],
-        backend: &mut AnyBackend,
-    ) -> Vec<(Result<SimValue, CoreError>, RecoveryStats)> {
-        enum Stage {
-            ProbeZero,
-            ProbeVdd,
-            Bisect,
-        }
-        struct VsaLane {
-            engine: Option<OperationEngine>,
-            resistance: f64,
-            vdd: f64,
-            side: dso_dram::design::BitLineSide,
-            lo: f64,
-            hi: f64,
-            stage: Stage,
-            stats: RecoveryStats,
-            result: Option<Result<f64, CoreError>>,
-        }
-        let mut lanes: Vec<VsaLane> = requests
-            .iter()
-            .map(|request| {
-                let (engine, result) = match self.analyzer.engine_with(
-                    request.defect(),
-                    request.resistance(),
-                    request.op_point(),
-                    None,
-                ) {
-                    Ok(engine) => (Some(engine), None),
-                    Err(e) => (None, Some(Err(e))),
-                };
-                VsaLane {
-                    engine,
-                    resistance: request.resistance(),
-                    vdd: request.op_point().vdd,
-                    side: request.defect().side(),
-                    lo: 0.0,
-                    hi: request.op_point().vdd,
-                    stage: Stage::ProbeZero,
-                    stats: RecoveryStats::default(),
-                    result,
-                }
-            })
-            .collect();
-        let read_seq = [Operation::R];
-        loop {
-            let probes: Vec<(usize, f64)> = lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, lane)| lane.result.is_none())
-                .map(|(li, lane)| {
-                    let vc = match lane.stage {
-                        Stage::ProbeZero => 0.0,
-                        Stage::ProbeVdd => lane.vdd,
-                        Stage::Bisect => 0.5 * (lane.lo + lane.hi),
-                    };
-                    (li, vc)
-                })
-                .collect();
-            if probes.is_empty() {
-                break;
-            }
-            let jobs: Vec<BatchJob<'_>> = probes
-                .iter()
-                .map(|&(li, vc)| BatchJob {
-                    engine: lanes[li].engine.as_ref().expect("active lane has engine"),
-                    ops: &read_seq,
-                    vc_init: vc,
-                })
-                .collect();
-            let results = run_batch(backend, &jobs);
-            drop(jobs);
-            for (&(li, vc), result) in probes.iter().zip(results) {
-                let lane = &mut lanes[li];
-                let high = match result {
-                    Ok(trace) => {
-                        lane.stats.merge(trace.recovery());
-                        match trace.cycles()[0].read.map(|r| r.accessed_high(lane.side)) {
-                            Some(high) => high,
-                            None => {
-                                lane.result = Some(Err(CoreError::BadRequest(
-                                    "read cycle produced no outcome".into(),
-                                )));
-                                continue;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        lane.result = Some(Err(CoreError::at_point(
-                            "read threshold",
-                            lane.resistance,
-                            Some(vc),
-                            e.into(),
-                        )));
-                        continue;
-                    }
-                };
-                match lane.stage {
-                    Stage::ProbeZero => {
-                        if high {
-                            lane.result = Some(Ok(0.0));
-                        } else {
-                            lane.stage = Stage::ProbeVdd;
-                        }
-                    }
-                    Stage::ProbeVdd => {
-                        if high {
-                            lane.stage = Stage::Bisect;
-                        } else {
-                            lane.result = Some(Ok(lane.vdd));
-                        }
-                    }
-                    Stage::Bisect => {
-                        if high {
-                            lane.hi = vc;
-                        } else {
-                            lane.lo = vc;
-                        }
-                    }
-                }
-                if matches!(lane.stage, Stage::Bisect)
-                    && lane.result.is_none()
-                    && lane.hi - lane.lo <= 2e-3
-                {
-                    lane.result = Some(Ok(0.5 * (lane.lo + lane.hi)));
-                }
-            }
-        }
-        lanes
-            .into_iter()
-            .map(|lane| {
-                let value = lane
-                    .result
-                    .expect("bisection resolved every lane")
-                    .map(SimValue::Scalar);
-                (value, lane.stats)
-            })
-            .collect()
     }
 
     /// Runs the request's transient fresh — skipping the cache in both
@@ -1398,98 +941,6 @@ impl EvalService {
             .copied()
             .ok_or_else(|| CoreError::BadRequest("empty operation sequence".into()))
     }
-}
-
-/// One prepared transient-shaped lane: the engine, the physical operation
-/// sequence it will run, and how to read the result back out.
-struct TranLane {
-    engine: OperationEngine,
-    seq: Vec<Operation>,
-    vc_init: f64,
-    /// Leading unreported setup cycles to drop from the settled series
-    /// (the `w0` settle variant's two `w1` setup writes).
-    skip: usize,
-}
-
-/// Converts one lane's raw batch result into the `(value, stats, trace)`
-/// triple the scalar [`EvalService::execute`] produces for the same
-/// request — including identical error wrapping.
-fn finish_tran_lane(
-    request: &SimRequest,
-    lane: &TranLane,
-    result: Result<OpTrace, dso_dram::DramError>,
-) -> (Result<SimValue, CoreError>, RecoveryStats, Option<OpTrace>) {
-    let mut stats = RecoveryStats::default();
-    let resistance = request.resistance();
-    let outcome: Result<(SimValue, Option<OpTrace>), CoreError> = (|| match request.task() {
-        SimTask::Settle { high, .. } => {
-            let operation = if *high { "w1 settle" } else { "w0 settle" };
-            let trace = result
-                .map_err(|e| CoreError::at_point(operation, resistance, Some(0.0), e.into()))?;
-            stats.merge(trace.recovery());
-            let vcs = trace.vc_ends()[lane.skip..].to_vec();
-            Ok((SimValue::Series(vcs), Some(trace)))
-        }
-        SimTask::Run { .. } => {
-            let trace = result.map_err(|e| {
-                CoreError::at_point("sequence", resistance, Some(lane.vc_init), e.into())
-            })?;
-            stats.merge(trace.recovery());
-            let vc_ends = trace.vc_ends();
-            let reads = trace.read_values();
-            Ok((SimValue::Outcomes { vc_ends, reads }, Some(trace)))
-        }
-        SimTask::WriteEnd { high } => {
-            let operation = if *high { "w1 probe" } else { "w0 probe" };
-            let trace = result.map_err(|e| {
-                CoreError::at_point(operation, resistance, Some(lane.vc_init), e.into())
-            })?;
-            stats.merge(trace.recovery());
-            let op_point = request.op_point();
-            let schedule = dso_dram::timing::CycleSchedule::new(op_point.duty)?;
-            let t_wl_off = schedule.wl_off * op_point.tcyc;
-            let storage = dso_dram::column::nodes::cap_top(request.defect().side());
-            let vc = trace
-                .tran()
-                .voltage_at(&storage, t_wl_off)
-                .map_err(dso_dram::DramError::Spice)?;
-            Ok((SimValue::Scalar(vc), None))
-        }
-        SimTask::Vsa => unreachable!("Vsa requests run through execute_vsa_batch"),
-    })();
-    match outcome {
-        Ok((value, trace)) => (Ok(value), stats, trace),
-        Err(e) => (Err(e), stats, None),
-    }
-}
-
-/// Structural fingerprint for lane packing: requests with equal keys share
-/// one lockstep call, so every lane of a pack runs the same task shape,
-/// operation sequence, and cycle timing (and therefore the same transient
-/// step count). Grouping affects packing quality only — lane values are
-/// bit-identical to scalar regardless of how requests pack.
-fn lane_group_key(request: &SimRequest) -> u64 {
-    let mut fp = Fingerprint::new();
-    let op_point = request.op_point();
-    fp.write_f64(op_point.tcyc);
-    fp.write_f64(op_point.duty);
-    match request.task() {
-        SimTask::Settle { high, n_ops } => {
-            fp.write_u8(0);
-            fp.write_bool(*high);
-            fp.write_usize(*n_ops);
-        }
-        SimTask::Run { seq, .. } => {
-            fp.write_u8(1);
-            fingerprint_ops(seq, &mut fp);
-        }
-        SimTask::Vsa => fp.write_u8(2),
-        SimTask::WriteEnd { high } => {
-            fp.write_u8(3);
-            fp.write_bool(*high);
-        }
-    }
-    fp.finish()
 }
 
 #[cfg(test)]

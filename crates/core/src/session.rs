@@ -2,8 +2,8 @@
 //!
 //! A [`Session`] bundles the three things every analysis entry point used
 //! to take separately — an [`EvalService`] (memo cache + optional
-//! persistent store), a [`CampaignConfig`] (threads, chunking, warm-start,
-//! solver lanes), and the column design behind both — into one object
+//! persistent store), a [`CampaignConfig`] (threads, chunking,
+//! warm-start), and the column design behind both — into one object
 //! built once, usually from the environment:
 //!
 //! ```no_run
@@ -92,7 +92,7 @@ impl SessionBuilder {
     }
 
     /// Sets the execution policy explicitly. Without this, the session
-    /// reads `DSO_THREADS` / `DSO_CHUNK` / `DSO_LANES` via
+    /// reads `DSO_THREADS` / `DSO_CHUNK` via
     /// [`CampaignConfig::from_env`].
     pub fn config(mut self, config: CampaignConfig) -> Self {
         self.config = Some(config);
@@ -151,7 +151,7 @@ impl Session {
     }
 
     /// A session for the default column design, configured entirely from
-    /// the environment: `DSO_THREADS`, `DSO_CHUNK`, `DSO_LANES` (execution)
+    /// the environment: `DSO_THREADS`, `DSO_CHUNK` (execution)
     /// and `DSO_STORE` (persistence, degrading to in-memory with a warning
     /// if unusable).
     pub fn from_env() -> Self {

@@ -3,10 +3,13 @@
 //! The planes, sweep report, gaps, and extracted border of a campaign must
 //! be **bit-identical** for every thread count — with and without injected
 //! faults — because chunk decomposition, warm-seed chains, and fault-plan
-//! resolution are keyed on sweep index, never on scheduling. This suite
-//! pins that contract, plus the warm-start payoff (fewer Newton
-//! iterations) and a loom-free interleaving smoke test that executes the
-//! chunks of a real simulation grid in a seeded-shuffled order.
+//! resolution are keyed on sweep index, never on scheduling. The contract
+//! is pinned warm and cold, under the default (modified-Newton) tuning and
+//! the legacy full-Newton tuning. This suite also pins the warm-start
+//! payoff (fewer Newton iterations), that the LU-reuse and device-bypass
+//! fast path actually fires, and a loom-free interleaving smoke test that
+//! executes the chunks of a real simulation grid in a seeded-shuffled
+//! order.
 
 use dso_core::analysis::{Analyzer, CampaignFaults, PlaneCampaign};
 use dso_core::exec::{self, CampaignConfig};
@@ -16,6 +19,7 @@ use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_num::chaos::{FaultKind, FaultPlan};
 use dso_num::interp::logspace;
 use dso_num::testing::TestRng;
+use dso_spice::SolverTuning;
 
 /// Coarse time step so debug-mode campaigns stay affordable.
 fn fast_design() -> ColumnDesign {
@@ -29,15 +33,31 @@ fn sweep() -> Vec<f64> {
     logspace(1e4, 1e7, 6).expect("valid sweep")
 }
 
-fn campaign_at(threads: usize, faults: &CampaignFaults) -> PlaneCampaign {
+/// One campaign at `threads` with warm-start chaining `warm` and an
+/// explicit solver `tuning` (so `DSO_LU_REUSE`/`DSO_BYPASS_TOL` cannot
+/// change what is pinned).
+fn campaign_tuned(
+    threads: usize,
+    warm: bool,
+    tuning: SolverTuning,
+    faults: &CampaignFaults,
+) -> PlaneCampaign {
     let defect = Defect::cell_open(BitLineSide::True);
-    let config = CampaignConfig::with_threads(threads).with_chunk(2);
+    let config = CampaignConfig::with_threads(threads)
+        .with_chunk(2)
+        .with_warm_start(warm);
     // A fresh session (fresh service) per run: every thread count
     // recomputes from scratch instead of replaying a shared cache.
-    let session = Session::with_design(fast_design()).with_config(config);
+    let analyzer = Analyzer::new(fast_design()).with_tuning(tuning);
+    let session = Session::from_parts(EvalService::new(analyzer), config);
     session
         .planes_faulted(&defect, &OperatingPoint::nominal(), &sweep(), 1, faults)
         .expect("campaign runs")
+}
+
+/// Default-tuning, warm-started campaign at `threads`.
+fn campaign_at(threads: usize, faults: &CampaignFaults) -> PlaneCampaign {
+    campaign_tuned(threads, true, SolverTuning::default(), faults)
 }
 
 /// Bitwise equality of two campaigns: every plane curve, every report
@@ -61,12 +81,51 @@ fn assert_bit_identical(a: &PlaneCampaign, b: &PlaneCampaign, label: &str) {
 #[test]
 fn parallel_campaign_bit_identical_to_serial() {
     let clean = CampaignFaults::new();
-    let serial = campaign_at(1, &clean);
-    assert_eq!(serial.report.failed(), 0);
-    for threads in [2, 4, 8] {
-        let parallel = campaign_at(threads, &clean);
-        assert_bit_identical(&serial, &parallel, &format!("threads = {threads}"));
+    let faulted = CampaignFaults::new().with_fault(2, FaultPlan::always(FaultKind::NanResidual));
+    let cases = [
+        ("warm", true, SolverTuning::default(), &clean, 0),
+        ("cold", false, SolverTuning::default(), &clean, 0),
+        (
+            "cold legacy faulted",
+            false,
+            SolverTuning::legacy(),
+            &faulted,
+            1,
+        ),
+    ];
+    for (label, warm, tuning, faults, failed) in cases {
+        let serial = campaign_tuned(1, warm, tuning, faults);
+        assert_eq!(serial.report.failed(), failed, "{label}");
+        for threads in [2, 4, 8] {
+            let parallel = campaign_tuned(threads, warm, tuning, faults);
+            assert_bit_identical(&serial, &parallel, &format!("{label}, threads = {threads}"));
+        }
     }
+}
+
+#[test]
+fn reference_sweep_exercises_lu_reuse_and_bypass() {
+    // The fast path must actually fire on the reference sweep, or every
+    // default-tuning identity test above is vacuous: the modified-Newton
+    // policy should reuse more factorizations than it builds, and the
+    // device bypass should land hits.
+    let clean = CampaignFaults::new();
+    let tuned = campaign_at(1, &clean);
+    assert!(
+        tuned.perf.lu_reuse_rate() > 0.5,
+        "LU reuse rate {:.2} never cleared 0.5 on the reference sweep",
+        tuned.perf.lu_reuse_rate()
+    );
+    assert!(
+        tuned.perf.bypass_hits > 0,
+        "device bypass never hit on the reference sweep"
+    );
+    // And the legacy tuning never touches it.
+    let legacy = campaign_tuned(1, true, SolverTuning::legacy(), &clean);
+    assert!(
+        legacy.perf.lu_reuses == 0 && legacy.perf.bypass_hits == 0,
+        "legacy tuning must not touch the fast path"
+    );
 }
 
 #[test]

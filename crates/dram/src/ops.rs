@@ -12,10 +12,9 @@ use crate::column::{nodes, sources, Column};
 use crate::design::{BitLineSide, ColumnDesign, OperatingPoint};
 use crate::timing::{ControlWaveforms, CycleSchedule};
 use crate::DramError;
-use dso_num::batch::BatchBackend;
 use dso_num::chaos::FaultPlan;
 use dso_spice::circuit::Circuit;
-use dso_spice::engine::{transient_lockstep, Simulator, SolverTuning, TranOptions, TranResult};
+use dso_spice::engine::{Simulator, SolverTuning, TranOptions, TranResult};
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 use dso_spice::waveform::Waveform;
 
@@ -275,12 +274,6 @@ impl OperationEngine {
         self
     }
 
-    /// The Newton options the engine's simulators solve with — what a
-    /// lockstep backend must be built from to stay bit-identical.
-    pub fn newton_options(&self) -> dso_num::newton::NewtonOptions {
-        self.tuning.newton_options()
-    }
-
     /// The targeted victim side.
     pub fn victim(&self) -> BitLineSide {
         self.victim
@@ -351,8 +344,7 @@ impl OperationEngine {
 
     /// Builds the waveform-installed scratch circuit and transient options
     /// for one run of `ops_seq`. Pure netlist/waveform work — no simulator
-    /// is involved, so a failure here is deterministic and
-    /// backend-independent.
+    /// is involved, so a failure here is deterministic.
     fn prepare_run(&self, ops_seq: &[Operation], vc_init: f64) -> Result<PreparedRun, DramError> {
         let design: &ColumnDesign = self.column.design();
         let op = &self.op_point;
@@ -488,74 +480,6 @@ struct PreparedRun {
     observe_at: f64,
 }
 
-/// One lane of a [`run_batch`] call: an engine (column + operating point +
-/// victim), the operation sequence to run on it, and the victim cell's
-/// initial voltage.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchJob<'a> {
-    /// The engine (column, operating point, victim side) for this lane.
-    pub engine: &'a OperationEngine,
-    /// The operation sequence to run.
-    pub ops: &'a [Operation],
-    /// Victim cell capacitor voltage at `t = 0` (volts).
-    pub vc_init: f64,
-}
-
-/// Runs one operation sequence per lane in lockstep through a batched
-/// Newton backend (see [`dso_spice::engine::transient_lockstep`]).
-///
-/// Every lane's trace is bit-identical to
-/// [`OperationEngine::run`] of the same job alone: lanes the lockstep path
-/// cannot serve bit-identically (armed fault plans, mismatched backend
-/// options, any lane leaving the happy path) transparently rerun scalar.
-/// Warm-start seeding is not available here — lanes run cold; callers that
-/// depend on seed chaining should stay on [`OperationEngine::run_seeded`].
-///
-/// The backend must be built from the engines'
-/// [`OperationEngine::newton_options`] (the tuning-adjusted defaults every
-/// [`Simulator`] uses) for the lockstep path to engage.
-pub fn run_batch<B: BatchBackend>(
-    backend: &mut B,
-    jobs: &[BatchJob<'_>],
-) -> Vec<Result<OpTrace, DramError>> {
-    let span = dso_obs::span("dram.op_batch");
-    span.note("lanes", jobs.len() as f64);
-    let mut results: Vec<Option<Result<OpTrace, DramError>>> = jobs.iter().map(|_| None).collect();
-    let mut prepared: Vec<PreparedRun> = Vec::with_capacity(jobs.len());
-    let mut lanes: Vec<usize> = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        dso_obs::counter!("dram.op_runs").incr();
-        dso_obs::counter!("dram.ops").add(job.ops.len() as u64);
-        match job.engine.prepare_run(job.ops, job.vc_init) {
-            Ok(p) => {
-                prepared.push(p);
-                lanes.push(i);
-            }
-            // Preparation is simulator-free and deterministic; the scalar
-            // path fails with this same error.
-            Err(e) => results[i] = Some(Err(e)),
-        }
-    }
-    let sims: Vec<Simulator<'_>> = lanes
-        .iter()
-        .zip(&prepared)
-        .map(|(&i, p)| jobs[i].engine.simulator_for(&p.ckt))
-        .collect();
-    let opts: Vec<TranOptions> = prepared.iter().map(|p| p.tran_opts.clone()).collect();
-    let trans = transient_lockstep(backend, &sims, &opts);
-    for ((&lane, p), tran) in lanes.iter().zip(&prepared).zip(trans) {
-        let job = &jobs[lane];
-        results[lane] = Some(match tran {
-            Ok(t) => job.engine.extract_trace(job.ops, t, p),
-            Err(e) => Err(DramError::Spice(e)),
-        });
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane resolved"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,61 +595,5 @@ mod tests {
     fn empty_sequence_rejected() {
         let err = engine(BitLineSide::True).run(&[], 0.0).unwrap_err();
         assert!(matches!(err, DramError::BadSequence(_)));
-    }
-
-    #[test]
-    fn run_batch_bit_identical_to_run() {
-        let mut engines = Vec::new();
-        for r in [2e6_f64, 5e5, 8e4] {
-            let mut eng = engine(BitLineSide::True);
-            eng.column_mut()
-                .set_defect_resistance(DefectSite::O3, BitLineSide::True, r)
-                .unwrap();
-            engines.push(eng);
-        }
-        let seq = [Operation::W0, Operation::R];
-        let jobs: Vec<BatchJob<'_>> = engines
-            .iter()
-            .map(|e| BatchJob {
-                engine: e,
-                ops: &seq,
-                vc_init: 2.4,
-            })
-            .collect();
-        // 3 lanes at width 4 also exercises the partial-tail pack.
-        let mut backend = dso_num::batch::backend_with_lanes(4, engines[0].newton_options());
-        let batched = run_batch(&mut backend, &jobs);
-        for (eng, got) in engines.iter().zip(&batched) {
-            let got = got.as_ref().unwrap();
-            let scalar = eng.run(&seq, 2.4).unwrap();
-            assert_eq!(scalar.cycles().len(), got.cycles().len());
-            for (a, b) in scalar.cycles().iter().zip(got.cycles()) {
-                assert_eq!(a.vc_end.to_bits(), b.vc_end.to_bits());
-                assert_eq!(a.read, b.read);
-            }
-            assert_eq!(scalar.recovery(), got.recovery());
-        }
-    }
-
-    #[test]
-    fn run_batch_reports_per_lane_errors() {
-        let eng = engine(BitLineSide::True);
-        let good = [Operation::R];
-        let jobs = [
-            BatchJob {
-                engine: &eng,
-                ops: &good,
-                vc_init: 2.4,
-            },
-            BatchJob {
-                engine: &eng,
-                ops: &[],
-                vc_init: 0.0,
-            },
-        ];
-        let mut backend = dso_num::batch::backend_with_lanes(2, eng.newton_options());
-        let out = run_batch(&mut backend, &jobs);
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(DramError::BadSequence(_))));
     }
 }

@@ -19,17 +19,14 @@ use crate::NumError;
 /// cheap-but-numerous back-substitutions where one refactor restores
 /// quadratic convergence — profiling the DRAM sweep showed a lenient 0.5
 /// ratio more than doubling total Newton iterations once factorizations
-/// were retained across time steps. The constant is shared by the scalar
-/// solver and the SoA batch lanes so both apply the exact same per-point
-/// policy.
+/// were retained across time steps.
 pub const REUSE_STALL_RATIO: f64 = 0.1;
 
-/// NaN-safe stall test shared by the scalar solver and the batch lanes:
-/// true unless `res_norm` strictly contracted below
+/// NaN-safe stall test: true unless `res_norm` strictly contracted below
 /// `REUSE_STALL_RATIO * prev_norm`. A non-finite residual is never
-/// "contracting", so a lane that went NaN schedules a refactor instead
+/// "contracting", so a solve that went NaN schedules a refactor instead
 /// of riding a stale factorization.
-pub(crate) fn reuse_stalled(res_norm: f64, prev_norm: f64) -> bool {
+fn reuse_stalled(res_norm: f64, prev_norm: f64) -> bool {
     res_norm.partial_cmp(&(REUSE_STALL_RATIO * prev_norm)) != Some(std::cmp::Ordering::Less)
 }
 
@@ -114,7 +111,7 @@ pub struct NewtonOptions {
     /// only when the residual-reduction ratio stalls past
     /// [`REUSE_STALL_RATIO`] or the line search damps the step. The policy
     /// is a deterministic function of the per-point iteration history, so
-    /// results are bit-identical at any thread or lane count. `false`
+    /// results are bit-identical at any thread count. `false`
     /// refactors on every iteration (the pre-reuse solver).
     pub lu_reuse: bool,
 }

@@ -12,16 +12,15 @@ use crate::mos;
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
 use crate::waveform::Waveform;
 use crate::SpiceError;
-use dso_num::batch::BatchBackend;
 use dso_num::chaos::{ChaosSystem, FaultPlan};
 use dso_num::integrate::{Companion, Method};
 use dso_num::matrix::DMatrix;
 use dso_num::newton::{NewtonOptions, NewtonSolver, NewtonStats, NonlinearSystem};
 use dso_num::NumError;
 
-/// The starting state every transient path shares (see
-/// [`Simulator::transient_init`]): the assembled MNA system, the initial
-/// unknown vector, and the per-capacitor integration states.
+/// The starting state of a transient (see [`Simulator::transient_init`]):
+/// the assembled MNA system, the initial unknown vector, and the
+/// per-capacitor integration states.
 type TransientInit<'a> = (MnaSystem<'a>, Vec<f64>, Vec<Option<CapState>>);
 
 /// How a transient analysis obtains its initial state.
@@ -341,18 +340,14 @@ pub struct Simulator<'c> {
     circuit: &'c Circuit,
     temp: f64,
     gmin: f64,
-    newton: NewtonOptions,
     recovery: RecoveryPolicy,
     fault_plan: Option<FaultPlan>,
     tuning: SolverTuning,
 }
 
-/// The Newton iteration policy every [`Simulator`] is created with. The
-/// only per-simulator override is [`SolverTuning::lu_reuse`], folded in by
-/// [`Simulator::with_tuning`]. A [`BatchBackend`] intended to drive
-/// [`transient_lockstep`] lanes bit-identically should be built from the
-/// lane's [`Simulator::newton_options`], e.g.
-/// `backend_with_lanes(lanes, sim.newton_options().clone())`.
+/// The Newton iteration policy every [`Simulator`] solves with, apart from
+/// [`SolverTuning::lu_reuse`], which [`SolverTuning::newton_options`]
+/// folds in.
 pub fn default_newton_options() -> NewtonOptions {
     NewtonOptions {
         max_iterations: 200,
@@ -440,7 +435,6 @@ impl<'c> Simulator<'c> {
             circuit,
             temp: 27.0,
             gmin: 1e-12,
-            newton: default_newton_options(),
             recovery: RecoveryPolicy::default(),
             fault_plan: None,
             tuning: SolverTuning::default(),
@@ -480,7 +474,6 @@ impl<'c> Simulator<'c> {
     /// bit-for-bit.
     pub fn with_tuning(mut self, tuning: SolverTuning) -> Self {
         self.tuning = tuning;
-        self.newton.lu_reuse = tuning.lu_reuse;
         self
     }
 
@@ -512,14 +505,6 @@ impl<'c> Simulator<'c> {
             self.tuning.bypass_tol
         };
         system
-    }
-
-    /// The Newton iteration policy this simulator solves with. A
-    /// [`BatchBackend`] driving [`transient_lockstep`] must be built with
-    /// exactly these options for its lanes to stay bit-identical to the
-    /// scalar path.
-    pub fn newton_options(&self) -> &NewtonOptions {
-        &self.newton
     }
 
     /// Runs one Newton solve, routing it through the armed fault plan (if
@@ -581,7 +566,7 @@ impl<'c> Simulator<'c> {
         self.circuit.validate()?;
         let mut system = self.make_system(self.circuit);
         system.time = 0.0;
-        let mut solver = NewtonSolver::new(self.newton.clone());
+        let mut solver = NewtonSolver::new(self.tuning.newton_options());
         let mut x = vec![0.0; system.unknowns()];
         let mut stats = RecoveryStats::default();
         // Direct attempt, then gmin homotopy.
@@ -645,7 +630,7 @@ impl<'c> Simulator<'c> {
         let vsource_names = self.vsource_names();
         // One solver for the whole sweep: its factorization and scratch
         // buffers are sized once and reused at every point.
-        let mut solver = NewtonSolver::new(self.newton.clone());
+        let mut solver = NewtonSolver::new(self.tuning.newton_options());
         for &v in values {
             ckt.set_waveform(source, Waveform::Dc(v))?;
             let mut system = self.make_system(&ckt);
@@ -716,7 +701,7 @@ impl<'c> Simulator<'c> {
         let (mut system, mut x, mut cap_states) = self.transient_init(options)?;
         let n = system.unknowns();
         let n_node_vars = self.circuit.node_count() - 1;
-        let mut solver = NewtonSolver::new(self.newton.clone());
+        let mut solver = NewtonSolver::new(self.tuning.newton_options());
 
         let steps = (options.t_stop / options.dt).round() as usize;
         let mut times = Vec::with_capacity(steps + 1);
@@ -891,9 +876,7 @@ impl<'c> Simulator<'c> {
 
     /// Builds the pieces every transient starts from: the MNA system, the
     /// initial unknown vector (DC solve or `UIC` initial conditions), and
-    /// the per-capacitor states. Shared by [`Simulator::transient_seeded`]
-    /// and [`transient_lockstep`] so both paths start from bit-identical
-    /// state.
+    /// the per-capacitor states.
     fn transient_init(&self, options: &TranOptions) -> Result<TransientInit<'_>, SpiceError> {
         self.circuit.validate()?;
         let system = self.make_system(self.circuit);
@@ -956,8 +939,7 @@ impl<'c> Simulator<'c> {
     }
 
     /// Installs the capacitor companion models for one step into `system`
-    /// and stamps the step's target time. Shared by the scalar
-    /// [`Simulator::try_step`] and the lockstep path.
+    /// and stamps the step's target time.
     fn install_companions(
         &self,
         system: &mut MnaSystem<'_>,
@@ -1269,195 +1251,6 @@ impl<'c> Simulator<'c> {
             e => Err(e),
         }
     }
-}
-
-/// Runs one fixed-step transient per lane in lockstep: all lanes advance
-/// one time step at a time, and every step's Newton solve runs through
-/// `backend`, so the LU factorization and triangular solves batch across
-/// the lane (see [`dso_num::batch`]).
-///
-/// Lane independence is exact — SoA batching only interleaves *storage* —
-/// so every lane's result is **bit-identical** to
-/// [`Simulator::transient`] of the same lane alone. Lanes the lockstep
-/// path cannot serve bit-identically run the plain scalar transient
-/// instead:
-///
-/// * adaptive time stepping (its step sequence is data-dependent),
-/// * an armed fault plan (fault ordinals count per scalar solve),
-/// * a `backend` whose [`BatchBackend::options`] differ from the lane's
-///   [`Simulator::newton_options`],
-/// * any lane that leaves the happy path — a failed initialization, a
-///   companion-model error, or a step that does not converge. Such a lane
-///   is dropped from the lockstep and the *whole* lane reruns scalar,
-///   reproducing the identical trajectory up to the failure and then
-///   climbing the ordinary [`RecoveryPolicy`] ladder — recovery semantics
-///   and [`RecoveryStats`] accounting are exactly the scalar path's.
-///
-/// [`SolverTuning`] needs no special handling here: each lane owns its MNA
-/// system (and therefore its device-bypass caches), and the batch solver
-/// issues every lane the same residual/Jacobian call sequence as the
-/// scalar solver, so the caches — and the per-lane modified-Newton
-/// refactor decisions — evolve bit-identically to the lane's scalar run.
-pub fn transient_lockstep<B: BatchBackend>(
-    backend: &mut B,
-    sims: &[Simulator<'_>],
-    options: &[TranOptions],
-) -> Vec<Result<TranResult, SpiceError>> {
-    assert_eq!(sims.len(), options.len(), "one TranOptions per lane");
-    let span = dso_obs::span("spice.transient_lockstep");
-    span.note("lanes", sims.len() as f64);
-    let m = sims.len();
-    let mut results: Vec<Option<Result<TranResult, SpiceError>>> = (0..m).map(|_| None).collect();
-
-    /// Per-lane lockstep run state (the lockstep analogue of
-    /// `transient_seeded`'s locals).
-    struct LaneRun {
-        lane: usize,
-        x: Vec<f64>,
-        cap_states: Vec<Option<CapState>>,
-        times: Vec<f64>,
-        samples: Vec<Vec<f64>>,
-        stats: RecoveryStats,
-        steps: usize,
-    }
-
-    let mut systems: Vec<MnaSystem<'_>> = Vec::new();
-    let mut runs: Vec<LaneRun> = Vec::new();
-    let mut scalar: Vec<usize> = Vec::new();
-    for lane in 0..m {
-        let sim = &sims[lane];
-        let opts = &options[lane];
-        if opts.adaptive.is_some() || sim.fault_plan.is_some() || sim.newton != *backend.options() {
-            scalar.push(lane);
-            continue;
-        }
-        match sim.transient_init(opts) {
-            Ok((system, x, cap_states)) => {
-                dso_obs::counter!("spice.transients").incr();
-                let steps = (opts.t_stop / opts.dt).round() as usize;
-                let mut times = Vec::with_capacity(steps + 1);
-                let mut samples = Vec::with_capacity(steps + 1);
-                times.push(0.0);
-                samples.push(x.clone());
-                systems.push(system);
-                runs.push(LaneRun {
-                    lane,
-                    x,
-                    cap_states,
-                    times,
-                    samples,
-                    stats: RecoveryStats::default(),
-                    steps,
-                });
-            }
-            // Initialization failures (bad topology, missing IC node, a
-            // failed DC solve) rerun scalar to reproduce the exact error.
-            Err(_) => scalar.push(lane),
-        }
-    }
-
-    // Fresh-run boundary for cross-solve LU retention: the scalar path
-    // builds a fresh `NewtonSolver` per transient, so no lane may start
-    // this run reusing a factorization retained from a previous one.
-    backend.begin_run();
-    let mut trials: Vec<Vec<f64>> = runs.iter().map(|r| r.x.clone()).collect();
-    let mut dead = vec![false; runs.len()];
-    let mut active = vec![false; runs.len()];
-    let mut t_targets = vec![0.0; runs.len()];
-    let mut methods = vec![Method::BackwardEuler; runs.len()];
-    let total_steps = runs.iter().map(|r| r.steps).max().unwrap_or(0);
-    for step in 1..=total_steps {
-        for p in 0..runs.len() {
-            active[p] = false;
-            if dead[p] || step > runs[p].steps {
-                continue;
-            }
-            let run = &mut runs[p];
-            let opts = &options[run.lane];
-            t_targets[p] = if step == run.steps {
-                opts.t_stop
-            } else {
-                step as f64 * opts.dt
-            };
-            // The first step always integrates backward Euler, as scalar.
-            methods[p] = if step == 1 {
-                Method::BackwardEuler
-            } else {
-                opts.method
-            };
-            let t_prev = run.times[run.times.len() - 1];
-            match sims[run.lane].install_companions(
-                &mut systems[p],
-                &run.cap_states,
-                t_prev,
-                t_targets[p],
-                methods[p],
-            ) {
-                Ok(()) => {
-                    run.stats.solve_attempts += 1;
-                    dso_obs::counter!("spice.solve_attempts").incr();
-                    trials[p].clear();
-                    trials[p].extend_from_slice(&run.x);
-                    active[p] = true;
-                }
-                // A companion/state error is not recoverable by retrying;
-                // the scalar rerun surfaces the identical error.
-                Err(_) => dead[p] = true,
-            }
-        }
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        let outcomes = backend.solve_lockstep(&mut systems, &mut trials, &active);
-        for p in 0..runs.len() {
-            if !active[p] {
-                continue;
-            }
-            match &outcomes[p] {
-                Some(Ok(newton)) => {
-                    let run = &mut runs[p];
-                    run.stats.newton_iters += newton.iterations;
-                    run.stats.lu_refactors += newton.lu_refactors;
-                    run.stats.lu_reuses += newton.lu_reuses;
-                    sims[run.lane].commit_step(
-                        &systems[p],
-                        &mut run.x,
-                        &mut run.cap_states,
-                        &trials[p],
-                        methods[p],
-                    );
-                    run.times.push(t_targets[p]);
-                    run.samples.push(run.x.clone());
-                }
-                // The lane left the happy path: drop it from the lockstep
-                // and let the scalar rerun reproduce the failure and climb
-                // the recovery ladder.
-                _ => dead[p] = true,
-            }
-        }
-    }
-
-    for (p, mut run) in runs.into_iter().enumerate() {
-        if dead[p] {
-            scalar.push(run.lane);
-            continue;
-        }
-        systems[p].fold_bypass_counters(&mut run.stats);
-        results[run.lane] = Some(Ok(TranResult {
-            node_names: sims[run.lane].circuit.node_names().to_vec(),
-            vsource_names: sims[run.lane].vsource_names(),
-            times: run.times,
-            samples: run.samples,
-            recovery: run.stats,
-        }));
-    }
-    for lane in scalar {
-        results[lane] = Some(sims[lane].transient_seeded(&options[lane], None));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane resolved"))
-        .collect()
 }
 
 /// Bypass anchor for one MOSFET: the terminal voltages of its last model

@@ -60,9 +60,7 @@ pub mod units;
 pub mod waveform;
 
 pub use circuit::{Circuit, NodeId};
-pub use engine::{
-    default_newton_options, transient_lockstep, Simulator, SolverTuning, TranOptions, TranResult,
-};
+pub use engine::{default_newton_options, Simulator, SolverTuning, TranOptions, TranResult};
 pub use error::SpiceError;
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 

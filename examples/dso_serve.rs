@@ -3,7 +3,7 @@
 //! Wraps a [`Session`] (memo cache + optional `DSO_STORE` persistence)
 //! behind the JSONL job protocol, with a bounded admission queue, two
 //! request priorities, per-request deadlines, and cooperative
-//! cancellation. See DESIGN.md §12 for the protocol.
+//! cancellation. See DESIGN.md §11 for the protocol.
 //!
 //! Transports:
 //!
@@ -14,7 +14,7 @@
 //!
 //! Tuning comes from the `DSO_SERVE_*` environment knobs (workers, queue
 //! capacity, frame limit, default deadline) plus the usual `DSO_THREADS`
-//! / `DSO_CHUNK` / `DSO_LANES` / `DSO_STORE` session settings; see the
+//! / `DSO_CHUNK` / `DSO_STORE` session settings; see the
 //! README's environment table.
 //!
 //! A quick smoke test over stdin/stdout:

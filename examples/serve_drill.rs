@@ -8,7 +8,7 @@
 //!
 //! * **bit identity**: every job's terminal payload is byte-identical
 //!   across all thread counts *and* to the equivalent direct [`Session`]
-//!   call (the service determinism contract, DESIGN.md §12),
+//!   call (the service determinism contract, DESIGN.md §11),
 //! * **zero dropped or duplicated responses**: every job gets exactly one
 //!   `accepted` and exactly one terminal reply; campaign progress frames
 //!   are strictly monotonic and end at the full chunk count,
