@@ -14,6 +14,12 @@ pub const SINGULARITY_THRESHOLD: f64 = 1e-13;
 /// An LU factorization `P·A = L·U` of a square matrix, with partial
 /// pivoting.
 ///
+/// The factors are stored densely, but the kernels skip exact zeros: the
+/// elimination updates a row only over the pivot row's nonzero columns,
+/// and the substitutions sum only over each row's recorded nonzeros, in
+/// ascending column order. Every nonzero result and every pivot choice is
+/// therefore bit-identical to the plain dense loops (DESIGN §10).
+///
 /// # Example
 ///
 /// ```
@@ -36,9 +42,18 @@ pub struct LuFactor {
     lu: Vec<f64>,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
+    /// Dimension of the stored factorization; 0 when there is none (never
+    /// factored, or the last refactor failed).
     n: usize,
     /// Sign of the permutation, for the determinant.
     perm_sign: f64,
+    /// Nonzero columns of each row of L (strictly lower), ascending; row
+    /// `i` is `l_cols[l_start[i]..l_start[i + 1]]`.
+    l_cols: Vec<usize>,
+    l_start: Vec<usize>,
+    /// Nonzero columns of each row of U (strictly upper), same layout.
+    u_cols: Vec<usize>,
+    u_start: Vec<usize>,
 }
 
 impl LuFactor {
@@ -64,6 +79,10 @@ impl LuFactor {
             perm: Vec::new(),
             n: 0,
             perm_sign: 1.0,
+            l_cols: Vec::new(),
+            l_start: Vec::new(),
+            u_cols: Vec::new(),
+            u_start: Vec::new(),
         }
     }
 
@@ -75,32 +94,43 @@ impl LuFactor {
     ///
     /// # Errors
     ///
-    /// Same contract as [`LuFactor::new`]. On error the stored factorization
-    /// is invalid and must not be used for solves.
+    /// Same contract as [`LuFactor::new`]. On error the factorization is
+    /// left empty ([`LuFactor::dim`] is 0), so no caller can mistake a
+    /// half-written factor for a usable one.
     pub fn refactor_into(&mut self, a: &DMatrix) -> Result<(), NumError> {
+        self.n = 0;
         if !a.is_square() {
             return Err(NumError::ShapeMismatch {
                 expected: "square matrix".into(),
                 found: format!("{}x{}", a.rows(), a.cols()),
             });
         }
-        if !a.is_finite() {
+        let Some(max_abs) = finite_max_abs(a.as_slice()) else {
             return Err(NumError::NonFinite {
                 context: "LU input matrix".into(),
             });
-        }
+        };
         let n = a.rows();
+        // Sized once, when a larger dimension first arrives: each strict
+        // triangle holds at most n(n-1)/2 entries, so both lists together
+        // stay within n².
+        let half = n * n.saturating_sub(1) / 2;
+        if self.u_cols.len() < half || self.u_start.len() <= n {
+            self.l_cols = vec![0; half];
+            self.u_cols = vec![0; half];
+            self.l_start = vec![0; n + 1];
+            self.u_start = vec![0; n + 1];
+        }
         self.lu.clear();
         self.lu.extend_from_slice(a.as_slice());
         self.perm.clear();
         self.perm.extend(0..n);
-        self.n = n;
         self.perm_sign = 1.0;
         let lu = &mut self.lu;
         let perm = &mut self.perm;
-        let scale = a.max_abs().max(1.0);
-        let threshold = SINGULARITY_THRESHOLD * scale;
+        let threshold = SINGULARITY_THRESHOLD * max_abs.max(1.0);
 
+        let mut u_len = 0;
         for k in 0..n {
             // Partial pivoting: pick the largest magnitude in column k.
             let mut pivot_row = k;
@@ -125,23 +155,68 @@ impl LuFactor {
                 perm.swap(k, pivot_row);
                 self.perm_sign = -self.perm_sign;
             }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
-                if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        lu[i * n + j] -= factor * lu[k * n + j];
+            let (head, tail) = lu.split_at_mut((k + 1) * n);
+            let row_k = &head[k * n..];
+            // Row k is final from here on: its nonzeros right of the
+            // diagonal are U's row pattern, and the only columns the
+            // elimination below can change.
+            let row_start = u_len;
+            u_len = compact_nonzeros(&row_k[k + 1..], k + 1, &mut self.u_cols, u_len);
+            self.u_start[k + 1] = u_len;
+            let u_row = &self.u_cols[row_start..u_len];
+            // A pivot row more than a quarter full is cheaper to sweep
+            // contiguously (the loop vectorizes) than through its index
+            // list; the extra terms are exact zeros, so both give the
+            // same bits.
+            let contiguous = 4 * u_row.len() > n - k - 1;
+            let pivot = row_k[k];
+            for row in tail.chunks_exact_mut(n) {
+                let lik = row[k];
+                if lik == 0.0 {
+                    continue;
+                }
+                let factor = lik / pivot;
+                row[k] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                if contiguous {
+                    for (a, p) in row[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                        *a -= factor * p;
+                    }
+                } else {
+                    for &j in u_row {
+                        row[j] -= factor * row_k[j];
                     }
                 }
             }
         }
+        // L's row pattern is only final once every swap has happened.
+        let mut l_len = 0;
+        for i in 0..n {
+            l_len = compact_nonzeros(&lu[i * n..i * n + i], 0, &mut self.l_cols, l_len);
+            self.l_start[i + 1] = l_len;
+        }
+        self.n = n;
         Ok(())
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// The row permutation: entry `i` is the original row now in position
+    /// `i`. Empty when there is no factorization.
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm[..self.n]
+    }
+
+    /// The combined factors, row-major: L strictly below the diagonal (its
+    /// unit diagonal implied), U on and above it. Empty when there is no
+    /// factorization.
+    pub fn factors(&self) -> &[f64] {
+        &self.lu[..self.n * self.n]
     }
 
     /// Solves `A·x = b` using the stored factorization.
@@ -172,19 +247,21 @@ impl LuFactor {
         assert_eq!(x.len(), n, "solution length mismatch");
         // Forward substitution with permuted rhs: L·y = P·b.
         for i in 0..n {
+            let row = &self.lu[i * n..(i + 1) * n];
             let mut sum = b[self.perm[i]];
-            for (j, xj) in x.iter().enumerate().take(i) {
-                sum -= self.lu[i * n + j] * xj;
+            for &j in &self.l_cols[self.l_start[i]..self.l_start[i + 1]] {
+                sum -= row[j] * x[j];
             }
             x[i] = sum;
         }
         // Back substitution: U·x = y.
         for i in (0..n).rev() {
+            let row = &self.lu[i * n..(i + 1) * n];
             let mut sum = x[i];
-            for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum -= self.lu[i * n + j] * xj;
+            for &j in &self.u_cols[self.u_start[i]..self.u_start[i + 1]] {
+                sum -= row[j] * x[j];
             }
-            x[i] = sum / self.lu[i * n + i];
+            x[i] = sum / row[i];
         }
     }
 
@@ -213,6 +290,41 @@ impl LuFactor {
             max / min
         }
     }
+}
+
+/// The largest magnitude in `values`, or `None` if any value is NaN or
+/// infinite: the finiteness check and the pivot scale in one pass. Four
+/// independent running maxima keep the loop off a single dependency
+/// chain; `max` is exact and order-free on finite magnitudes, so the
+/// result equals a sequential fold.
+fn finite_max_abs(values: &[f64]) -> Option<f64> {
+    let mut lanes = [0.0_f64; 4];
+    let mut finite = true;
+    let chunks = values.chunks_exact(4);
+    let rest = chunks.remainder();
+    for c in chunks {
+        for (m, v) in lanes.iter_mut().zip(c) {
+            finite &= v.is_finite();
+            *m = m.max(v.abs());
+        }
+    }
+    for v in rest {
+        finite &= v.is_finite();
+        lanes[0] = lanes[0].max(v.abs());
+    }
+    finite.then(|| lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3])))
+}
+
+/// Appends the column index (`first` + offset) of every nonzero of
+/// `values` to `cols` from position `len` on, returning the new length.
+/// Branch-free: every index is written, but the cursor only advances past
+/// nonzeros, so a scattered pattern costs no mispredictions.
+fn compact_nonzeros(values: &[f64], first: usize, cols: &mut [usize], mut len: usize) -> usize {
+    for (off, v) in values.iter().enumerate() {
+        cols[len] = first + off;
+        len += usize::from(*v != 0.0);
+    }
+    len
 }
 
 /// Convenience: factor `a` and solve `a·x = b` in one call.

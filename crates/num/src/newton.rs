@@ -560,6 +560,60 @@ mod tests {
         assert!(solver.solve(&mut TwoDim, &mut x).is_err());
     }
 
+    /// `F(x) = A·x − b` for a fixed `A`: Newton converges in one exact
+    /// step from any start.
+    struct Linear {
+        a: DMatrix,
+        b: Vec<f64>,
+    }
+    impl NonlinearSystem for Linear {
+        fn unknowns(&self) -> usize {
+            self.b.len()
+        }
+        fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
+            self.a.mul_vec_into(x, out);
+            for (o, b) in out.iter_mut().zip(&self.b) {
+                *o -= b;
+            }
+            Ok(())
+        }
+        fn jacobian(&mut self, _x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
+            jac.copy_from(&self.a);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn solve_reusing_refactors_after_a_failed_refactor() {
+        let mut solver = NewtonSolver::new(NewtonOptions::default());
+        // Singular in column 1, after column 0 has been eliminated: the
+        // refactor fails with the factor half written.
+        let mut singular = Linear {
+            a: DMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap(),
+            b: vec![1.0, 1.0],
+        };
+        let err = solver.solve(&mut singular, &mut [0.0, 0.0]).unwrap_err();
+        assert!(matches!(err, NumError::SingularMatrix { column: 1, .. }));
+        // Same dimension, so only the failed refactor's state decides
+        // whether the follow-up solve may start from the retained LU.
+        let mut good = Linear {
+            a: DMatrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap(),
+            b: vec![5.0, 5.0],
+        };
+        // Start within one unclamped step of the root (1, 2).
+        let mut x = vec![0.9, 1.9];
+        let stats = solver.solve_reusing(&mut good, &mut x).unwrap();
+        assert_eq!(stats.lu_refactors, 1, "{stats:?}");
+        assert_eq!(
+            stats.lu_reuses, 0,
+            "reused a failed factorization: {stats:?}"
+        );
+        assert!(
+            (x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12,
+            "{x:?}"
+        );
+    }
+
     #[test]
     fn solver_is_reusable() {
         let mut solver = NewtonSolver::new(NewtonOptions::default());

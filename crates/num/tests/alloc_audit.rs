@@ -132,3 +132,49 @@ fn warmed_refactor_and_solve_in_place_do_not_allocate() {
         assert!((l - r).abs() < 1e-12);
     }
 }
+
+#[test]
+fn warmed_refactor_with_changing_zero_pattern_does_not_allocate() {
+    // An MNA-shaped system: a node chain whose couplings switch on and
+    // off between refactors (a transistor leaving cutoff), plus
+    // zero-diagonal branch rows whose unit entries outweigh some node
+    // diagonals, forcing row swaps. The factorization's pattern lists
+    // must absorb every pattern change in place.
+    let (nodes, branches) = (30, 6);
+    let n = nodes + branches;
+    let matrix = |step: usize| {
+        let mut a = DMatrix::zeros(n, n);
+        for i in 0..nodes {
+            a[(i, i)] = 0.5 + (i % 3) as f64;
+            if i + 1 < nodes && !(i + step).is_multiple_of(4) {
+                a[(i, i + 1)] = -1.0;
+                a[(i + 1, i)] = -1.0;
+            }
+            if i + 5 < nodes && (i * step) % 3 == 1 {
+                a[(i, i + 5)] = -0.25;
+            }
+        }
+        for b in 0..branches {
+            a[(5 * b, nodes + b)] = 1.0;
+            a[(nodes + b, 5 * b)] = 1.0;
+        }
+        a
+    };
+    let matrices: Vec<DMatrix> = (0..8).map(matrix).collect();
+    let b: Vec<f64> = (0..n).map(|i| i as f64 - 10.0).collect();
+    let mut x = vec![0.0; n];
+    let mut lu = LuFactor::new(&matrices[0]).unwrap();
+
+    let allocs = allocations_in(|| {
+        for a in matrices.iter().cycle().take(40) {
+            lu.refactor_into(a).unwrap();
+            lu.solve_in_place(&b, &mut x);
+        }
+    });
+    assert_eq!(allocs, 0, "warmed refactor+solve allocated {allocs} times");
+
+    let ax = matrices[7].mul_vec(&x).unwrap();
+    for (l, r) in ax.iter().zip(&b) {
+        assert!((l - r).abs() < 1e-9, "{l} vs {r}");
+    }
+}

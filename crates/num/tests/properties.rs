@@ -339,3 +339,255 @@ fn norm_inf_propagates_nan() {
     m[(0, 1)] = f64::NAN;
     assert!(m.norm_inf().is_nan());
 }
+
+// ---------------------------------------------------------------------------
+// Zero-skipping kernels against the plain dense loops.
+//
+// `LuFactor` and the MNA residual skip entries that are exactly zero. The
+// references below are in-test copies of the dense `refactor_into`,
+// `solve_in_place` and `DMatrix::mul_vec_into` loops the skipping kernels
+// replaced. The contract: the same pivots, every nonzero output equal to
+// the bit, and every zero output equal as a value (only the sign of an
+// exact zero may differ).
+
+/// The dense partial-pivoting factorization: `(combined L\U, permutation)`.
+fn reference_factor(a: &DMatrix) -> Result<(Vec<f64>, Vec<usize>), NumError> {
+    if !a.is_finite() {
+        return Err(NumError::NonFinite {
+            context: "LU input matrix".into(),
+        });
+    }
+    let n = a.rows();
+    let mut lu = a.as_slice().to_vec();
+    let mut perm: Vec<usize> = (0..n).collect();
+    let threshold = dso_num::lu::SINGULARITY_THRESHOLD * a.max_abs().max(1.0);
+    for k in 0..n {
+        let mut pivot_row = k;
+        let mut pivot_val = lu[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = lu[i * n + k].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = i;
+            }
+        }
+        if pivot_val < threshold {
+            return Err(NumError::SingularMatrix {
+                column: k,
+                pivot: pivot_val,
+            });
+        }
+        if pivot_row != k {
+            for j in 0..n {
+                lu.swap(k * n + j, pivot_row * n + j);
+            }
+            perm.swap(k, pivot_row);
+        }
+        let pivot = lu[k * n + k];
+        for i in (k + 1)..n {
+            let factor = lu[i * n + k] / pivot;
+            lu[i * n + k] = factor;
+            if factor != 0.0 {
+                for j in (k + 1)..n {
+                    lu[i * n + j] -= factor * lu[k * n + j];
+                }
+            }
+        }
+    }
+    Ok((lu, perm))
+}
+
+/// The dense forward and back substitution over `reference_factor`'s output.
+fn reference_solve(lu: &[f64], perm: &[usize], b: &[f64]) -> Vec<f64> {
+    let n = perm.len();
+    let mut x = vec![0.0; n];
+    for i in 0..n {
+        let mut sum = b[perm[i]];
+        for (j, xj) in x.iter().enumerate().take(i) {
+            sum -= lu[i * n + j] * xj;
+        }
+        x[i] = sum;
+    }
+    for i in (0..n).rev() {
+        let mut sum = x[i];
+        for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
+            sum -= lu[i * n + j] * xj;
+        }
+        x[i] = sum / lu[i * n + i];
+    }
+    x
+}
+
+/// The dense matrix–vector product of `DMatrix::mul_vec_into`.
+fn reference_mul_vec(a: &DMatrix, x: &[f64]) -> Vec<f64> {
+    (0..a.rows())
+        .map(|i| a.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
+        .collect()
+}
+
+/// Asserts `got` matches `want` under the zero-skipping contract.
+fn assert_same_up_to_zero_sign(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if *w == 0.0 {
+            assert_eq!(*g, 0.0, "{what}[{i}]: want a zero, got {g:e}");
+        } else {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g:e} vs {w:e}");
+        }
+    }
+}
+
+/// A random matrix shaped like a stamped MNA system: `nodes` node rows
+/// with a gmin diagonal, two-terminal conductance stamps, one-way
+/// transconductances of either sign and some explicit `±0` entries, then
+/// `branches` voltage-source rows whose zero diagonals force pivoting.
+fn mna_shaped(rng: &mut TestRng, nodes: usize, branches: usize) -> DMatrix {
+    let n = nodes + branches;
+    let mut a = DMatrix::zeros(n, n);
+    for i in 0..nodes {
+        a[(i, i)] = rng.log_range(1e-12, 1e-3);
+    }
+    for _ in 0..(3 * nodes / 2) {
+        let p = rng.index(nodes);
+        let q = rng.index(nodes);
+        let g = rng.log_range(1e-6, 1e-1);
+        a[(p, p)] += g;
+        a[(q, q)] += g;
+        if p != q {
+            a[(p, q)] -= g;
+            a[(q, p)] -= g;
+        }
+    }
+    for _ in 0..(nodes / 3) {
+        let (p, q) = (rng.index(nodes), rng.index(nodes));
+        a[(p, q)] += rng.range(-1e-3, 1e-3);
+    }
+    for _ in 0..(nodes / 4) {
+        let (p, q) = (rng.index(nodes), rng.index(nodes));
+        if p != q {
+            a[(p, q)] = if rng.next_bool() { 0.0 } else { -0.0 };
+        }
+    }
+    for b in 0..branches {
+        let br = nodes + b;
+        let p = rng.index(nodes);
+        a[(p, br)] += 1.0;
+        a[(br, p)] += 1.0;
+        if rng.next_bool() {
+            let q = rng.index(nodes);
+            if q != p {
+                a[(q, br)] -= 1.0;
+                a[(br, q)] -= 1.0;
+            }
+        }
+    }
+    a
+}
+
+/// A right-hand side with negative entries, exact zeros and negative zeros.
+fn sparse_rhs(rng: &mut TestRng, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|_| match rng.index(4) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range(-5.0, 5.0),
+        })
+        .collect()
+}
+
+#[test]
+fn zero_skipping_lu_is_bit_identical_to_dense_lu() {
+    let mut rng = TestRng::new(0x100e);
+    // One factorization reused across cases, as the Newton solver does:
+    // its pattern lists must follow every change of the zero pattern.
+    let mut lu = LuFactor::empty();
+    let (mut factored, mut singular, mut pivoted) = (0, 0, 0);
+    for _ in 0..(4 * CASES) {
+        let nodes = rng.index_range(2, 36);
+        let branches = rng.index_range(0, 7);
+        let a = mna_shaped(&mut rng, nodes, branches);
+        match (reference_factor(&a), lu.refactor_into(&a)) {
+            (Ok((want_lu, want_perm)), Ok(())) => {
+                factored += 1;
+                if want_perm.iter().enumerate().any(|(i, &p)| i != p) {
+                    pivoted += 1;
+                }
+                assert_eq!(lu.permutation(), want_perm.as_slice(), "pivots differ");
+                assert_same_up_to_zero_sign(lu.factors(), &want_lu, "factors");
+                for _ in 0..3 {
+                    let b = sparse_rhs(&mut rng, a.rows());
+                    let mut x = vec![f64::NAN; a.rows()];
+                    lu.solve_in_place(&b, &mut x);
+                    let want = reference_solve(&want_lu, &want_perm, &b);
+                    assert_same_up_to_zero_sign(&x, &want, "solution");
+                }
+            }
+            (Err(want), Err(got)) => {
+                singular += 1;
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "failures differ");
+                assert_eq!(lu.dim(), 0, "a failed refactor must leave no factorization");
+            }
+            (want, got) => panic!("outcomes differ: reference {want:?}, skipping {got:?}"),
+        }
+    }
+    // The generator must exercise both outcomes and real pivoting.
+    assert!(factored > CASES, "only {factored} cases factored");
+    assert!(pivoted > CASES / 2, "only {pivoted} cases pivoted");
+    assert!(singular > 0, "no singular case generated");
+}
+
+#[test]
+fn zero_skipping_lu_matches_dense_lu_on_dense_matrices() {
+    // No zeros to skip: the contiguous elimination sweep must still give
+    // the dense loop's bits exactly.
+    let mut rng = TestRng::new(0x100f);
+    let mut lu = LuFactor::empty();
+    for _ in 0..CASES {
+        let n = rng.index_range(1, 24);
+        let mut a = DMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] = rng.range(-1.0, 1.0);
+            }
+        }
+        let (want_lu, want_perm) = reference_factor(&a).expect("random dense is nonsingular");
+        lu.refactor_into(&a).expect("random dense is nonsingular");
+        assert_eq!(lu.permutation(), want_perm.as_slice());
+        assert_same_up_to_zero_sign(lu.factors(), &want_lu, "factors");
+        let b = sparse_rhs(&mut rng, n);
+        let mut x = vec![0.0; n];
+        lu.solve_in_place(&b, &mut x);
+        assert_same_up_to_zero_sign(&x, &reference_solve(&want_lu, &want_perm, &b), "solution");
+    }
+}
+
+#[test]
+fn zero_skipping_matvec_is_bit_identical_to_dense_matvec() {
+    // The MNA residual's base product sums each row over its nonzero
+    // columns only, in ascending order, with the same `.sum()` fold.
+    let mut rng = TestRng::new(0x1010);
+    for _ in 0..CASES {
+        let nodes = rng.index_range(2, 36);
+        let branches = rng.index_range(0, 7);
+        let a = mna_shaped(&mut rng, nodes, branches);
+        let x = sparse_rhs(&mut rng, a.rows());
+        let mut dense = vec![0.0; a.rows()];
+        a.mul_vec_into(&x, &mut dense);
+        let want = reference_mul_vec(&a, &x);
+        assert_eq!(
+            dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "DMatrix::mul_vec_into drifted from its reference"
+        );
+        let skipping: Vec<f64> = (0..a.rows())
+            .map(|i| {
+                let row = a.row(i);
+                (0..row.len())
+                    .filter(|&j| row[j] != 0.0)
+                    .map(|j| row[j] * x[j])
+                    .sum()
+            })
+            .collect();
+        assert_same_up_to_zero_sign(&skipping, &want, "product");
+    }
+}

@@ -184,9 +184,73 @@ pub struct TranResult {
     vsource_names: Vec<String>,
     times: Vec<f64>,
     /// One unknown vector per time point.
-    samples: Vec<Vec<f64>>,
+    samples: Samples,
     /// Recovery actions the run needed (empty for a clean run).
     recovery: RecoveryStats,
+}
+
+/// Values per [`Samples`] block (64 KiB).
+const BLOCK_LEN: usize = 8192;
+
+/// The unknown vectors of a transient, back to back in fixed-size blocks.
+/// A fixed-step run reserves every block before its first step, so
+/// committing a sample is a copy into memory it already owns, never an
+/// allocation. Blocks, not one buffer per run: a Table-1 transient's
+/// samples span hundreds of KiB, and glibc's malloc, once it has freed
+/// one such buffer, keeps later ones in its arenas and holds on to their
+/// freed space; one buffer per run raised the pipeline's peak RSS by
+/// about 1 MB (15–20 %), blocks of this size do not.
+#[derive(Debug, Clone)]
+struct Samples {
+    blocks: Vec<Vec<f64>>,
+    /// Unknowns per sample.
+    stride: usize,
+    /// Samples per block.
+    per_block: usize,
+    /// Samples stored.
+    len: usize,
+}
+
+impl Samples {
+    /// Storage for `samples` samples of `stride` unknowns, all reserved.
+    fn with_capacity(stride: usize, samples: usize) -> Self {
+        let per_block = (BLOCK_LEN / stride.max(1)).max(1);
+        let blocks = (0..samples.div_ceil(per_block))
+            .map(|_| Vec::with_capacity(per_block * stride))
+            .collect();
+        Samples {
+            blocks,
+            stride,
+            per_block,
+            len: 0,
+        }
+    }
+
+    /// Appends one sample, opening a block only past the reservation.
+    fn push(&mut self, x: &[f64]) {
+        let block = self.len / self.per_block;
+        if block == self.blocks.len() {
+            self.blocks
+                .push(Vec::with_capacity(self.per_block * self.stride));
+        }
+        self.blocks[block].extend_from_slice(x);
+        self.len += 1;
+    }
+
+    /// Sample `idx`.
+    fn get(&self, idx: usize) -> &[f64] {
+        let start = (idx % self.per_block) * self.stride;
+        &self.blocks[idx / self.per_block][start..start + self.stride]
+    }
+}
+
+/// Equal samples, whatever the reservation behind them.
+impl PartialEq for Samples {
+    fn eq(&self, other: &Self) -> bool {
+        self.stride == other.stride
+            && self.len == other.len
+            && (0..self.len).all(|k| self.get(k) == other.get(k))
+    }
 }
 
 impl TranResult {
@@ -211,6 +275,13 @@ impl TranResult {
         self.times.is_empty()
     }
 
+    /// One unknown's value at every time point.
+    fn trace(&self, var: usize) -> Vec<f64> {
+        (0..self.times.len())
+            .map(|k| self.samples.get(k)[var])
+            .collect()
+    }
+
     fn node_var(&self, node: &str) -> Result<Option<usize>, SpiceError> {
         if node == "0" || node == "gnd" {
             return Ok(None);
@@ -231,7 +302,7 @@ impl TranResult {
     pub fn voltage(&self, node: &str) -> Result<Vec<f64>, SpiceError> {
         match self.node_var(node)? {
             None => Ok(vec![0.0; self.times.len()]),
-            Some(var) => Ok(self.samples.iter().map(|s| s[var]).collect()),
+            Some(var) => Ok(self.trace(var)),
         }
     }
 
@@ -266,13 +337,13 @@ impl TranResult {
         };
         let idx = self.times.partition_point(|&tv| tv <= t);
         if idx == 0 {
-            return Ok(self.samples[0][var]);
+            return Ok(self.samples.get(0)[var]);
         }
         if idx >= self.times.len() {
-            return Ok(self.samples[self.times.len() - 1][var]);
+            return Ok(self.samples.get(self.times.len() - 1)[var]);
         }
         let (ta, tb) = (self.times[idx - 1], self.times[idx]);
-        let (va, vb) = (self.samples[idx - 1][var], self.samples[idx][var]);
+        let (va, vb) = (self.samples.get(idx - 1)[var], self.samples.get(idx)[var]);
         Ok(va + (vb - va) * (t - ta) / (tb - ta))
     }
 
@@ -285,9 +356,10 @@ impl TranResult {
         match self.node_var(node)? {
             None => Ok(0.0),
             Some(var) => Ok(self
-                .samples
-                .last()
-                .map(|s| s[var])
+                .times
+                .len()
+                .checked_sub(1)
+                .map(|last| self.samples.get(last)[var])
                 .ok_or_else(|| SpiceError::BadAnalysis("no samples".into()))?),
         }
     }
@@ -304,8 +376,7 @@ impl TranResult {
             .times
             .binary_search_by(|tv| tv.partial_cmp(&t).unwrap_or(std::cmp::Ordering::Less))
             .ok()?;
-        let sample = &self.samples[idx];
-        (sample.len() == n).then_some(sample.as_slice())
+        (self.samples.stride == n).then(|| self.samples.get(idx))
     }
 
     /// The branch-current waveform of a named voltage source.
@@ -320,7 +391,7 @@ impl TranResult {
             .position(|n| n == vsource)
             .ok_or_else(|| SpiceError::UnknownDevice(vsource.to_string()))?;
         let var = self.node_names.len() - 1 + idx;
-        Ok(self.samples.iter().map(|s| s[var]).collect())
+        Ok(self.trace(var))
     }
 }
 
@@ -705,9 +776,9 @@ impl<'c> Simulator<'c> {
 
         let steps = (options.t_stop / options.dt).round() as usize;
         let mut times = Vec::with_capacity(steps + 1);
-        let mut samples = Vec::with_capacity(steps + 1);
+        let mut samples = Samples::with_capacity(n, steps + 1);
         times.push(0.0);
-        samples.push(x.clone());
+        samples.push(&x);
         let mut stats = RecoveryStats::default();
         // One trial vector reused by every step attempt of the run.
         let mut trial = vec![0.0; n];
@@ -784,7 +855,7 @@ impl<'c> Simulator<'c> {
                 cap_states = cs_tr;
                 t = t_next;
                 times.push(t);
-                samples.push(x.clone());
+                samples.push(&x);
                 first_step = false;
                 if err < 0.25 * adaptive.lte_tol {
                     dt = (2.0 * dt_eff).min(adaptive.dt_max);
@@ -861,7 +932,7 @@ impl<'c> Simulator<'c> {
             )?;
             first_step = false;
             times.push(t_target);
-            samples.push(x.clone());
+            samples.push(&x);
         }
         debug_assert_eq!(n_node_vars + vsource_names.len(), n);
         system.fold_bypass_counters(&mut stats);
@@ -950,23 +1021,31 @@ impl<'c> Simulator<'c> {
     ) -> Result<(), SpiceError> {
         let dt = t_target - t_prev;
         system.time = t_target;
-        system.base_dirty = true;
-        system.companions.clear();
-        system.companions.resize(self.circuit.device_count(), None);
+        // Source values and companion currents move every step; the
+        // conductances only when the method, dt or gmin does.
+        system.rhs_dirty = true;
         for (idx, device) in self.circuit.devices().iter().enumerate() {
             if let Device::Capacitor { capacitance, .. } = device {
                 let state = cap_states[idx].ok_or_else(|| {
                     SpiceError::BadAnalysis("capacitor state not initialized".into())
                 })?;
-                if *capacitance > 0.0 {
+                let comp = if *capacitance > 0.0 {
                     // A companion-model failure is a configuration error
                     // (non-positive dt), not a convergence failure — it is
                     // surfaced immediately and never retried.
-                    let comp = method
-                        .companion(*capacitance, dt, state.v_prev, state.i_prev)
-                        .map_err(SpiceError::Numerical)?;
-                    system.companions[idx] = Some(comp);
+                    Some(
+                        method
+                            .companion(*capacitance, dt, state.v_prev, state.i_prev)
+                            .map_err(SpiceError::Numerical)?,
+                    )
+                } else {
+                    None
+                };
+                let geq_bits = |c: Option<Companion>| c.map(|c| c.geq.to_bits());
+                if geq_bits(comp) != geq_bits(system.companions[idx]) {
+                    system.jac_dirty = true;
                 }
+                system.companions[idx] = comp;
             }
         }
         Ok(())
@@ -1276,8 +1355,9 @@ struct DiodeBypass {
 ///
 /// When `bypass_tol > 0` the system assembles incrementally: everything
 /// linear in `x` (gmin leak, resistors, capacitor companions, source
-/// patterns) is stamped once per `(time, companions, gmin)` configuration
-/// into `lin_jac`/`lin_rhs`, and each residual/Jacobian evaluation is a
+/// patterns) is stamped into `lin_jac`/`lin_rhs` — the Jacobian half once
+/// per `(gmin, companion conductances)` configuration, the right-hand side
+/// once per step — and each residual/Jacobian evaluation is a sparse
 /// matrix-vector product (or memcpy) plus the nonlinear device stamps —
 /// with MOSFETs and diodes bypassed when their terminal voltages have not
 /// moved. `bypass_tol == 0` routes every evaluation through the legacy
@@ -1295,11 +1375,18 @@ struct MnaSystem<'a> {
     /// Device bypass tolerance in volts; `0` disables the incremental
     /// fast path entirely (see [`SolverTuning::bypass_tol`]).
     bypass_tol: f64,
-    /// `true` when `lin_jac`/`lin_rhs` no longer match the current
-    /// `(time, companions, gmin)` configuration.
-    base_dirty: bool,
+    /// `true` when `lin_jac` no longer matches `gmin` and the companion
+    /// conductances.
+    jac_dirty: bool,
+    /// `true` when `lin_rhs` no longer matches the step's time and
+    /// companion currents.
+    rhs_dirty: bool,
     /// Constant (in `x`) part of the Jacobian.
     lin_jac: DMatrix,
+    /// Stamp pattern of `lin_jac` (see [`MnaSystem::base_pattern`]),
+    /// ascending per row; row `i` is `lin_cols[lin_start[i]..lin_start[i + 1]]`.
+    lin_cols: Vec<usize>,
+    lin_start: Vec<usize>,
     /// Constant (in `x`) part of the residual.
     lin_rhs: Vec<f64>,
     /// Per-device bypass anchors (index-aligned with the device list).
@@ -1320,6 +1407,7 @@ impl<'a> MnaSystem<'a> {
                 next += 1;
             }
         }
+        let (lin_cols, lin_start) = Self::base_pattern(circuit, &branch_var, next);
         MnaSystem {
             circuit,
             temp,
@@ -1329,8 +1417,11 @@ impl<'a> MnaSystem<'a> {
             branch_var,
             n_unknowns: next,
             bypass_tol: 0.0,
-            base_dirty: true,
+            jac_dirty: true,
+            rhs_dirty: true,
             lin_jac: DMatrix::zeros(next, next),
+            lin_cols,
+            lin_start,
             lin_rhs: vec![0.0; next],
             mos_cache: vec![None; circuit.device_count()],
             diode_cache: vec![None; circuit.device_count()],
@@ -1339,13 +1430,61 @@ impl<'a> MnaSystem<'a> {
         }
     }
 
+    /// Every position of the `n × n` linear base a stamp can reach — the
+    /// gmin diagonal, two-terminal conductances (resistors, capacitor
+    /// companions) and voltage-source incidences — as ascending column
+    /// lists per row, `(cols, row starts)`. A fixed superset of the base's
+    /// nonzeros, so it is computed once per system, never rescanned.
+    fn base_pattern(
+        circuit: &Circuit,
+        branch_var: &[Option<usize>],
+        n: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut stamped = vec![false; n * n];
+        let mut mark = |row: usize, col: usize| stamped[row * n + col] = true;
+        for i in 0..circuit.node_count() - 1 {
+            mark(i, i);
+        }
+        let var = |node: NodeId| (!node.is_ground()).then(|| node.0 - 1);
+        for (idx, device) in circuit.devices().iter().enumerate() {
+            match device {
+                Device::Resistor { p, n, .. } | Device::Capacitor { p, n, .. } => {
+                    for a in [var(*p), var(*n)].into_iter().flatten() {
+                        for b in [var(*p), var(*n)].into_iter().flatten() {
+                            mark(a, b);
+                        }
+                    }
+                }
+                Device::VSource { p, n, .. } => {
+                    let br = branch_var[idx].expect("vsource has branch");
+                    for a in [var(*p), var(*n)].into_iter().flatten() {
+                        mark(a, br);
+                        mark(br, a);
+                    }
+                }
+                Device::ISource { .. }
+                | Device::Mosfet { .. }
+                | Device::Diode { .. }
+                | Device::VSwitch { .. } => {}
+            }
+        }
+        let mut cols = Vec::new();
+        let mut starts = vec![0];
+        for i in 0..n {
+            let row = &stamped[i * n..(i + 1) * n];
+            cols.extend((0..n).filter(|&j| row[j]));
+            starts.push(cols.len());
+        }
+        (cols, starts)
+    }
+
     /// Changes the minimum conductance, invalidating the linear base (the
     /// gmin leak lives on its diagonal). Homotopy ladders must use this
     /// instead of writing the field.
     fn set_gmin(&mut self, gmin: f64) {
         if self.gmin != gmin {
             self.gmin = gmin;
-            self.base_dirty = true;
+            self.jac_dirty = true;
         }
     }
 
@@ -1365,18 +1504,25 @@ impl<'a> MnaSystem<'a> {
         self.bypass_misses = 0;
     }
 
-    /// Rebuilds the linear base if the step configuration changed since it
-    /// was last stamped. Everything whose contribution is affine in `x` —
-    /// gmin leak, resistors, capacitor companions, source values, voltage
-    /// source patterns — lands here once; per-iteration evaluations then
-    /// start from a matvec/memcpy of it instead of re-stamping.
+    /// Rebuilds whichever half of the linear base the step configuration
+    /// invalidated. Everything whose contribution is affine in `x` — gmin
+    /// leak, resistors, capacitor companions, source values, voltage
+    /// source patterns — lands here; per-iteration evaluations then start
+    /// from a matvec/memcpy of it instead of re-stamping.
     fn ensure_base(&mut self) {
-        if !self.base_dirty {
-            return;
+        if self.jac_dirty {
+            self.build_base_jac();
         }
+        if self.rhs_dirty {
+            self.build_base_rhs();
+        }
+    }
+
+    /// Stamps the conductance half of the base: gmin leak, resistors,
+    /// companion conductances, voltage-source patterns.
+    fn build_base_jac(&mut self) {
         let n_nodes = self.circuit.node_count() - 1;
         self.lin_jac.clear();
-        self.lin_rhs.iter_mut().for_each(|r| *r = 0.0);
         for i in 0..n_nodes {
             self.lin_jac[(i, i)] += self.gmin;
         }
@@ -1389,15 +1535,9 @@ impl<'a> MnaSystem<'a> {
                 Device::Capacitor { p, n, .. } => {
                     if let Some(comp) = self.companions[idx] {
                         Self::base_conductance(&mut self.lin_jac, *p, *n, comp.geq);
-                        if !p.is_ground() {
-                            self.lin_rhs[p.0 - 1] -= comp.ieq;
-                        }
-                        if !n.is_ground() {
-                            self.lin_rhs[n.0 - 1] += comp.ieq;
-                        }
                     }
                 }
-                Device::VSource { p, n, waveform } => {
+                Device::VSource { p, n, .. } => {
                     let br = self.branch_var[idx].expect("vsource has branch");
                     if !p.is_ground() {
                         self.lin_jac[(p.0 - 1, br)] += 1.0;
@@ -1407,6 +1547,36 @@ impl<'a> MnaSystem<'a> {
                         self.lin_jac[(n.0 - 1, br)] -= 1.0;
                         self.lin_jac[(br, n.0 - 1)] -= 1.0;
                     }
+                }
+                // Current sources add no conductance; nonlinear devices
+                // are stamped per evaluation.
+                Device::ISource { .. }
+                | Device::Mosfet { .. }
+                | Device::Diode { .. }
+                | Device::VSwitch { .. } => {}
+            }
+        }
+        self.jac_dirty = false;
+    }
+
+    /// Stamps the source half of the base: companion currents and the
+    /// source values at the step's time.
+    fn build_base_rhs(&mut self) {
+        self.lin_rhs.iter_mut().for_each(|r| *r = 0.0);
+        for (idx, device) in self.circuit.devices().iter().enumerate() {
+            match device {
+                Device::Capacitor { p, n, .. } => {
+                    if let Some(comp) = self.companions[idx] {
+                        if !p.is_ground() {
+                            self.lin_rhs[p.0 - 1] -= comp.ieq;
+                        }
+                        if !n.is_ground() {
+                            self.lin_rhs[n.0 - 1] += comp.ieq;
+                        }
+                    }
+                }
+                Device::VSource { waveform, .. } => {
+                    let br = self.branch_var[idx].expect("vsource has branch");
                     self.lin_rhs[br] -= waveform.eval(self.time);
                 }
                 Device::ISource { p, n, waveform } => {
@@ -1418,11 +1588,15 @@ impl<'a> MnaSystem<'a> {
                         self.lin_rhs[n.0 - 1] -= i;
                     }
                 }
-                // Nonlinear devices are stamped per evaluation.
-                Device::Mosfet { .. } | Device::Diode { .. } | Device::VSwitch { .. } => {}
+                // Resistors add no source; nonlinear devices are stamped
+                // per evaluation.
+                Device::Resistor { .. }
+                | Device::Mosfet { .. }
+                | Device::Diode { .. }
+                | Device::VSwitch { .. } => {}
             }
         }
-        self.base_dirty = false;
+        self.rhs_dirty = false;
     }
 
     /// Stamps a two-terminal conductance pattern into a matrix.
@@ -1584,9 +1758,18 @@ impl<'a> MnaSystem<'a> {
     }
 
     /// The incremental residual: linear base matvec plus nonlinear stamps.
+    /// The matvec runs over the base's stamp pattern only, with the same
+    /// ascending `.sum()` as [`DMatrix::mul_vec_into`]: a skipped term is
+    /// an exact zero, so every nonzero row sum is bit-identical.
     fn fast_residual(&mut self, x: &[f64], out: &mut [f64], force_eval: bool) {
         self.ensure_base();
-        self.lin_jac.mul_vec_into(x, out);
+        for (i, o) in out.iter_mut().enumerate() {
+            let row = self.lin_jac.row(i);
+            *o = self.lin_cols[self.lin_start[i]..self.lin_start[i + 1]]
+                .iter()
+                .map(|&j| row[j] * x[j])
+                .sum();
+        }
         for (o, r) in out.iter_mut().zip(&self.lin_rhs) {
             *o += *r;
         }
@@ -2291,5 +2474,156 @@ mod tests {
         assert_eq!(i.len(), 11);
         // Ground waveform is all zeros.
         assert!(result.voltage("0").unwrap().iter().all(|&v| v == 0.0));
+        // Every accessor reads the same sample of the flat storage.
+        let n = result.samples.stride;
+        let t5 = result.times()[5];
+        let sample = result.guess_at(t5, n).unwrap();
+        assert_eq!(sample.len(), n);
+        assert_eq!(sample[0], result.voltage("in").unwrap()[5]);
+        assert_eq!(sample[n - 1], i[5]);
+        assert_eq!(result.voltage_at("mid", t5).unwrap(), wave[5]);
+        assert_eq!(result.final_voltage("mid").unwrap(), wave[10]);
+        assert!(result.guess_at(t5, n + 1).is_none());
+        assert!(result.guess_at(0.5 * (t5 + result.times()[6]), n).is_none());
+    }
+
+    #[test]
+    fn samples_cross_block_boundaries() {
+        // 3000 unknowns leave room for two samples per block.
+        let stride = 3000;
+        let sample = |k: usize| {
+            (0..stride)
+                .map(|i| (k * stride + i) as f64)
+                .collect::<Vec<_>>()
+        };
+        let mut reserved = Samples::with_capacity(stride, 5);
+        let mut grown = Samples::with_capacity(stride, 1);
+        for k in 0..5 {
+            reserved.push(&sample(k));
+            grown.push(&sample(k));
+        }
+        assert_eq!(reserved.per_block, 2);
+        assert_eq!(reserved.blocks.len(), 3);
+        for k in 0..5 {
+            assert_eq!(reserved.get(k), sample(k).as_slice());
+            assert_eq!(grown.get(k), sample(k).as_slice());
+        }
+        assert_eq!(reserved, grown);
+        grown.push(&sample(5));
+        assert_ne!(reserved, grown);
+    }
+
+    /// The linear base of `system` as bits: `lin_jac`, `lin_rhs` and the
+    /// nonzero pattern.
+    fn base_bits(system: &MnaSystem<'_>) -> (Vec<u64>, Vec<u64>, Vec<usize>, Vec<usize>) {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        (
+            bits(system.lin_jac.as_slice()),
+            bits(&system.lin_rhs),
+            system.lin_cols.clone(),
+            system.lin_start.clone(),
+        )
+    }
+
+    #[test]
+    fn reused_linear_base_matches_a_fresh_build() {
+        // Two capacitors, time-varying voltage and current sources: both
+        // halves of the base move with the step configuration.
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let mid = ckt.node("mid");
+        let out = ckt.node("out");
+        let sine = Waveform::Sine {
+            offset: 0.5,
+            amplitude: 1.0,
+            frequency: 1e7,
+            delay: 0.0,
+        };
+        ckt.add_vsource("V1", vin, Circuit::GROUND, sine).unwrap();
+        ckt.add_resistor("R1", vin, mid, 1e3).unwrap();
+        ckt.add_capacitor("C1", mid, Circuit::GROUND, 1e-12)
+            .unwrap();
+        ckt.add_capacitor("C2", mid, out, 3e-13).unwrap();
+        ckt.add_resistor("R2", out, Circuit::GROUND, 5e3).unwrap();
+        ckt.add_isource("I1", Circuit::GROUND, out, step(0.0, 1e-4, 1e-9, 1e-9))
+            .unwrap();
+        let sim = Simulator::new(&ckt);
+        let mut system = sim.make_system(&ckt);
+        let mut cap_states: Vec<Option<CapState>> = ckt
+            .devices()
+            .iter()
+            .map(|d| {
+                matches!(d, Device::Capacitor { .. }).then_some(CapState {
+                    v_prev: 0.3,
+                    i_prev: 2e-6,
+                })
+            })
+            .collect();
+
+        // A power-of-two step keeps every `t_target - t_prev` exact, so
+        // equal steps give bitwise-equal companion conductances.
+        let dt = 2.0_f64.powi(-30);
+        let (be, trap, g0) = (Method::BackwardEuler, Method::Trapezoidal, sim.gmin);
+        // (event, t_prev, t_target in steps, method, gmin, Jacobian rebuilt)
+        let events = [
+            ("BE start", 0.0, 1.0, be, g0, true),
+            ("BE to TRAP", 1.0, 2.0, trap, g0, true),
+            ("steady TRAP step", 2.0, 3.0, trap, g0, false),
+            ("TRAP to BE fallback", 2.0, 3.0, be, g0, true),
+            ("back to TRAP", 3.0, 4.0, trap, g0, true),
+            ("final partial step", 4.0, 4.75, trap, g0, true),
+            ("BE on the partial step", 4.0, 4.75, be, g0, true),
+            ("gmin ladder rung", 4.0, 4.75, be, 1e-2, true),
+            ("next gmin rung", 4.0, 4.75, be, 1e-4, true),
+            ("gmin restored", 4.0, 4.75, be, g0, true),
+            ("repeat at restored gmin", 4.0, 4.75, be, g0, false),
+        ];
+        for (event, t_prev, t_target, method, gmin, rebuilt) in events {
+            for state in cap_states.iter_mut().flatten() {
+                state.v_prev += 0.01;
+                state.i_prev *= -0.5;
+            }
+            sim.install_companions(&mut system, &cap_states, t_prev * dt, t_target * dt, method)
+                .unwrap();
+            system.set_gmin(gmin);
+            assert_eq!(system.jac_dirty, rebuilt, "{event}: Jacobian rebuild");
+            system.ensure_base();
+
+            let mut fresh = sim.make_system(&ckt);
+            fresh.time = system.time;
+            fresh.companions = system.companions.clone();
+            fresh.set_gmin(gmin);
+            fresh.ensure_base();
+            assert_eq!(base_bits(&system), base_bits(&fresh), "{event}: base");
+            let n = system.n_unknowns;
+            for i in 0..n {
+                let pattern = &system.lin_cols[system.lin_start[i]..system.lin_start[i + 1]];
+                for j in 0..n {
+                    assert!(
+                        system.lin_jac[(i, j)] == 0.0 || pattern.contains(&j),
+                        "{event}: nonzero ({i}, {j}) outside the stamp pattern"
+                    );
+                }
+            }
+
+            // With no nonlinear device the residual is the base alone: the
+            // zero-skipping product must match the dense one, summation
+            // order included (mixed magnitudes expose any reordering).
+            for k in 0..16 {
+                let x: Vec<f64> = (0..n)
+                    .map(|i| match (i + k) % 5 {
+                        0 => -0.0,
+                        m => ((k * n + i) as f64).sin() * 10f64.powi(3 * m as i32 - 6),
+                    })
+                    .collect();
+                let mut fast = vec![f64::NAN; n];
+                system.fast_residual(&x, &mut fast, true);
+                let mut dense = vec![0.0; n];
+                system.lin_jac.mul_vec_into(&x, &mut dense);
+                for ((f, d), r) in fast.iter().zip(&dense).zip(&system.lin_rhs) {
+                    assert_eq!(f.to_bits(), (d + r).to_bits(), "{event}: residual");
+                }
+            }
+        }
     }
 }
