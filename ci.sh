@@ -6,7 +6,8 @@
 #
 # Usage: ./ci.sh [lint|test]
 #   lint — fmt check, clippy, rustdoc (the static stages)
-#   test — build, tests, bench, resume drill, serve drill (the run stages)
+#   test — build, tests, perfbench tests, bench, resume drill, serve drill
+#          (the run stages)
 # With no argument both groups run, in lint-first order. The GitHub
 # workflow runs the two groups as parallel jobs.
 set -eu
@@ -47,6 +48,12 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
 
     echo "==> test (offline)"
     cargo test --workspace -q --offline
+
+    echo "==> perfbench (release, offline: build + helper tests)"
+    # perfbench is a standalone package outside the workspace that drives
+    # the public API, so the workspace build above does not compile it. A
+    # public-API change that breaks the benchmark must fail here.
+    cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
     echo "==> bench (release, emits BENCH_campaign.json + results/ copy)"
     # Times serial vs parallel campaigns and exits non-zero if the parallel

@@ -12,7 +12,8 @@ use crate::eval::EvalService;
 use crate::CoreError;
 use dso_defects::Defect;
 use dso_dram::design::OperatingPoint;
-use dso_num::roots::{bisect_transition, Scale};
+use dso_num::roots::{bisect_transition_hinted, Hint, Scale, Transition};
+use dso_num::NumError;
 
 /// A located border resistance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,7 +23,8 @@ pub struct BorderResistance {
     /// `true` if the memory fails for resistances above the border
     /// (opens); `false` if it fails below (shorts, bridges).
     pub fails_above: bool,
-    /// Number of detection-condition evaluations spent.
+    /// Predicate calls spent, cache hits included: each is one
+    /// detection-condition request to the [`EvalService`].
     pub evaluations: usize,
 }
 
@@ -59,6 +61,14 @@ impl std::fmt::Display for BorderResistance {
     }
 }
 
+/// Smallest ln-width of the lattice cell a hinted border search starts
+/// from. Stressed and candidate borders land within ×1.13 (ln 0.12) of the
+/// nominal border that hints them, so a cell at least ×1.35 wide holds the
+/// border or has it in the neighbour on the side the miss points to. On
+/// the 5-decade open sweep this is a depth-5 cell, on the 9-decade short
+/// and bridge sweep a depth-6 one.
+pub const HINT_CELL_LN_WIDTH: f64 = 0.3;
+
 /// Finds the border resistance of `defect` under `detection` at
 /// `op_point`, bisecting within the defect's sweep range to relative (log)
 /// tolerance `rel_tol`.
@@ -72,7 +82,10 @@ impl std::fmt::Display for BorderResistance {
 /// * [`CoreError::NoFaultObserved`] if the memory passes everywhere in the
 ///   range (no border).
 /// * [`CoreError::AlwaysFaulty`] if it fails everywhere.
-/// * Simulation failures.
+/// * [`CoreError::BadRequest`] if it fails only at the end that should
+///   pass (pass/fail not monotone).
+/// * The first error a probe raises, unchanged (simulation failures, a
+///   detection condition that yields no read outcome, …).
 pub fn find_border(
     service: &EvalService,
     defect: &Defect,
@@ -80,13 +93,59 @@ pub fn find_border(
     op_point: &OperatingPoint,
     rel_tol: f64,
 ) -> Result<BorderResistance, CoreError> {
-    let (lo, hi) = defect.sweep_range();
-    let fails_above = defect.fails_above();
-    let fails_at = |r: f64| -> Result<bool, CoreError> {
+    find_border_near(service, defect, detection, op_point, rel_tol, None)
+}
+
+/// As [`find_border`], but when `hint` is given the bisection starts from
+/// the lattice cell around it ([`dso_num::roots::bisect_transition_hinted`]
+/// with cells at least [`HINT_CELL_LN_WIDTH`] wide). Pass/fail being
+/// monotone in R, the result is bit-identical to [`find_border`]'s; only
+/// [`BorderResistance::evaluations`] shrinks when the border lies near the
+/// hint. With `hint` `None` this is [`find_border`], request for request.
+///
+/// # Errors
+///
+/// As [`find_border`].
+pub fn find_border_near(
+    service: &EvalService,
+    defect: &Defect,
+    detection: &DetectionCondition,
+    op_point: &OperatingPoint,
+    rel_tol: f64,
+    hint: Option<f64>,
+) -> Result<BorderResistance, CoreError> {
+    search_border(defect, rel_tol, hint, |r| {
         service
             .detection_passes(defect, r, detection, op_point)
             .map(|pass| !pass)
-    };
+    })
+}
+
+/// The border search over an arbitrary `fails_at(R)` oracle.
+fn search_border(
+    defect: &Defect,
+    rel_tol: f64,
+    hint: Option<f64>,
+    mut fails_at: impl FnMut(f64) -> Result<bool, CoreError>,
+) -> Result<BorderResistance, CoreError> {
+    let (lo, hi) = defect.sweep_range();
+    let fails_above = defect.fails_above();
+
+    // A hinted search verifies its bracket by the ends of the cell around
+    // the hint and probes the sweep ends only when it falls back to them.
+    // If they refuse the bracket, the plain search below probes them again
+    // (from the cache) and classifies the failure exactly as it always has.
+    if let Some(at) = hint {
+        let hint = Hint {
+            at,
+            min_cell_span: HINT_CELL_LN_WIDTH,
+        };
+        match bisect_oriented(lo, hi, rel_tol, Some(hint), fails_above, &mut fails_at)? {
+            Ok(transition) => return Ok(record(transition, 0, fails_above)),
+            Err(NumError::InvalidBracket { .. }) => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
 
     // Probe the ends first for precise error reporting. Opens fail at the
     // high end; shorts/bridges fail at the low end.
@@ -120,32 +179,67 @@ pub fn find_border(
             )));
         }
     }
+    let transition = bisect_oriented(lo, hi, rel_tol, None, fails_above, &mut fails_at)??;
+    Ok(record(transition, 2, fails_above))
+}
 
-    // Orient the predicate so it is false at lo and true at hi.
-    let mut extra_evals = 2;
-    let transition = bisect_transition(lo, hi, rel_tol, Scale::Logarithmic, |r| {
-        extra_evals += 1;
-        let failing = fails_at(r).map_err(|e| match e {
-            CoreError::Numerical(n) => n,
-            other => dso_num::NumError::InvalidArgument(other.to_string()),
-        })?;
-        Ok(if fails_above { failing } else { !failing })
-    })
-    .map_err(CoreError::from)?;
+/// Log-bisects `fails_at`, oriented so the predicate is false at `lo` and
+/// true at `hi`. The outer error is the first error a probe raised, as
+/// raised: it stops the bisection, whose own error then carries only a
+/// placeholder. The inner one is the bisection's own (a refused bracket).
+fn bisect_oriented(
+    lo: f64,
+    hi: f64,
+    rel_tol: f64,
+    hint: Option<Hint>,
+    fails_above: bool,
+    fails_at: &mut impl FnMut(f64) -> Result<bool, CoreError>,
+) -> Result<Result<Transition, NumError>, CoreError> {
+    let mut probe_error = None;
+    let transition =
+        bisect_transition_hinted(
+            lo,
+            hi,
+            rel_tol,
+            Scale::Logarithmic,
+            hint,
+            |r| match fails_at(r) {
+                Ok(failing) => Ok(if fails_above { failing } else { !failing }),
+                Err(e) => {
+                    probe_error = Some(e);
+                    Err(NumError::InvalidArgument("border probe failed".into()))
+                }
+            },
+        );
+    match probe_error {
+        Some(e) => Err(e),
+        None => Ok(transition),
+    }
+}
 
+/// Counts a finished search and builds its result; `orientation_probes`
+/// is the number of end probes made before the bisection.
+fn record(
+    transition: Transition,
+    orientation_probes: usize,
+    fails_above: bool,
+) -> BorderResistance {
+    let evaluations = orientation_probes + transition.evaluations;
     dso_obs::counter!("border.searches").incr();
-    dso_obs::counter!("border.evaluations").add(extra_evals as u64);
-    // Bisection depth = evaluations beyond the two orientation probes.
+    dso_obs::counter!("border.evaluations").add(evaluations as u64);
+    // Bisection cost = predicate calls beyond the orientation probes: all
+    // of a hinted search's; the plain search's include its two cache-hit
+    // re-probes of the ends.
     dso_obs::histogram!(
         "border.bisection_evals",
         &[4.0, 8.0, 12.0, 16.0, 24.0, 32.0]
     )
-    .observe(extra_evals as f64);
-    Ok(BorderResistance {
+    .observe(transition.evaluations as f64);
+    BorderResistance {
         resistance: (transition.last_false * transition.first_true).sqrt(),
         fails_above,
-        evaluations: extra_evals,
-    })
+        evaluations,
+    }
 }
 
 /// Refines the plane-intersection border estimate by log-bisecting the
@@ -276,6 +370,86 @@ mod tests {
             "Sg border {:.3e} suspiciously small",
             border.resistance
         );
+    }
+
+    #[test]
+    fn hinted_border_matches_unhinted_bits() {
+        let service = fast_service();
+        let nominal = OperatingPoint::nominal();
+        for defect in [
+            Defect::cell_open(BitLineSide::True),
+            Defect::new(DefectSite::Sg, BitLineSide::True),
+        ] {
+            let detection = DetectionCondition::default_for(&defect, 1);
+            let plain = find_border(&service, &defect, &detection, &nominal, 0.03).unwrap();
+            for (factor, near) in [(0.9, true), (1.1, true), (10.0, false)] {
+                let hint = Some(plain.resistance * factor);
+                let hinted =
+                    find_border_near(&service, &defect, &detection, &nominal, 0.03, hint).unwrap();
+                assert_eq!(
+                    hinted.resistance.to_bits(),
+                    plain.resistance.to_bits(),
+                    "{defect} hint x{factor}"
+                );
+                assert_eq!(hinted.fails_above, plain.fails_above);
+                if near {
+                    assert!(
+                        hinted.evaluations < plain.evaluations,
+                        "{defect} hint x{factor}: {} vs {} evaluations",
+                        hinted.evaluations,
+                        plain.evaluations
+                    );
+                }
+            }
+        }
+    }
+
+    /// A monotone open-like oracle (fails above 1 MΩ) that raises `error`
+    /// on its `nth` call.
+    fn failing_oracle(nth: usize, error: CoreError) -> impl FnMut(f64) -> Result<bool, CoreError> {
+        let mut calls = 0;
+        let mut error = Some(error);
+        move |r| {
+            calls += 1;
+            match (calls == nth).then(|| error.take()).flatten() {
+                Some(e) => Err(e),
+                None => Ok(r > 1e6),
+            }
+        }
+    }
+
+    #[test]
+    fn probe_errors_survive_the_search() {
+        let defect = Defect::cell_open(BitLineSide::True);
+        let no_outcome = || CoreError::BadRequest("read cycle produced no outcome".into());
+        let at_point = || CoreError::AtPoint {
+            operation: "detection".into(),
+            resistance: 2e6,
+            vc: None,
+            attempts: 3,
+            source: Box::new(CoreError::Numerical(NumError::NoConvergence {
+                iterations: 50,
+                residual: 1.0,
+            })),
+        };
+        // Calls 1–2 are the end probes of the plain search, 3–4 its
+        // re-probes of the ends; 6 is a bisection probe. A hinted search
+        // starts on its cell ends (calls 1–2).
+        for (hint, nth) in [(None, 6), (None, 3), (Some(1.1e6), 2), (Some(1.1e6), 4)] {
+            let err =
+                search_border(&defect, 0.03, hint, failing_oracle(nth, no_outcome())).unwrap_err();
+            assert_eq!(err, no_outcome(), "hint {hint:?}, call {nth}");
+            assert_eq!(
+                crate::service::protocol::code_for(&err),
+                crate::service::ErrorCode::BadRequest
+            );
+            let err =
+                search_border(&defect, 0.03, hint, failing_oracle(nth, at_point())).unwrap_err();
+            assert_eq!(err, at_point(), "hint {hint:?}, call {nth}");
+        }
+        // Without an error the same oracle yields a border near 1 MΩ.
+        let border = search_border(&defect, 0.03, None, failing_oracle(0, no_outcome())).unwrap();
+        assert!((border.resistance / 1e6).ln().abs() < 0.03);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod planes;
 pub mod shmoo;
 pub mod sweep;
 
-pub use border::{find_border, refine_border_from_planes, BorderResistance};
+pub use border::{find_border, find_border_near, refine_border_from_planes, BorderResistance};
 pub use design_space::{
     CoverageCell, DesignParam, DesignReport, DesignSpace, DesignSweepRequest, DesignSweepResult,
     TrendRow,

@@ -2,7 +2,9 @@
 
 use super::probe::{combine_trends, probe_stress, DecisionBasis, StressDecision};
 use super::types::{Direction, StressKind};
-use crate::analysis::{Analyzer, BorderResistance, Confidence, DetectionCondition};
+use crate::analysis::{
+    find_border_near, Analyzer, BorderResistance, Confidence, DetectionCondition,
+};
 use crate::eval::EvalService;
 use crate::exec::{self, CampaignConfig};
 use crate::session::Session;
@@ -354,7 +356,7 @@ impl StressOptimizer {
                 },
                 None => {
                     dso_obs::counter!("optimizer.border_comparisons").incr();
-                    self.decide_by_border_comparison(defect, detection, &base, probes)?
+                    self.decide_by_border_comparison(defect, detection, &base, r_ref, probes)?
                 }
             };
             base = kind.apply_to(&base, decision.chosen_value)?;
@@ -368,11 +370,15 @@ impl StressOptimizer {
     /// measurement fails are skipped (recorded in the decision basis and
     /// reflected in the report's confidence) rather than aborting the
     /// whole optimization — as long as at least one candidate survives.
+    /// Each candidate search starts from the nominal border `r_ref`, which
+    /// a single stress moves little: the hint saves probes and leaves every
+    /// border bit-identical ([`find_border_near`]).
     fn decide_by_border_comparison(
         &self,
         defect: &Defect,
         detection: &DetectionCondition,
         nominal: &OperatingPoint,
+        r_ref: f64,
         probes: super::probe::StressProbes,
     ) -> Result<StressDecision, CoreError> {
         let kind = probes.kind;
@@ -386,8 +392,14 @@ impl StressOptimizer {
                 .map(|i| {
                     let value = probes.values[i];
                     let border = kind.apply_to(nominal, value).and_then(|op| {
-                        self.session
-                            .border(defect, detection, &op, self.config.border_tol)
+                        find_border_near(
+                            self.session.service(),
+                            defect,
+                            detection,
+                            &op,
+                            self.config.border_tol,
+                            Some(r_ref),
+                        )
                     });
                     (value, border)
                 })
@@ -458,16 +470,18 @@ impl StressOptimizer {
             stressed_op = d.kind.apply_to(&stressed_op, d.chosen_value)?;
         }
         // Re-derive the detection condition near the expected stressed
-        // border (start from the nominal border; the stressed border is
-        // nearby in log space).
+        // border and search from there: the stressed border is near the
+        // nominal one in log space.
         let stressed_detection =
             self.session
                 .detect(defect, r_ref, &stressed_op, self.config.max_settling_writes)?;
-        let stressed_border = self.session.border(
+        let stressed_border = find_border_near(
+            self.session.service(),
             defect,
             &stressed_detection,
             &stressed_op,
             self.config.border_tol,
+            Some(r_ref),
         )?;
         Ok((stressed_detection, stressed_border, stressed_op))
     }

@@ -9,12 +9,15 @@
 //! payoff (fewer Newton iterations), that the LU-reuse and device-bypass
 //! fast path actually fires, and a loom-free interleaving smoke test that
 //! executes the chunks of a real simulation grid in a seeded-shuffled
-//! order.
+//! order. The stress optimizer, whose border comparisons fan candidate
+//! searches out over the executor, is pinned the same way.
 
 use dso_core::analysis::{Analyzer, CampaignFaults, PlaneCampaign};
 use dso_core::exec::{self, CampaignConfig};
+use dso_core::stress::{DecisionBasis, OptimizerConfig, StressOptimizer, StressReport};
 use dso_core::{EvalService, Session};
 use dso_defects::{BitLineSide, Defect};
+use dso_dram::column::DefectSite;
 use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_num::chaos::{FaultKind, FaultPlan};
 use dso_num::interp::logspace;
@@ -303,6 +306,51 @@ fn shuffled_chunk_interleaving_is_bit_identical() {
             run_in(&order),
             reference,
             "round {round}: order {order:?} diverged"
+        );
+    }
+}
+
+/// Two Table-1 rows, optimized cold on a fresh session at `threads`.
+fn optimize_rows(threads: usize) -> Vec<StressReport> {
+    let config = CampaignConfig::with_threads(threads).with_warm_start(true);
+    let analyzer = Analyzer::new(fast_design()).with_tuning(SolverTuning::default());
+    let session = Session::from_parts(EvalService::new(analyzer), config.clone());
+    let optimizer = StressOptimizer::with_session(session).with_config(OptimizerConfig {
+        exec: config,
+        ..OptimizerConfig::default()
+    });
+    [
+        Defect::new(DefectSite::O1, BitLineSide::True),
+        Defect::new(DefectSite::Sv, BitLineSide::True),
+    ]
+    .iter()
+    .map(|defect| {
+        optimizer
+            .optimize(defect, &OperatingPoint::nominal())
+            .expect("row optimizes")
+    })
+    .collect()
+}
+
+#[test]
+fn optimizer_reports_are_thread_count_invariant() {
+    let serial = optimize_rows(1);
+    // O1 decides a stress by border comparison: its candidate searches
+    // (hinted by the nominal border) run in the executor's fan-out.
+    let compared = serial.iter().any(|r| {
+        r.decisions
+            .iter()
+            .any(|d| matches!(d.basis, DecisionBasis::BorderComparison { .. }))
+    });
+    assert!(compared, "no row took a border comparison");
+    for threads in [2, 4] {
+        let parallel = optimize_rows(threads);
+        assert_eq!(parallel, serial, "threads {threads}: reports diverged");
+        // `Debug` prints every f64 in full, so this is bitwise.
+        assert_eq!(
+            format!("{parallel:?}"),
+            format!("{serial:?}"),
+            "threads {threads}: report bits diverged"
         );
     }
 }

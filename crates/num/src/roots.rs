@@ -7,6 +7,8 @@
 //!   oracle is expensive (a full transient simulation per probe) and only
 //!   gives a boolean, so [`bisect_transition`] does a guarded boolean
 //!   bisection, optionally on a logarithmic axis (resistances span decades).
+//!   [`bisect_transition_hinted`] starts the same bisection near a guess
+//!   and ends on the same bracket with fewer evaluations.
 //! * **Continuous roots** — intersections of interpolated curves. For these
 //!   [`brent`] offers superlinear convergence with bisection's robustness.
 
@@ -29,7 +31,8 @@ pub struct Transition {
     pub last_false: f64,
     /// Smallest probed value on the `true` side of the transition.
     pub first_true: f64,
-    /// Number of oracle evaluations spent.
+    /// Number of predicate calls spent (probes a hinted search settles by
+    /// monotonicity make none).
     pub evaluations: usize,
 }
 
@@ -80,7 +83,77 @@ pub fn bisect_transition<F>(
     hi: f64,
     rel_tol: f64,
     scale: Scale,
-    mut predicate: F,
+    predicate: F,
+) -> Result<Transition, NumError>
+where
+    F: FnMut(f64) -> Result<bool, NumError>,
+{
+    bisect_transition_hinted(lo, hi, rel_tol, scale, None, predicate)
+}
+
+/// Where a [`bisect_transition_hinted`] search expects the transition.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hint {
+    /// The expected transition point.
+    pub at: f64,
+    /// Smallest span of the lattice cell the search starts from, in the
+    /// measure `rel_tol` is given in: ln-width on [`Scale::Logarithmic`],
+    /// width relative to the upper end on [`Scale::Linear`]. It should
+    /// exceed the distance the transition may lie from [`Hint::at`].
+    pub min_cell_span: f64,
+}
+
+/// As [`bisect_transition`], but starting from the bisection-lattice cell
+/// that holds `hint`, and returning the same bracket with fewer
+/// evaluations when the hint is good.
+///
+/// The *lattice* is every cell `[a, b]` the plain search can visit: the
+/// root `[lo, hi]` and, recursively, the halves of each cell at its
+/// midpoint, down to the cells it stops at. The search descends it,
+/// evaluating nothing, to the deepest cell that holds `hint.at` and spans
+/// at least `hint.min_cell_span`. It probes that cell's two ends; on a
+/// miss it probes the one neighbouring cell the miss points to, and if
+/// that misses too it falls back to the plain search from `lo` and `hi`.
+/// A probe that monotonicity already settles (at or below a known `false`
+/// point, at or above a known `true` one) is answered without calling
+/// `predicate`. Every point it evaluates is a lattice point, so for a
+/// monotone predicate the final bracket is bit-identical to the plain
+/// search's and only [`Transition::evaluations`] differs: `2 + (D − d)`
+/// when the transition lies in the hint cell (depth `d`, final depth
+/// `D`), and never more than three above the plain search.
+///
+/// With `hint` `None` this *is* the plain search: the same predicate
+/// calls in the same order.
+///
+/// # Errors
+///
+/// As [`bisect_transition`]. With a hint, the bracket is verified by the
+/// cell ends instead of `lo` and `hi`; a fallback verifies `lo` and `hi`
+/// and reports the same [`NumError::InvalidBracket`].
+///
+/// # Example
+///
+/// ```
+/// use dso_num::roots::{bisect_transition, bisect_transition_hinted, Hint, Scale};
+///
+/// # fn main() -> Result<(), dso_num::NumError> {
+/// let fails = |x: f64| Ok(x > 4e4);
+/// let plain = bisect_transition(1e3, 1e8, 0.03, Scale::Logarithmic, fails)?;
+/// let hint = Hint { at: 3.8e4, min_cell_span: 0.3 };
+/// let near = bisect_transition_hinted(1e3, 1e8, 0.03, Scale::Logarithmic, Some(hint), fails)?;
+/// assert_eq!(near.last_false.to_bits(), plain.last_false.to_bits());
+/// assert_eq!(near.first_true.to_bits(), plain.first_true.to_bits());
+/// assert_eq!((plain.evaluations, near.evaluations), (11, 6));
+/// # Ok(())
+/// # }
+/// ```
+pub fn bisect_transition_hinted<F>(
+    lo: f64,
+    hi: f64,
+    rel_tol: f64,
+    scale: Scale,
+    hint: Option<Hint>,
+    predicate: F,
 ) -> Result<Transition, NumError>
 where
     F: FnMut(f64) -> Result<bool, NumError>,
@@ -98,47 +171,173 @@ where
             "bisect_transition: logarithmic scale requires positive bracket, got lo={lo}"
         )));
     }
-    let mut evaluations = 0;
-    let mut probe = |x: f64, evals: &mut usize| -> Result<bool, NumError> {
-        *evals += 1;
-        predicate(x)
+    let lattice = Lattice { rel_tol, scale };
+    let root = Cell { lo, hi, depth: 0 };
+    let mut oracle = Oracle {
+        predicate,
+        evaluations: 0,
+        known_false: None,
+        known_true: None,
     };
-    if probe(lo, &mut evaluations)? {
-        return Err(NumError::InvalidBracket { lo, hi });
-    }
-    if !probe(hi, &mut evaluations)? {
-        return Err(NumError::InvalidBracket { lo, hi });
-    }
-    let mut last_false = lo;
-    let mut first_true = hi;
-    // 200 iterations is far beyond what any tolerance needs; it guards
-    // against pathological floating-point cycling.
-    for _ in 0..200 {
-        let span = match scale {
-            Scale::Linear => (first_true - last_false) / first_true.abs().max(1e-300),
-            Scale::Logarithmic => (first_true / last_false).ln(),
-        };
-        if span.abs() < rel_tol {
-            break;
+    let hinted = match hint {
+        Some(hint) => lattice.hinted_cell(root, hint, &mut oracle)?,
+        None => None,
+    };
+    let mut cell = match hinted {
+        Some(cell) => cell,
+        None => {
+            if oracle.probe(lo)? || !oracle.probe(hi)? {
+                return Err(NumError::InvalidBracket { lo, hi });
+            }
+            root
         }
-        let mid = match scale {
-            Scale::Linear => 0.5 * (last_false + first_true),
-            Scale::Logarithmic => (last_false * first_true).sqrt(),
-        };
-        if mid <= last_false || mid >= first_true {
-            break; // floating-point exhaustion
-        }
-        if probe(mid, &mut evaluations)? {
-            first_true = mid;
+    };
+    while let Some(mid) = lattice.split(cell) {
+        if oracle.probe(mid)? {
+            cell.hi = mid;
         } else {
-            last_false = mid;
+            cell.lo = mid;
         }
+        cell.depth += 1;
     }
     Ok(Transition {
-        last_false,
-        first_true,
-        evaluations,
+        last_false: cell.lo,
+        first_true: cell.hi,
+        evaluations: oracle.evaluations,
     })
+}
+
+/// 200 bisection steps is far beyond what any tolerance needs; the cap
+/// guards against pathological floating-point cycling.
+const MAX_DEPTH: usize = 200;
+
+/// A cell of the bisection lattice and the number of splits that made it.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    lo: f64,
+    hi: f64,
+    depth: usize,
+}
+
+/// The split rule shared by the plain and the hinted search.
+struct Lattice {
+    rel_tol: f64,
+    scale: Scale,
+}
+
+impl Lattice {
+    fn span(&self, cell: Cell) -> f64 {
+        match self.scale {
+            Scale::Linear => (cell.hi - cell.lo) / cell.hi.abs().max(1e-300),
+            Scale::Logarithmic => (cell.hi / cell.lo).ln(),
+        }
+    }
+
+    /// The point the search splits `cell` at, or `None` where it stops:
+    /// tolerance reached, depth cap, or floating-point exhaustion.
+    fn split(&self, cell: Cell) -> Option<f64> {
+        if cell.depth >= MAX_DEPTH || self.span(cell).abs() < self.rel_tol {
+            return None;
+        }
+        let mid = match self.scale {
+            Scale::Linear => 0.5 * (cell.lo + cell.hi),
+            Scale::Logarithmic => (cell.lo * cell.hi).sqrt(),
+        };
+        (mid > cell.lo && mid < cell.hi).then_some(mid)
+    }
+
+    /// Descends from `root`, evaluating nothing, into the left half of a
+    /// cell wherever `left(mid)` and the right half otherwise; stops at the
+    /// deepest cell spanning at least `min_span`.
+    fn descend(&self, root: Cell, min_span: f64, left: impl Fn(f64) -> bool) -> Cell {
+        let mut cell = root;
+        while let Some(mid) = self.split(cell) {
+            let (lo, hi) = if left(mid) {
+                (cell.lo, mid)
+            } else {
+                (mid, cell.hi)
+            };
+            let child = Cell {
+                lo,
+                hi,
+                depth: cell.depth + 1,
+            };
+            if self.span(child).abs() < min_span {
+                break;
+            }
+            cell = child;
+        }
+        cell
+    }
+
+    /// The cell around `hint` if its ends bracket the transition, else the
+    /// neighbour the miss points to if that does, else `None`.
+    fn hinted_cell<F>(
+        &self,
+        root: Cell,
+        hint: Hint,
+        oracle: &mut Oracle<F>,
+    ) -> Result<Option<Cell>, NumError>
+    where
+        F: FnMut(f64) -> Result<bool, NumError>,
+    {
+        // Cells are half-open, [lo, hi): a hint on a split point goes right.
+        let cell = self.descend(root, hint.min_cell_span, |mid| hint.at < mid);
+        let lo_true = oracle.probe(cell.lo)?;
+        // Settled without a call when `lo_true`.
+        let hi_true = oracle.probe(cell.hi)?;
+        if !lo_true && hi_true {
+            return Ok(Some(cell));
+        }
+        let neighbour = if lo_true {
+            // The transition lies below: the cell just left of `cell.lo`.
+            (cell.lo > root.lo)
+                .then(|| self.descend(root, hint.min_cell_span, |mid| cell.lo <= mid))
+        } else {
+            // It lies above: the cell holding `cell.hi`.
+            (cell.hi < root.hi).then(|| self.descend(root, hint.min_cell_span, |mid| cell.hi < mid))
+        };
+        if let Some(n) = neighbour {
+            // The end shared with `cell` is settled; one call at most.
+            if !oracle.probe(n.lo)? && oracle.probe(n.hi)? {
+                return Ok(Some(n));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The predicate behind a memo of monotonicity: a probe at or below the
+/// largest known `false` point is `false`, at or above the smallest known
+/// `true` point is `true`, and only the rest call the predicate.
+struct Oracle<F> {
+    predicate: F,
+    evaluations: usize,
+    known_false: Option<f64>,
+    known_true: Option<f64>,
+}
+
+impl<F> Oracle<F>
+where
+    F: FnMut(f64) -> Result<bool, NumError>,
+{
+    fn probe(&mut self, x: f64) -> Result<bool, NumError> {
+        if self.known_false.is_some_and(|f| x <= f) {
+            return Ok(false);
+        }
+        if self.known_true.is_some_and(|t| x >= t) {
+            return Ok(true);
+        }
+        self.evaluations += 1;
+        let outcome = (self.predicate)(x)?;
+        // `x` lies strictly between the known points, so it tightens one.
+        if outcome {
+            self.known_true = Some(x);
+        } else {
+            self.known_false = Some(x);
+        }
+        Ok(outcome)
+    }
 }
 
 /// Brent's method: finds `x` in `[a, b]` with `f(x) = 0`, assuming

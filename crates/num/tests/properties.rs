@@ -8,7 +8,7 @@ use dso_num::interp::{linspace, logspace, Curve};
 use dso_num::lu::LuFactor;
 use dso_num::matrix::{norm_inf, DMatrix};
 use dso_num::newton::{NewtonOptions, NewtonSolver, NonlinearSystem};
-use dso_num::roots::{bisect_transition, brent, Scale};
+use dso_num::roots::{bisect_transition, bisect_transition_hinted, brent, Hint, Scale, Transition};
 use dso_num::testing::TestRng;
 use dso_num::trend::{classify, Trend};
 use dso_num::NumError;
@@ -113,6 +113,239 @@ fn bisection_brackets_planted_threshold() {
         assert!(t.first_true >= threshold);
         assert!(t.width() < 1e-3);
     }
+}
+
+/// The plain boolean bisection as it stood before hinted searches, kept
+/// verbatim as the reference [`bisect_transition_hinted`] must reproduce.
+fn reference_bisect<F>(
+    lo: f64,
+    hi: f64,
+    rel_tol: f64,
+    scale: Scale,
+    mut predicate: F,
+) -> Result<Transition, NumError>
+where
+    F: FnMut(f64) -> Result<bool, NumError>,
+{
+    if lo >= hi || lo.is_nan() || hi.is_nan() {
+        return Err(NumError::InvalidBracket { lo, hi });
+    }
+    if rel_tol <= 0.0 {
+        return Err(NumError::InvalidArgument(
+            "bisect_transition: rel_tol must be positive".into(),
+        ));
+    }
+    if scale == Scale::Logarithmic && lo <= 0.0 {
+        return Err(NumError::InvalidArgument(format!(
+            "bisect_transition: logarithmic scale requires positive bracket, got lo={lo}"
+        )));
+    }
+    let mut evaluations = 0;
+    let mut probe = |x: f64, evals: &mut usize| -> Result<bool, NumError> {
+        *evals += 1;
+        predicate(x)
+    };
+    if probe(lo, &mut evaluations)? {
+        return Err(NumError::InvalidBracket { lo, hi });
+    }
+    if !probe(hi, &mut evaluations)? {
+        return Err(NumError::InvalidBracket { lo, hi });
+    }
+    let mut last_false = lo;
+    let mut first_true = hi;
+    for _ in 0..200 {
+        let span = match scale {
+            Scale::Linear => (first_true - last_false) / first_true.abs().max(1e-300),
+            Scale::Logarithmic => (first_true / last_false).ln(),
+        };
+        if span.abs() < rel_tol {
+            break;
+        }
+        let mid = match scale {
+            Scale::Linear => 0.5 * (last_false + first_true),
+            Scale::Logarithmic => (last_false * first_true).sqrt(),
+        };
+        if mid <= last_false || mid >= first_true {
+            break;
+        }
+        if probe(mid, &mut evaluations)? {
+            first_true = mid;
+        } else {
+            last_false = mid;
+        }
+    }
+    Ok(Transition {
+        last_false,
+        first_true,
+        evaluations,
+    })
+}
+
+/// The hint cell as specified: descend the reference lattice toward `at`
+/// (cells half-open, `[a, b)`) while the reference search would still split
+/// and the child spans at least `min_span`. Returns `(a, b, depth)`.
+fn spec_hint_cell(
+    (lo, hi): (f64, f64),
+    rel_tol: f64,
+    scale: Scale,
+    at: f64,
+    min_span: f64,
+) -> (f64, f64, usize) {
+    let span = |a: f64, b: f64| match scale {
+        Scale::Linear => (b - a) / b.abs().max(1e-300),
+        Scale::Logarithmic => (b / a).ln(),
+    };
+    let (mut a, mut b, mut depth) = (lo, hi, 0);
+    while depth < 200 && span(a, b).abs() >= rel_tol {
+        let mid = match scale {
+            Scale::Linear => 0.5 * (a + b),
+            Scale::Logarithmic => (a * b).sqrt(),
+        };
+        if mid <= a || mid >= b {
+            break;
+        }
+        let (ca, cb) = if at < mid { (a, mid) } else { (mid, b) };
+        if span(ca, cb).abs() < min_span {
+            break;
+        }
+        (a, b, depth) = (ca, cb, depth + 1);
+    }
+    (a, b, depth)
+}
+
+#[test]
+fn hinted_bisection_ends_on_the_plain_bracket() {
+    let mut rng = TestRng::new(0x100a);
+    let mut in_cell_cases = 0;
+    let mut saved = 0;
+    for case in 0..CASES * 8 {
+        let scale = if case % 2 == 0 {
+            Scale::Logarithmic
+        } else {
+            Scale::Linear
+        };
+        let (lo, hi) = match scale {
+            Scale::Logarithmic => {
+                let lo = rng.log_range(1e-2, 1e4);
+                (lo, lo * 10f64.powf(rng.range(1.0, 9.0)))
+            }
+            Scale::Linear => {
+                let lo = rng.range(-5.0, 5.0);
+                (lo, lo + rng.range(0.5, 20.0))
+            }
+        };
+        let inside = |rng: &mut TestRng| match scale {
+            Scale::Logarithmic => rng.log_range(lo, hi),
+            Scale::Linear => rng.range(lo, hi),
+        };
+        let rel_tol = *rng.choose(&[1e-6, 0.03, 0.2]);
+        let min_span = *rng.choose(&[0.05, 0.3, 1.0]);
+        // Mostly a threshold inside the bracket; some on a lattice point;
+        // a few outside it, where both searches must refuse the bracket.
+        let threshold = match rng.index(10) {
+            0..=6 => inside(&mut rng),
+            7 | 8 => {
+                let at = inside(&mut rng);
+                let (a, b, _) = spec_hint_cell((lo, hi), rel_tol, scale, at, min_span);
+                if rng.next_bool() {
+                    a
+                } else {
+                    b
+                }
+            }
+            _ => *rng.choose(&[lo, hi.next_up(), lo - (hi - lo), hi + (hi - lo)]),
+        };
+        let strict = rng.next_bool();
+        let fails = |x: f64| {
+            if strict {
+                x > threshold
+            } else {
+                x >= threshold
+            }
+        };
+
+        let mut reference_calls = Vec::new();
+        let reference = reference_bisect(lo, hi, rel_tol, scale, |x| {
+            reference_calls.push(x.to_bits());
+            Ok(fails(x))
+        });
+        let mut plain_calls = Vec::new();
+        let plain = bisect_transition_hinted(lo, hi, rel_tol, scale, None, |x| {
+            plain_calls.push(x.to_bits());
+            Ok(fails(x))
+        });
+        assert_eq!(plain_calls, reference_calls, "case {case}: call sequence");
+        assert_eq!(plain, reference, "case {case}: unhinted result");
+
+        let (cell_lo, cell_hi, _) = spec_hint_cell((lo, hi), rel_tol, scale, threshold, min_span);
+        let lattice_point = match reference_calls.get(2 + rng.index(8)) {
+            Some(&bits) => f64::from_bits(bits),
+            None => cell_lo,
+        };
+        let hints = [
+            // Inside the threshold's cell.
+            threshold,
+            match scale {
+                Scale::Logarithmic => cell_lo * (cell_hi / cell_lo).powf(rng.next_f64()),
+                Scale::Linear => rng.range(cell_lo, cell_hi),
+            },
+            // Next to it, on either side.
+            cell_lo.next_down(),
+            cell_hi,
+            // Far off.
+            inside(&mut rng),
+            // On lattice points.
+            cell_lo,
+            lattice_point,
+            // At or beyond the bracket ends.
+            lo,
+            hi,
+            match scale {
+                Scale::Logarithmic => lo / 10.0,
+                Scale::Linear => lo - 1.0,
+            },
+            match scale {
+                Scale::Logarithmic => hi * 10.0,
+                Scale::Linear => hi + 1.0,
+            },
+        ];
+        for at in hints {
+            let hint = Hint {
+                at,
+                min_cell_span: min_span,
+            };
+            let hinted =
+                bisect_transition_hinted(lo, hi, rel_tol, scale, Some(hint), |x| Ok(fails(x)));
+            let label =
+                format!("case {case}: {scale:?} [{lo}, {hi}] threshold {threshold} hint {at}");
+            let (r, h) = match (&reference, &hinted) {
+                (Ok(r), Ok(h)) => (r, h),
+                (Err(r), Err(h)) => {
+                    assert_eq!(r, h, "{label}");
+                    continue;
+                }
+                _ => panic!("{label}: {reference:?} vs {hinted:?}"),
+            };
+            assert_eq!(h.last_false.to_bits(), r.last_false.to_bits(), "{label}");
+            assert_eq!(h.first_true.to_bits(), r.first_true.to_bits(), "{label}");
+            assert!(
+                h.evaluations <= r.evaluations + 3,
+                "{label}: {} vs {} evaluations",
+                h.evaluations,
+                r.evaluations
+            );
+            let (a, b, d) = spec_hint_cell((lo, hi), rel_tol, scale, at, min_span);
+            if !fails(a) && fails(b) {
+                let full_depth = r.evaluations - 2;
+                assert_eq!(h.evaluations, 2 + (full_depth - d), "{label}");
+                in_cell_cases += 1;
+                saved += r.evaluations - h.evaluations;
+            }
+        }
+    }
+    // The sample really exercises the saving, not just the fallbacks.
+    assert!(in_cell_cases > CASES * 8, "{in_cell_cases} in-cell cases");
+    assert!(saved > in_cell_cases, "{saved} evaluations saved");
 }
 
 #[test]
