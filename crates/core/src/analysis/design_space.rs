@@ -433,8 +433,8 @@ impl DesignSweepResult {
 
 /// Runs the one-pass cross-design sweep.
 ///
-/// `template` supplies the recovery policy and solver tuning every
-/// per-design analyzer inherits; `config` supplies threads/chunk/warm-start
+/// `template` supplies the recovery policy every per-design analyzer
+/// inherits; `config` supplies threads/chunk/warm-start
 /// for each campaign. Designs sharing an expanded plan share one
 /// evaluation service, so their grids dedup through the memo cache.
 ///
@@ -445,7 +445,7 @@ impl DesignSweepResult {
 /// One [`EvalService`] per distinct plan fingerprint (first-appearance
 /// order) plus a per-design index into it, so designs sharing an expanded
 /// plan share one memo cache. The `template` analyzer supplies the
-/// recovery policy and solver tuning every per-design analyzer inherits.
+/// recovery policy every per-design analyzer inherits.
 pub(crate) fn services_for(
     space: &DesignSpace,
     template: &Analyzer,
@@ -457,9 +457,8 @@ pub(crate) fn services_for(
             .iter()
             .position(|(fp, _)| *fp == plan.fingerprint())
             .unwrap_or_else(|| {
-                let analyzer = Analyzer::new(plan.generate_design())
-                    .with_recovery(*template.recovery())
-                    .with_tuning(*template.tuning());
+                let analyzer =
+                    Analyzer::new(plan.generate_design()).with_recovery(*template.recovery());
                 services.push((plan.fingerprint(), EvalService::new(analyzer)));
                 services.len() - 1
             });

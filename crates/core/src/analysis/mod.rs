@@ -37,44 +37,25 @@ use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_dram::ops::{physical_write, OpTrace, Operation, OperationEngine};
 use dso_num::chaos::FaultPlan;
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
-use dso_spice::SolverTuning;
 
-/// The solver tuning selected by the `DSO_LU_REUSE` and `DSO_BYPASS_TOL`
-/// environment variables (defaults: LU reuse on, 100 µV bypass tolerance).
-/// Invalid values warn once and fall back to the default, like every
-/// other `DSO_*` knob.
-pub fn tuning_from_env() -> SolverTuning {
-    let mut tuning = SolverTuning::default();
-    if let Some(reuse) = crate::env::boolean("DSO_LU_REUSE", "1") {
-        tuning.lu_reuse = reuse;
-    }
-    if let Some(tol) = crate::env::non_negative_f64("DSO_BYPASS_TOL", "1e-4") {
-        tuning.bypass_tol = tol;
-    }
-    tuning
-}
-
-/// Analysis front end: owns the column design, recovery policy, and solver
-/// tuning, builds defect-injected engines, and implements the elementary
-/// measurements the [`crate::eval::EvalService`] executes. Analysis layers
-/// never call the measurement primitives directly — they submit requests
-/// to the service, which memoizes and batches them.
+/// Analysis front end: owns the column design and recovery policy, builds
+/// defect-injected engines, and implements the elementary measurements the
+/// [`crate::eval::EvalService`] executes. Analysis layers never call the
+/// measurement primitives directly — they submit requests to the service,
+/// which memoizes and batches them.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     design: ColumnDesign,
     recovery: RecoveryPolicy,
-    tuning: SolverTuning,
 }
 
 impl Analyzer {
     /// Creates an analyzer for a column design, with the default
-    /// convergence-recovery policy (every ladder rung enabled) and the
-    /// solver tuning selected by the environment ([`tuning_from_env`]).
+    /// convergence-recovery policy (every ladder rung enabled).
     pub fn new(design: ColumnDesign) -> Self {
         Analyzer {
             design,
             recovery: RecoveryPolicy::default(),
-            tuning: tuning_from_env(),
         }
     }
 
@@ -85,11 +66,11 @@ impl Analyzer {
         self
     }
 
-    /// Replaces the solver tuning applied to every engine this analyzer
-    /// builds. The tuning is part of the evaluation-cache context: results
-    /// computed under one tuning are never served to another.
-    pub fn with_tuning(mut self, tuning: SolverTuning) -> Self {
-        self.tuning = tuning;
+    /// Former solver-tuning setter; the solver has one configuration, so
+    /// this has no effect.
+    #[deprecated(note = "the solver has one configuration; this has no effect")]
+    #[allow(deprecated)]
+    pub fn with_tuning(self, _tuning: dso_spice::SolverTuning) -> Self {
         self
     }
 
@@ -101,11 +82,6 @@ impl Analyzer {
     /// The convergence-recovery policy in use.
     pub fn recovery(&self) -> &RecoveryPolicy {
         &self.recovery
-    }
-
-    /// The solver tuning in use.
-    pub fn tuning(&self) -> &SolverTuning {
-        &self.tuning
     }
 
     /// Builds an operation engine with `defect` injected at `resistance`,
@@ -121,8 +97,7 @@ impl Analyzer {
     ) -> Result<OperationEngine, CoreError> {
         let mut engine = OperationEngine::new(self.design.clone(), *op_point)?
             .with_victim(defect.side())
-            .with_recovery(self.recovery)
-            .with_tuning(self.tuning);
+            .with_recovery(self.recovery);
         if let Some(plan) = faults {
             engine = engine.with_fault_plan(plan.clone());
         }

@@ -100,8 +100,8 @@ where
 /// grid point after the first such design replays from the memo cache —
 /// the same cross-design dedup the campaign planner exploits.
 ///
-/// `template` supplies the recovery policy and solver tuning each
-/// per-design analyzer inherits (its column design is ignored).
+/// `template` supplies the recovery policy each per-design analyzer
+/// inherits (its column design is ignored).
 ///
 /// # Errors
 ///

@@ -7,9 +7,9 @@
 //! disk_hit_rate, lu_reuse_rate, bypass_hit_rate, dedup_waits,
 //! serve_p99_ms, cross_design_dedup_rate}` — enough for CI to trend
 //! campaign throughput, the evaluation-cache and persistent-store payoff,
-//! the modified-Newton fast path, serving tail latency, the multi-design
-//! dedup payoff, and for the bench example to assert serial/parallel
-//! equivalence.
+//! the solver's LU-reuse and device-bypass rates, serving tail latency,
+//! the multi-design dedup payoff, and for the bench example to assert
+//! serial/parallel equivalence.
 
 use std::time::Instant;
 
@@ -33,10 +33,9 @@ pub struct BenchRecord {
     /// disk tier (`0.0` when no store is attached).
     pub disk_hit_rate: f64,
     /// Fraction of Newton iterations that reused the previous LU
-    /// factorization (`0.0` under legacy tuning).
+    /// factorization.
     pub lu_reuse_rate: f64,
-    /// Fraction of device evaluations answered from the bypass cache
-    /// (`0.0` under legacy tuning).
+    /// Fraction of device evaluations answered from the bypass cache.
     pub bypass_hit_rate: f64,
     /// Requests that blocked on an identical in-flight computation.
     pub dedup_waits: usize,
@@ -133,10 +132,6 @@ pub fn to_json(records: &[BenchRecord]) -> String {
 ///   by the cores that could actually serve it
 ///   (`min(threads, available_parallelism)`), i.e. per-core scaling
 ///   efficiency in `(0, 1]`.
-/// * `modified_newton_speedup` — cold points-per-second of the
-///   modified-Newton fast path (LU reuse + device bypass, default
-///   tuning) over the legacy full-Newton path at one thread. The CI
-///   floor is 1.5x regardless of the committed baseline.
 /// * `cross_design_dedup_rate` — fraction of the multi-design scenario's
 ///   campaigns whose healthy-reference grid was answered from another
 ///   design's results. Fully deterministic (plan-fingerprint collisions,
@@ -157,9 +152,6 @@ pub struct BenchBaseline {
     pub warm_iter_saving: f64,
     /// Parallel speedup per effective core (wall-clock derived).
     pub speedup_per_core: f64,
-    /// Cold modified-Newton (default tuning) over cold legacy-tuning
-    /// points-per-second at one thread (wall-clock derived).
-    pub modified_newton_speedup: f64,
     /// Fraction of multi-design campaigns sharing a healthy-reference
     /// grid (deterministic).
     pub cross_design_dedup_rate: f64,
@@ -183,10 +175,6 @@ impl BenchBaseline {
             (
                 "speedup_per_core".to_string(),
                 Json::Num(self.speedup_per_core),
-            ),
-            (
-                "modified_newton_speedup".to_string(),
-                Json::Num(self.modified_newton_speedup),
             ),
             (
                 "cross_design_dedup_rate".to_string(),
@@ -215,7 +203,6 @@ impl BenchBaseline {
         Ok(BenchBaseline {
             warm_iter_saving: field("warm_iter_saving")?,
             speedup_per_core: field("speedup_per_core")?,
-            modified_newton_speedup: field("modified_newton_speedup")?,
             cross_design_dedup_rate: field("cross_design_dedup_rate")?,
             serve_p99_ms: field("serve_p99_ms")?,
         })
@@ -246,11 +233,6 @@ impl BenchBaseline {
             "parallel speedup per core",
             self.speedup_per_core,
             current.speedup_per_core,
-        );
-        gate(
-            "modified-Newton speedup over legacy tuning",
-            self.modified_newton_speedup,
-            current.modified_newton_speedup,
         );
         gate(
             "cross-design healthy-reference dedup rate",
@@ -365,7 +347,6 @@ mod tests {
         let base = BenchBaseline {
             warm_iter_saving: 0.4,
             speedup_per_core: 0.8,
-            modified_newton_speedup: 2.5,
             cross_design_dedup_rate: 0.333,
             serve_p99_ms: 800.0,
         };
@@ -377,7 +358,6 @@ mod tests {
         let ok = BenchBaseline {
             warm_iter_saving: 0.35,
             speedup_per_core: 0.9,
-            modified_newton_speedup: 2.2,
             cross_design_dedup_rate: 0.3,
             serve_p99_ms: 900.0,
         };
@@ -387,17 +367,15 @@ mod tests {
         let bad = BenchBaseline {
             warm_iter_saving: 0.2,
             speedup_per_core: 0.5,
-            modified_newton_speedup: 1.2,
             cross_design_dedup_rate: 0.1,
             serve_p99_ms: 1200.0,
         };
         let msgs = base.regressions(&bad, 0.25);
-        assert_eq!(msgs.len(), 5, "{msgs:?}");
+        assert_eq!(msgs.len(), 4, "{msgs:?}");
         assert!(msgs[0].contains("warm-start"), "{msgs:?}");
         assert!(msgs[1].contains("speedup per core"), "{msgs:?}");
-        assert!(msgs[2].contains("modified-Newton"), "{msgs:?}");
-        assert!(msgs[3].contains("cross-design"), "{msgs:?}");
-        assert!(msgs[4].contains("p99"), "{msgs:?}");
+        assert!(msgs[2].contains("cross-design"), "{msgs:?}");
+        assert!(msgs[3].contains("p99"), "{msgs:?}");
 
         // A zeroed latency baseline (no serve scenario yet) never trips.
         let unseeded = BenchBaseline {
@@ -406,7 +384,7 @@ mod tests {
         };
         assert_eq!(
             unseeded.regressions(&bad, 0.25).len(),
-            4,
+            3,
             "latency gate armed without a baseline"
         );
 

@@ -11,12 +11,6 @@
 //!   together with the [`non_negative_f64`] knob
 //!   `DSO_SERVE_DEADLINE_MS`),
 //!
-//! the solver-tuning knobs through [`boolean`] and
-//! [`non_negative_f64`]:
-//!
-//! * `DSO_LU_REUSE` — modified-Newton LU reuse (`0`/`1`, default on),
-//! * `DSO_BYPASS_TOL` — device-bypass tolerance in volts (`0` disables),
-//!
 //! with one contract: an invalid or zero value never panics and never
 //! silently misconfigures a campaign — the variable falls back to its
 //! default and a single warning per variable is printed to stderr (once
@@ -67,43 +61,9 @@ pub fn positive_usize(var: &str, fallback: &str) -> Option<usize> {
     }
 }
 
-/// Parses a boolean setting (`0`/`1`, `true`/`false`, `on`/`off`,
-/// case-insensitive) from an environment variable's raw value.
-///
-/// Same contract as [`parse_setting`]: `Ok(None)` for unset/empty,
-/// `Err(raw)` for garbage.
-pub fn parse_bool(raw: Option<&str>) -> Result<Option<bool>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(Some(true)),
-        "0" | "false" | "off" | "no" => Ok(Some(false)),
-        _ => Err(raw.to_string()),
-    }
-}
-
-/// Reads the boolean setting `var` from the environment; `None` when
-/// unset, empty, or invalid (with a once-per-process warning naming
-/// `fallback`).
-pub fn boolean(var: &str, fallback: &str) -> Option<bool> {
-    match parse_bool(std::env::var(var).ok().as_deref()) {
-        Ok(b) => b,
-        Err(raw) => {
-            warn_once(
-                var,
-                &format!("ignoring invalid {var}={raw:?} (want 0/1, true/false); using {fallback}"),
-            );
-            None
-        }
-    }
-}
-
 /// Parses a non-negative finite float setting from an environment
-/// variable's raw value (zero is valid — it is how a tolerance knob is
-/// switched off).
+/// variable's raw value (zero is valid — a zero `DSO_SERVE_DEADLINE_MS`
+/// means no default deadline).
 ///
 /// Same contract as [`parse_setting`]: `Ok(None)` for unset/empty,
 /// `Err(raw)` for garbage, negatives, NaN, and infinities.
@@ -181,20 +141,6 @@ mod tests {
             parse_setting(Some("18446744073709551616")), // usize::MAX + 1
             Err("18446744073709551616".to_string())
         );
-    }
-
-    #[test]
-    fn parse_bool_accepts_common_spellings() {
-        for raw in ["1", "true", "TRUE", " on ", "Yes"] {
-            assert_eq!(parse_bool(Some(raw)), Ok(Some(true)), "raw {raw:?}");
-        }
-        for raw in ["0", "false", "Off", "no"] {
-            assert_eq!(parse_bool(Some(raw)), Ok(Some(false)), "raw {raw:?}");
-        }
-        assert_eq!(parse_bool(None), Ok(None));
-        assert_eq!(parse_bool(Some("  ")), Ok(None));
-        assert_eq!(parse_bool(Some("2")), Err("2".to_string()));
-        assert_eq!(parse_bool(Some("maybe")), Err("maybe".to_string()));
     }
 
     #[test]

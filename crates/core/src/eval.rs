@@ -461,17 +461,13 @@ impl EvalService {
     }
 
     /// The context fingerprint a service built on `analyzer` uses: the
-    /// hash of its column design, recovery policy, and solver tuning. This
-    /// is the key a [`ResultStore`] must be opened with for its records to
-    /// survive the stale-generation check. The tuning is part of the
-    /// context because it changes the floating-point path a solve takes —
-    /// two tunings produce different (both valid) bits for the same
-    /// request, and a cache must never mix them.
+    /// hash of its column design and recovery policy. This is the key a
+    /// [`ResultStore`] must be opened with for its records to survive the
+    /// stale-generation check.
     pub fn context_for(analyzer: &Analyzer) -> u64 {
         let mut fp = Fingerprint::new();
         analyzer.design().fingerprint_into(&mut fp);
         analyzer.recovery().fingerprint_into(&mut fp);
-        analyzer.tuning().fingerprint_into(&mut fp);
         fp.finish()
     }
 

@@ -52,7 +52,6 @@ use dso_march::coverage::{evaluate_coverage, CoverageReport, FaultCase};
 use dso_march::test::MarchTest;
 use dso_shmoo::ShmooPlot;
 use dso_spice::recovery::RecoveryPolicy;
-use dso_spice::SolverTuning;
 use std::path::PathBuf;
 
 /// Builder for a [`Session`]: column design, recovery policy, execution
@@ -62,7 +61,6 @@ use std::path::PathBuf;
 pub struct SessionBuilder {
     design: ColumnDesign,
     recovery: RecoveryPolicy,
-    tuning: Option<SolverTuning>,
     config: Option<CampaignConfig>,
     store: Option<PathBuf>,
 }
@@ -77,17 +75,6 @@ impl SessionBuilder {
     /// Sets the convergence-recovery policy applied to every engine.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
-        self
-    }
-
-    /// Sets the solver tuning (modified-Newton LU reuse, device-eval
-    /// bypass tolerance) explicitly. Without this, the session reads
-    /// `DSO_LU_REUSE` / `DSO_BYPASS_TOL` via
-    /// [`crate::analysis::tuning_from_env`]. Tuning is part of the
-    /// analyzer context fingerprint, so sessions with different tuning
-    /// never share a persistent store.
-    pub fn tuning(mut self, tuning: SolverTuning) -> Self {
-        self.tuning = Some(tuning);
         self
     }
 
@@ -116,10 +103,7 @@ impl SessionBuilder {
     /// [`CoreError::Store`] when an explicitly requested store cannot be
     /// opened or belongs to a different analyzer context.
     pub fn build(self) -> Result<Session, CoreError> {
-        let mut analyzer = Analyzer::new(self.design).with_recovery(self.recovery);
-        if let Some(tuning) = self.tuning {
-            analyzer = analyzer.with_tuning(tuning);
-        }
+        let analyzer = Analyzer::new(self.design).with_recovery(self.recovery);
         let config = self.config.unwrap_or_else(CampaignConfig::from_env);
         let service = match self.store {
             Some(path) => {
@@ -248,9 +232,9 @@ impl Session {
     /// pipeline, sharing one evaluation service between designs whose
     /// configs expand to the same electrical plan (counted in
     /// [`CampaignPerfStats::cross_design_dedup`]). Each per-design
-    /// analyzer inherits this session's recovery policy and solver
-    /// tuning; the session's own design and store are not used — the
-    /// design axis comes entirely from `space`.
+    /// analyzer inherits this session's recovery policy; the session's
+    /// own design and store are not used — the design axis comes entirely
+    /// from `space`.
     ///
     /// # Errors
     ///

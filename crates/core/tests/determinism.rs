@@ -4,13 +4,13 @@
 //! be **bit-identical** for every thread count — with and without injected
 //! faults — because chunk decomposition, warm-seed chains, and fault-plan
 //! resolution are keyed on sweep index, never on scheduling. The contract
-//! is pinned warm and cold, under the default (modified-Newton) tuning and
-//! the legacy full-Newton tuning. This suite also pins the warm-start
-//! payoff (fewer Newton iterations), that the LU-reuse and device-bypass
-//! fast path actually fires, and a loom-free interleaving smoke test that
-//! executes the chunks of a real simulation grid in a seeded-shuffled
-//! order. The stress optimizer, whose border comparisons fan candidate
-//! searches out over the executor, is pinned the same way.
+//! is pinned warm and cold, clean and with an injected fault. This suite
+//! also pins the warm-start payoff (fewer Newton iterations), that the
+//! solver's LU reuse and device bypass actually fire, and a loom-free
+//! interleaving smoke test that executes the chunks of a real simulation
+//! grid in a seeded-shuffled order. The stress optimizer, whose border
+//! comparisons fan candidate searches out over the executor, is pinned the
+//! same way.
 
 use dso_core::analysis::{Analyzer, CampaignFaults, PlaneCampaign};
 use dso_core::exec::{self, CampaignConfig};
@@ -22,7 +22,6 @@ use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_num::chaos::{FaultKind, FaultPlan};
 use dso_num::interp::logspace;
 use dso_num::testing::TestRng;
-use dso_spice::SolverTuning;
 
 /// Coarse time step so debug-mode campaigns stay affordable.
 fn fast_design() -> ColumnDesign {
@@ -36,31 +35,24 @@ fn sweep() -> Vec<f64> {
     logspace(1e4, 1e7, 6).expect("valid sweep")
 }
 
-/// One campaign at `threads` with warm-start chaining `warm` and an
-/// explicit solver `tuning` (so `DSO_LU_REUSE`/`DSO_BYPASS_TOL` cannot
-/// change what is pinned).
-fn campaign_tuned(
-    threads: usize,
-    warm: bool,
-    tuning: SolverTuning,
-    faults: &CampaignFaults,
-) -> PlaneCampaign {
+/// One campaign at `threads` with warm-start chaining `warm`.
+fn campaign_with(threads: usize, warm: bool, faults: &CampaignFaults) -> PlaneCampaign {
     let defect = Defect::cell_open(BitLineSide::True);
     let config = CampaignConfig::with_threads(threads)
         .with_chunk(2)
         .with_warm_start(warm);
     // A fresh session (fresh service) per run: every thread count
     // recomputes from scratch instead of replaying a shared cache.
-    let analyzer = Analyzer::new(fast_design()).with_tuning(tuning);
+    let analyzer = Analyzer::new(fast_design());
     let session = Session::from_parts(EvalService::new(analyzer), config);
     session
         .planes_faulted(&defect, &OperatingPoint::nominal(), &sweep(), 1, faults)
         .expect("campaign runs")
 }
 
-/// Default-tuning, warm-started campaign at `threads`.
+/// Warm-started campaign at `threads`.
 fn campaign_at(threads: usize, faults: &CampaignFaults) -> PlaneCampaign {
-    campaign_tuned(threads, true, SolverTuning::default(), faults)
+    campaign_with(threads, true, faults)
 }
 
 /// Bitwise equality of two campaigns: every plane curve, every report
@@ -86,21 +78,15 @@ fn parallel_campaign_bit_identical_to_serial() {
     let clean = CampaignFaults::new();
     let faulted = CampaignFaults::new().with_fault(2, FaultPlan::always(FaultKind::NanResidual));
     let cases = [
-        ("warm", true, SolverTuning::default(), &clean, 0),
-        ("cold", false, SolverTuning::default(), &clean, 0),
-        (
-            "cold legacy faulted",
-            false,
-            SolverTuning::legacy(),
-            &faulted,
-            1,
-        ),
+        ("warm", true, &clean, 0),
+        ("cold", false, &clean, 0),
+        ("cold faulted", false, &faulted, 1),
     ];
-    for (label, warm, tuning, faults, failed) in cases {
-        let serial = campaign_tuned(1, warm, tuning, faults);
+    for (label, warm, faults, failed) in cases {
+        let serial = campaign_with(1, warm, faults);
         assert_eq!(serial.report.failed(), failed, "{label}");
         for threads in [2, 4, 8] {
-            let parallel = campaign_tuned(threads, warm, tuning, faults);
+            let parallel = campaign_with(threads, warm, faults);
             assert_bit_identical(&serial, &parallel, &format!("{label}, threads = {threads}"));
         }
     }
@@ -108,26 +94,20 @@ fn parallel_campaign_bit_identical_to_serial() {
 
 #[test]
 fn reference_sweep_exercises_lu_reuse_and_bypass() {
-    // The fast path must actually fire on the reference sweep, or every
-    // default-tuning identity test above is vacuous: the modified-Newton
-    // policy should reuse more factorizations than it builds, and the
-    // device bypass should land hits.
+    // LU reuse and device bypass must actually fire on the reference
+    // sweep, or every identity test above leaves them unexercised: the
+    // modified-Newton policy should reuse more factorizations than it
+    // builds, and the device bypass should land hits.
     let clean = CampaignFaults::new();
-    let tuned = campaign_at(1, &clean);
+    let reference = campaign_at(1, &clean);
     assert!(
-        tuned.perf.lu_reuse_rate() > 0.5,
+        reference.perf.lu_reuse_rate() > 0.5,
         "LU reuse rate {:.2} never cleared 0.5 on the reference sweep",
-        tuned.perf.lu_reuse_rate()
+        reference.perf.lu_reuse_rate()
     );
     assert!(
-        tuned.perf.bypass_hits > 0,
+        reference.perf.bypass_hits > 0,
         "device bypass never hit on the reference sweep"
-    );
-    // And the legacy tuning never touches it.
-    let legacy = campaign_tuned(1, true, SolverTuning::legacy(), &clean);
-    assert!(
-        legacy.perf.lu_reuses == 0 && legacy.perf.bypass_hits == 0,
-        "legacy tuning must not touch the fast path"
     );
 }
 
@@ -313,7 +293,7 @@ fn shuffled_chunk_interleaving_is_bit_identical() {
 /// Two Table-1 rows, optimized cold on a fresh session at `threads`.
 fn optimize_rows(threads: usize) -> Vec<StressReport> {
     let config = CampaignConfig::with_threads(threads).with_warm_start(true);
-    let analyzer = Analyzer::new(fast_design()).with_tuning(SolverTuning::default());
+    let analyzer = Analyzer::new(fast_design());
     let session = Session::from_parts(EvalService::new(analyzer), config.clone());
     let optimizer = StressOptimizer::with_session(session).with_config(OptimizerConfig {
         exec: config,

@@ -14,7 +14,7 @@ use crate::timing::{ControlWaveforms, CycleSchedule};
 use crate::DramError;
 use dso_num::chaos::FaultPlan;
 use dso_spice::circuit::Circuit;
-use dso_spice::engine::{Simulator, SolverTuning, TranOptions, TranResult};
+use dso_spice::engine::{Simulator, TranOptions, TranResult};
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 use dso_spice::waveform::Waveform;
 
@@ -208,7 +208,6 @@ pub struct OperationEngine {
     victim: BitLineSide,
     recovery: RecoveryPolicy,
     fault_plan: Option<FaultPlan>,
-    tuning: SolverTuning,
 }
 
 impl OperationEngine {
@@ -226,7 +225,6 @@ impl OperationEngine {
             victim: BitLineSide::True,
             recovery: RecoveryPolicy::default(),
             fault_plan: None,
-            tuning: SolverTuning::default(),
         })
     }
 
@@ -243,7 +241,6 @@ impl OperationEngine {
             victim: BitLineSide::True,
             recovery: RecoveryPolicy::default(),
             fault_plan: None,
-            tuning: SolverTuning::default(),
         })
     }
 
@@ -264,13 +261,6 @@ impl OperationEngine {
     /// on every run (normally zero).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the hot-path solver tuning handed to the simulator (see
-    /// [`dso_spice::SolverTuning`]).
-    pub fn with_tuning(mut self, tuning: SolverTuning) -> Self {
-        self.tuning = tuning;
         self
     }
 
@@ -416,13 +406,11 @@ impl OperationEngine {
     }
 
     /// Builds the simulator for a prepared run's circuit, carrying the
-    /// engine's temperature, recovery policy, solver tuning, and armed
-    /// fault plan.
+    /// engine's temperature, recovery policy, and armed fault plan.
     fn simulator_for<'a>(&self, ckt: &'a Circuit) -> Simulator<'a> {
         let mut sim = Simulator::new(ckt)
             .with_temperature(self.op_point.temp_c)
-            .with_recovery(self.recovery)
-            .with_tuning(self.tuning);
+            .with_recovery(self.recovery);
         if let Some(plan) = &self.fault_plan {
             sim = sim.with_fault_plan(plan.clone());
         }

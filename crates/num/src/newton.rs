@@ -308,8 +308,7 @@ impl NewtonSolver {
     /// Re-validates a tentative convergence acceptance against the exact
     /// residual when the system's `residual` is approximate. Returns the
     /// refreshed norm (which the caller re-tests); for exact systems the
-    /// incoming norm passes straight through with no extra residual call,
-    /// preserving the legacy call sequence bit-for-bit.
+    /// incoming norm passes straight through with no extra residual call.
     fn exact_norm<S: NonlinearSystem>(
         &mut self,
         system: &mut S,

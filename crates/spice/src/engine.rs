@@ -413,12 +413,9 @@ pub struct Simulator<'c> {
     gmin: f64,
     recovery: RecoveryPolicy,
     fault_plan: Option<FaultPlan>,
-    tuning: SolverTuning,
 }
 
-/// The Newton iteration policy every [`Simulator`] solves with, apart from
-/// [`SolverTuning::lu_reuse`], which [`SolverTuning::newton_options`]
-/// folds in.
+/// The Newton iteration policy every [`Simulator`] solves with.
 pub fn default_newton_options() -> NewtonOptions {
     NewtonOptions {
         max_iterations: 200,
@@ -430,74 +427,13 @@ pub fn default_newton_options() -> NewtonOptions {
     }
 }
 
-/// Hot-path solver tuning: modified-Newton LU reuse and SPICE3-style
-/// device-evaluation bypass.
-///
-/// Both knobs trade redundant work for bookkeeping without changing what
-/// convergence *means*: LU reuse still refactors the moment the residual
-/// reduction stalls or damping engages, and a bypassed device's residual
-/// is always re-checked exactly at acceptance (see
-/// [`dso_num::newton::NonlinearSystem::residual_exact`]). The
-/// [`SolverTuning::legacy`] point — reuse off, tolerance zero — reproduces
-/// the untuned solver bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverTuning {
-    /// Keep the current LU factorization across Newton iterations and
-    /// back-substitute only, refactoring when convergence stalls (maps to
-    /// [`NewtonOptions::lu_reuse`]).
-    pub lu_reuse: bool,
-    /// Device bypass tolerance in volts: a MOSFET or diode whose terminal
-    /// voltages all moved less than this since its last evaluation reuses
-    /// the cached (linearized) stamp instead of re-evaluating the model.
-    /// `0.0` disables the bypass *and* the incremental-assembly fast path,
-    /// restoring the legacy stamp-everything loop exactly. Forced to `0.0`
-    /// whenever a fault plan is armed, so injected faults are never masked
-    /// by a stale cache.
-    pub bypass_tol: f64,
-}
-
-impl Default for SolverTuning {
-    fn default() -> Self {
-        SolverTuning {
-            lu_reuse: true,
-            // 100 µV: an order of magnitude tighter than the classic
-            // SPICE3 bypass window (reltol·|v| + vntol ≈ 1 mV at DRAM
-            // rail voltages), and every acceptance is still re-checked
-            // against the exact residual.
-            bypass_tol: 1e-4,
-        }
-    }
-}
-
-impl SolverTuning {
-    /// The pre-tuning solver: every iteration refactors, every device is
-    /// evaluated at every stamp. Bit-identical to the solver before these
-    /// knobs existed.
-    pub fn legacy() -> Self {
-        SolverTuning {
-            lu_reuse: false,
-            bypass_tol: 0.0,
-        }
-    }
-
-    /// The Newton options a [`Simulator`] built with this tuning solves
-    /// with (the defaults plus this tuning's `lu_reuse`).
-    pub fn newton_options(&self) -> NewtonOptions {
-        NewtonOptions {
-            lu_reuse: self.lu_reuse,
-            ..default_newton_options()
-        }
-    }
-
-    /// Folds the tuning into a content fingerprint. The knobs change the
-    /// floating-point path a solve takes — different iteration counts,
-    /// different summation order — so cached results are only valid for
-    /// the exact tuning that produced them.
-    pub fn fingerprint_into(&self, fp: &mut dso_num::fingerprint::Fingerprint) {
-        fp.write_bool(self.lu_reuse);
-        fp.write_f64(self.bypass_tol);
-    }
-}
+/// Device bypass window in volts: a MOSFET or diode whose terminal
+/// voltages all moved less than this since its last model evaluation
+/// reuses the cached, linearized stamp. 100 µV is an order of magnitude
+/// tighter than the classic SPICE3 window (reltol·|v| + vntol ≈ 1 mV at
+/// DRAM rail voltages), and every acceptance is still re-checked against
+/// the exact residual.
+const BYPASS_TOL: f64 = 1e-4;
 
 impl<'c> Simulator<'c> {
     /// Creates a simulator at the nominal temperature (+27 °C).
@@ -508,7 +444,6 @@ impl<'c> Simulator<'c> {
             gmin: 1e-12,
             recovery: RecoveryPolicy::default(),
             fault_plan: None,
-            tuning: SolverTuning::default(),
         }
     }
 
@@ -540,14 +475,6 @@ impl<'c> Simulator<'c> {
         self
     }
 
-    /// Sets the hot-path solver tuning (default: LU reuse on, 100 µV device
-    /// bypass). `SolverTuning::legacy()` restores the untuned solver
-    /// bit-for-bit.
-    pub fn with_tuning(mut self, tuning: SolverTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
     /// Ambient temperature in °C.
     pub fn temperature(&self) -> f64 {
         self.temp
@@ -558,23 +485,12 @@ impl<'c> Simulator<'c> {
         &self.recovery
     }
 
-    /// The hot-path solver tuning in force.
-    pub fn tuning(&self) -> &SolverTuning {
-        &self.tuning
-    }
-
     /// Builds an MNA system for `circuit` with this simulator's
-    /// temperature, gmin, and bypass tolerance. Fault-armed simulators get
-    /// a zero bypass tolerance: an injected fault must never be masked by
-    /// a device cache, and the plan's solve ordinals must count exactly
-    /// the evaluations the untuned path performs.
+    /// temperature and gmin. Fault-armed simulators turn device bypass off:
+    /// an injected fault must never be masked by a device cache.
     fn make_system<'x>(&self, circuit: &'x Circuit) -> MnaSystem<'x> {
         let mut system = MnaSystem::new(circuit, self.temp, self.gmin);
-        system.bypass_tol = if self.fault_plan.is_some() {
-            0.0
-        } else {
-            self.tuning.bypass_tol
-        };
+        system.bypass = self.fault_plan.is_none();
         system
     }
 
@@ -637,7 +553,7 @@ impl<'c> Simulator<'c> {
         self.circuit.validate()?;
         let mut system = self.make_system(self.circuit);
         system.time = 0.0;
-        let mut solver = NewtonSolver::new(self.tuning.newton_options());
+        let mut solver = NewtonSolver::new(default_newton_options());
         let mut x = vec![0.0; system.unknowns()];
         let mut stats = RecoveryStats::default();
         // Direct attempt, then gmin homotopy.
@@ -701,7 +617,7 @@ impl<'c> Simulator<'c> {
         let vsource_names = self.vsource_names();
         // One solver for the whole sweep: its factorization and scratch
         // buffers are sized once and reused at every point.
-        let mut solver = NewtonSolver::new(self.tuning.newton_options());
+        let mut solver = NewtonSolver::new(default_newton_options());
         for &v in values {
             ckt.set_waveform(source, Waveform::Dc(v))?;
             let mut system = self.make_system(&ckt);
@@ -772,7 +688,7 @@ impl<'c> Simulator<'c> {
         let (mut system, mut x, mut cap_states) = self.transient_init(options)?;
         let n = system.unknowns();
         let n_node_vars = self.circuit.node_count() - 1;
-        let mut solver = NewtonSolver::new(self.tuning.newton_options());
+        let mut solver = NewtonSolver::new(default_newton_options());
 
         let steps = (options.t_stop / options.dt).round() as usize;
         let mut times = Vec::with_capacity(steps + 1);
@@ -1353,15 +1269,14 @@ struct DiodeBypass {
 /// The MNA nonlinear system for one time point (or the DC operating point
 /// when no companion models are installed).
 ///
-/// When `bypass_tol > 0` the system assembles incrementally: everything
-/// linear in `x` (gmin leak, resistors, capacitor companions, source
-/// patterns) is stamped into `lin_jac`/`lin_rhs` — the Jacobian half once
-/// per `(gmin, companion conductances)` configuration, the right-hand side
-/// once per step — and each residual/Jacobian evaluation is a sparse
-/// matrix-vector product (or memcpy) plus the nonlinear device stamps —
-/// with MOSFETs and diodes bypassed when their terminal voltages have not
-/// moved. `bypass_tol == 0` routes every evaluation through the legacy
-/// [`MnaSystem::stamp`] loop, bit-for-bit.
+/// The system assembles incrementally: everything linear in `x` (gmin
+/// leak, resistors, capacitor companions, source patterns) is stamped into
+/// `lin_jac`/`lin_rhs` — the Jacobian half once per `(gmin, companion
+/// conductances)` configuration, the right-hand side once per step — and
+/// each residual/Jacobian evaluation is a sparse matrix-vector product (or
+/// memcpy) plus the nonlinear device stamps, with MOSFETs and diodes
+/// bypassed when their terminal voltages have not moved (unless `bypass`
+/// is off).
 struct MnaSystem<'a> {
     circuit: &'a Circuit,
     temp: f64,
@@ -1372,9 +1287,10 @@ struct MnaSystem<'a> {
     /// Branch-current variable index per device index (voltage sources).
     branch_var: Vec<Option<usize>>,
     n_unknowns: usize,
-    /// Device bypass tolerance in volts; `0` disables the incremental
-    /// fast path entirely (see [`SolverTuning::bypass_tol`]).
-    bypass_tol: f64,
+    /// Whether MOSFET and diode stamps may be bypassed within
+    /// [`BYPASS_TOL`]; off, every device is evaluated on every stamp and
+    /// every residual is exact.
+    bypass: bool,
     /// `true` when `lin_jac` no longer matches `gmin` and the companion
     /// conductances.
     jac_dirty: bool,
@@ -1416,7 +1332,7 @@ impl<'a> MnaSystem<'a> {
             companions: vec![None; circuit.device_count()],
             branch_var,
             n_unknowns: next,
-            bypass_tol: 0.0,
+            bypass: true,
             jac_dirty: true,
             rhs_dirty: true,
             lin_jac: DMatrix::zeros(next, next),
@@ -1615,10 +1531,11 @@ impl<'a> MnaSystem<'a> {
 
     /// Stamps the nonlinear devices (MOSFETs, diodes, switches) on top of
     /// the linear base, bypassing a device's model evaluation when every
-    /// terminal voltage sits within `bypass_tol` of its anchor — the
+    /// terminal voltage sits within [`BYPASS_TOL`] of its anchor — the
     /// cached current is then corrected to first order along the cached
     /// conductances, so a hit is exact to O(Δv²). `force_eval` (the exact
-    /// residual) evaluates everything and refreshes the anchors.
+    /// residual), or bypass being off, evaluates everything and refreshes
+    /// the anchors.
     fn stamp_nonlinear(
         &mut self,
         x: &[f64],
@@ -1626,7 +1543,7 @@ impl<'a> MnaSystem<'a> {
         mut jac: Option<&mut DMatrix>,
         force_eval: bool,
     ) {
-        let tol = self.bypass_tol;
+        let force_eval = force_eval || !self.bypass;
         let temp = self.temp;
         let add_res = |res: &mut Option<&mut [f64]>, node: NodeId, current: f64| {
             if let Some(res) = res.as_deref_mut() {
@@ -1660,9 +1577,9 @@ impl<'a> MnaSystem<'a> {
                         None
                     } else {
                         self.mos_cache[idx].filter(|c| {
-                            (vgs - c.vgs).abs() <= tol
-                                && (vds - c.vds).abs() <= tol
-                                && (vbs - c.vbs).abs() <= tol
+                            (vgs - c.vgs).abs() <= BYPASS_TOL
+                                && (vds - c.vds).abs() <= BYPASS_TOL
+                                && (vbs - c.vbs).abs() <= BYPASS_TOL
                         })
                     };
                     let (e, ids) = match hit {
@@ -1703,7 +1620,7 @@ impl<'a> MnaSystem<'a> {
                     let hit = if force_eval {
                         None
                     } else {
-                        self.diode_cache[idx].filter(|c| (vd - c.vd).abs() <= tol)
+                        self.diode_cache[idx].filter(|c| (vd - c.vd).abs() <= BYPASS_TOL)
                     };
                     let (i, g) = match hit {
                         Some(c) => {
@@ -1761,7 +1678,7 @@ impl<'a> MnaSystem<'a> {
     /// The matvec runs over the base's stamp pattern only, with the same
     /// ascending `.sum()` as [`DMatrix::mul_vec_into`]: a skipped term is
     /// an exact zero, so every nonzero row sum is bit-identical.
-    fn fast_residual(&mut self, x: &[f64], out: &mut [f64], force_eval: bool) {
+    fn assemble_residual(&mut self, x: &[f64], out: &mut [f64], force_eval: bool) {
         self.ensure_base();
         for (i, o) in out.iter_mut().enumerate() {
             let row = self.lin_jac.row(i);
@@ -1784,160 +1701,6 @@ impl<'a> MnaSystem<'a> {
             x[node.0 - 1]
         }
     }
-
-    /// Stamps every device into the residual and/or Jacobian.
-    fn stamp(
-        &self,
-        x: &[f64],
-        mut res: Option<&mut [f64]>,
-        mut jac: Option<&mut DMatrix>,
-    ) -> Result<(), NumError> {
-        let n_nodes = self.circuit.node_count() - 1;
-        // gmin leak from every node to ground.
-        if let Some(res) = res.as_deref_mut() {
-            for (i, r) in res.iter_mut().enumerate().take(n_nodes) {
-                *r = self.gmin * x[i];
-            }
-            for r in res.iter_mut().skip(n_nodes) {
-                *r = 0.0;
-            }
-        }
-        if let Some(jac) = jac.as_deref_mut() {
-            for i in 0..n_nodes {
-                jac[(i, i)] += self.gmin;
-            }
-        }
-
-        // Helper closures for KCL stamping.
-        let add_res = |res: &mut Option<&mut [f64]>, node: NodeId, current: f64| {
-            if let Some(res) = res.as_deref_mut() {
-                if !node.is_ground() {
-                    res[node.0 - 1] += current;
-                }
-            }
-        };
-        let add_jac = |jac: &mut Option<&mut DMatrix>, row: NodeId, col: NodeId, g: f64| {
-            if let Some(jac) = jac.as_deref_mut() {
-                if !row.is_ground() && !col.is_ground() {
-                    jac[(row.0 - 1, col.0 - 1)] += g;
-                }
-            }
-        };
-
-        for (idx, device) in self.circuit.devices().iter().enumerate() {
-            match device {
-                Device::Resistor { p, n, resistance } => {
-                    let g = 1.0 / resistance;
-                    let i = g * (Self::volt(x, *p) - Self::volt(x, *n));
-                    add_res(&mut res, *p, i);
-                    add_res(&mut res, *n, -i);
-                    add_jac(&mut jac, *p, *p, g);
-                    add_jac(&mut jac, *p, *n, -g);
-                    add_jac(&mut jac, *n, *p, -g);
-                    add_jac(&mut jac, *n, *n, g);
-                }
-                Device::Capacitor { p, n, .. } => {
-                    if let Some(comp) = self.companions[idx] {
-                        let v = Self::volt(x, *p) - Self::volt(x, *n);
-                        let i = comp.geq * v - comp.ieq;
-                        add_res(&mut res, *p, i);
-                        add_res(&mut res, *n, -i);
-                        add_jac(&mut jac, *p, *p, comp.geq);
-                        add_jac(&mut jac, *p, *n, -comp.geq);
-                        add_jac(&mut jac, *n, *p, -comp.geq);
-                        add_jac(&mut jac, *n, *n, comp.geq);
-                    }
-                    // DC: capacitor is open — no stamp.
-                }
-                Device::VSource { p, n, waveform } => {
-                    let br = self.branch_var[idx].expect("vsource has branch");
-                    let i_br = x[br];
-                    add_res(&mut res, *p, i_br);
-                    add_res(&mut res, *n, -i_br);
-                    if let Some(res) = res.as_deref_mut() {
-                        res[br] = Self::volt(x, *p) - Self::volt(x, *n) - waveform.eval(self.time);
-                    }
-                    if let Some(jac) = jac.as_deref_mut() {
-                        if !p.is_ground() {
-                            jac[(p.0 - 1, br)] += 1.0;
-                            jac[(br, p.0 - 1)] += 1.0;
-                        }
-                        if !n.is_ground() {
-                            jac[(n.0 - 1, br)] -= 1.0;
-                            jac[(br, n.0 - 1)] -= 1.0;
-                        }
-                    }
-                }
-                Device::ISource { p, n, waveform } => {
-                    let i = waveform.eval(self.time);
-                    add_res(&mut res, *p, i);
-                    add_res(&mut res, *n, -i);
-                }
-                Device::Mosfet {
-                    d,
-                    g,
-                    s,
-                    b,
-                    model,
-                    geometry,
-                } => {
-                    let vgs = Self::volt(x, *g) - Self::volt(x, *s);
-                    let vds = Self::volt(x, *d) - Self::volt(x, *s);
-                    let vbs = Self::volt(x, *b) - Self::volt(x, *s);
-                    let e = mos::evaluate(model, *geometry, vgs, vds, vbs, self.temp);
-                    add_res(&mut res, *d, e.ids);
-                    add_res(&mut res, *s, -e.ids);
-                    let gsum = e.gm + e.gds + e.gmbs;
-                    add_jac(&mut jac, *d, *d, e.gds);
-                    add_jac(&mut jac, *d, *g, e.gm);
-                    add_jac(&mut jac, *d, *b, e.gmbs);
-                    add_jac(&mut jac, *d, *s, -gsum);
-                    add_jac(&mut jac, *s, *d, -e.gds);
-                    add_jac(&mut jac, *s, *g, -e.gm);
-                    add_jac(&mut jac, *s, *b, -e.gmbs);
-                    add_jac(&mut jac, *s, *s, gsum);
-                }
-                Device::Diode { p, n, model } => {
-                    let vd = Self::volt(x, *p) - Self::volt(x, *n);
-                    let (i, g) = model.evaluate(vd, self.temp);
-                    add_res(&mut res, *p, i);
-                    add_res(&mut res, *n, -i);
-                    add_jac(&mut jac, *p, *p, g);
-                    add_jac(&mut jac, *p, *n, -g);
-                    add_jac(&mut jac, *n, *p, -g);
-                    add_jac(&mut jac, *n, *n, g);
-                }
-                Device::VSwitch {
-                    p,
-                    n,
-                    cp,
-                    cn,
-                    ron,
-                    roff,
-                    threshold,
-                    transition,
-                } => {
-                    let vc = Self::volt(x, *cp) - Self::volt(x, *cn);
-                    let (g, dg_dvc) = switch_conductance(vc, *ron, *roff, *threshold, *transition);
-                    let v = Self::volt(x, *p) - Self::volt(x, *n);
-                    let i = g * v;
-                    add_res(&mut res, *p, i);
-                    add_res(&mut res, *n, -i);
-                    add_jac(&mut jac, *p, *p, g);
-                    add_jac(&mut jac, *p, *n, -g);
-                    add_jac(&mut jac, *n, *p, -g);
-                    add_jac(&mut jac, *n, *n, g);
-                    // Control coupling.
-                    let gc = dg_dvc * v;
-                    add_jac(&mut jac, *p, *cp, gc);
-                    add_jac(&mut jac, *p, *cn, -gc);
-                    add_jac(&mut jac, *n, *cp, -gc);
-                    add_jac(&mut jac, *n, *cn, gc);
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl NonlinearSystem for MnaSystem<'_> {
@@ -1946,39 +1709,27 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
-        if self.bypass_tol > 0.0 {
-            self.fast_residual(x, out, false);
-            Ok(())
-        } else {
-            self.stamp(x, Some(out), None)
-        }
+        self.assemble_residual(x, out, false);
+        Ok(())
     }
 
     fn jacobian(&mut self, x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
-        if self.bypass_tol > 0.0 {
-            self.ensure_base();
-            jac.copy_from(&self.lin_jac);
-            self.stamp_nonlinear(x, None, Some(jac), false);
-            Ok(())
-        } else {
-            self.stamp(x, None, Some(jac))
-        }
+        self.ensure_base();
+        jac.copy_from(&self.lin_jac);
+        self.stamp_nonlinear(x, None, Some(jac), false);
+        Ok(())
     }
 
     fn residual_is_approximate(&self) -> bool {
-        self.bypass_tol > 0.0
+        self.bypass
     }
 
     fn residual_exact(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
-        if self.bypass_tol > 0.0 {
-            // Evaluate every device and refresh the anchors: acceptance is
-            // always judged on the true residual, and the refreshed caches
-            // make the verdict the next iteration's starting point.
-            self.fast_residual(x, out, true);
-            Ok(())
-        } else {
-            self.stamp(x, Some(out), None)
-        }
+        // Evaluate every device and refresh the anchors: acceptance is
+        // always judged on the true residual, and the refreshed caches
+        // make the verdict the next iteration's starting point.
+        self.assemble_residual(x, out, true);
+        Ok(())
     }
 }
 
@@ -2617,11 +2368,144 @@ mod tests {
                     })
                     .collect();
                 let mut fast = vec![f64::NAN; n];
-                system.fast_residual(&x, &mut fast, true);
+                system.assemble_residual(&x, &mut fast, true);
                 let mut dense = vec![0.0; n];
                 system.lin_jac.mul_vec_into(&x, &mut dense);
                 for ((f, d), r) in fast.iter().zip(&dense).zip(&system.lin_rhs) {
                     assert_eq!(f.to_bits(), (d + r).to_bits(), "{event}: residual");
+                }
+            }
+        }
+    }
+
+    /// A circuit with every device kind the MNA system stamps: MOSFET
+    /// (body on a biased node, so every `gmbs` entry is live), diode,
+    /// voltage-controlled switch, resistors, a capacitor, voltage and
+    /// current sources.
+    fn every_device_circuit() -> Circuit {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        let c = ckt.node("c");
+        let s = ckt.node("s");
+        let vb = ckt.node("vb");
+        let ctl = ckt.node("ctl");
+        let gnd = Circuit::GROUND;
+        ckt.add_vsource("V1", a, gnd, Waveform::Dc(2.0)).unwrap();
+        ckt.add_vsource("V2", vb, gnd, Waveform::Dc(-0.4)).unwrap();
+        ckt.add_isource("I1", gnd, c, step(0.0, 1e-5, 1e-9, 1e-9))
+            .unwrap();
+        ckt.add_resistor("R1", a, b, 1e4).unwrap();
+        ckt.add_resistor("R2", c, gnd, 2e4).unwrap();
+        ckt.add_resistor("R3", ctl, gnd, 1e5).unwrap();
+        ckt.add_capacitor("C1", b, c, 1e-13).unwrap();
+        ckt.add_mosfet(
+            "M1",
+            b,
+            c,
+            s,
+            vb,
+            MosModel::default(),
+            MosGeometry::new(2e-6, 0.25e-6).unwrap(),
+        )
+        .unwrap();
+        ckt.add_diode("D1", s, gnd, crate::diode::DiodeModel::default())
+            .unwrap();
+        ckt.add_vswitch("S1", c, s, ctl, gnd, 1e3, 1e9, 1.0)
+            .unwrap();
+        ckt
+    }
+
+    #[test]
+    fn jacobian_matches_finite_differences_of_the_exact_residual() {
+        let ckt = every_device_circuit();
+        let sim = Simulator::new(&ckt);
+        let cap_states: Vec<Option<CapState>> = ckt
+            .devices()
+            .iter()
+            .map(|d| {
+                matches!(d, Device::Capacitor { .. }).then_some(CapState {
+                    v_prev: 0.2,
+                    i_prev: 1e-6,
+                })
+            })
+            .collect();
+        let nonlinear = ckt
+            .devices()
+            .iter()
+            .filter(|d| matches!(d, Device::Mosfet { .. } | Device::Diode { .. }))
+            .count();
+        // Per-unknown sampling ranges: a, b, c, s (diode anode, kept below
+        // 0.6 V so its exponential stays moderate), vb (reverse body
+        // bias), ctl (inside the switch's 0.1 V transition around 1 V),
+        // then the two branch currents.
+        let ranges = [
+            (1.5, 2.5),
+            (0.0, 2.5),
+            (0.0, 2.5),
+            (0.0, 0.6),
+            (-1.0, -0.2),
+            (0.95, 1.05),
+            (-1e-3, 1e-3),
+            (-1e-3, 1e-3),
+        ];
+        let mut rng = dso_num::testing::TestRng::new(17);
+        // Central differences with h = 1 µ(V|A) carry a truncation error
+        // of h²/6·|F'''| and a rounding error of about ε·|F_i|/h; at these
+        // states the worst entry lands at 1.1e-9 of its row's largest
+        // Jacobian entry. A tolerance of 1e-6 of that entry leaves about
+        // three decades of margin, while dropping the smallest device
+        // stamp, the body transconductance `gmbs`, already errs by 1e-4.
+        let h = 1e-6;
+        let tol = 1e-6;
+        for state in 0..6 {
+            let mut system = sim.make_system(&ckt);
+            sim.install_companions(&mut system, &cap_states, 0.0, 1e-10, Method::BackwardEuler)
+                .unwrap();
+            let n = system.unknowns();
+            assert_eq!(n, ranges.len());
+            let x: Vec<f64> = ranges.iter().map(|&(lo, hi)| rng.range(lo, hi)).collect();
+
+            // A fresh system has no bypass anchors, so every device misses
+            // and the (bypass-enabled) residual is the exact one, bits and
+            // all.
+            let mut approx = vec![f64::NAN; n];
+            system.residual(&x, &mut approx).unwrap();
+            assert_eq!(
+                system.bypass_hits, 0,
+                "state {state}: a device hit the bypass"
+            );
+            assert_eq!(system.bypass_misses, nonlinear, "state {state}");
+            let mut exact = vec![f64::NAN; n];
+            system.residual_exact(&x, &mut exact).unwrap();
+            for (i, (r, e)) in approx.iter().zip(&exact).enumerate() {
+                assert_eq!(r.to_bits(), e.to_bits(), "state {state}: residual row {i}");
+            }
+
+            let mut jac = DMatrix::zeros(n, n);
+            system.jacobian(&x, &mut jac).unwrap();
+            let mut fd = DMatrix::zeros(n, n);
+            let (mut plus, mut minus) = (vec![0.0; n], vec![0.0; n]);
+            for j in 0..n {
+                let mut xp = x.clone();
+                xp[j] += h;
+                system.residual_exact(&xp, &mut plus).unwrap();
+                let mut xm = x.clone();
+                xm[j] -= h;
+                system.residual_exact(&xm, &mut minus).unwrap();
+                for i in 0..n {
+                    fd[(i, j)] = (plus[i] - minus[i]) / (xp[j] - xm[j]);
+                }
+            }
+            for i in 0..n {
+                let scale = jac.row(i).iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                for j in 0..n {
+                    let (analytic, numeric) = (jac[(i, j)], fd[(i, j)]);
+                    assert!(
+                        (analytic - numeric).abs() <= tol * scale,
+                        "state {state}: J[{i}][{j}] = {analytic:e}, finite difference \
+                         {numeric:e} (row scale {scale:e}, x = {x:?})"
+                    );
                 }
             }
         }

@@ -60,9 +60,17 @@ pub mod units;
 pub mod waveform;
 
 pub use circuit::{Circuit, NodeId};
-pub use engine::{default_newton_options, Simulator, SolverTuning, TranOptions, TranResult};
+pub use engine::{default_newton_options, Simulator, TranOptions, TranResult};
 pub use error::SpiceError;
 pub use recovery::{RecoveryPolicy, RecoveryStats};
+
+/// Former solver-tuning knobs. The simulator has one configuration
+/// (modified-Newton LU reuse and a fixed 100 µV device bypass), so this
+/// carries nothing; it remains only for callers written against the old
+/// API.
+#[deprecated(note = "the solver has one configuration; this has no effect")]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SolverTuning;
 
 /// Absolute zero offset: converts Celsius to Kelvin.
 pub const CELSIUS_TO_KELVIN: f64 = 273.15;

@@ -275,3 +275,84 @@ fn voltage_at_out_of_range_reports_window() {
     assert!(result.voltage_at("out", 0.0).is_ok());
     assert!(result.voltage_at("out", 8e-6).is_ok());
 }
+
+/// A sine-driven MOSFET and diode: every time step moves the nonlinear
+/// devices, so every Newton solve iterates and the device bypass has work
+/// to skip.
+fn driven_nonlinear() -> Circuit {
+    use dso_spice::diode::DiodeModel;
+    use dso_spice::mos::{MosGeometry, MosModel};
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let gate = ckt.node("gate");
+    let out = ckt.node("out");
+    let gnd = Circuit::GROUND;
+    ckt.add_vsource("Vdd", vdd, gnd, Waveform::Dc(2.0)).unwrap();
+    let sine = Waveform::Sine {
+        offset: 1.0,
+        amplitude: 1.0,
+        frequency: 5e5,
+        delay: 0.0,
+    };
+    ckt.add_vsource("Vg", gate, gnd, sine).unwrap();
+    ckt.add_resistor("Rl", vdd, out, 2e4).unwrap();
+    ckt.add_capacitor("Cl", out, gnd, 1e-13).unwrap();
+    ckt.add_mosfet(
+        "M1",
+        out,
+        gate,
+        gnd,
+        gnd,
+        MosModel::default(),
+        MosGeometry::new(2e-6, 0.25e-6).unwrap(),
+    )
+    .unwrap();
+    ckt.add_diode("D1", out, gnd, DiodeModel::default())
+        .unwrap();
+    ckt
+}
+
+#[test]
+fn fault_armed_run_evaluates_every_device_and_reuses_lu_only_within_solves() {
+    // A plan that never fires still arms the simulator: every device is
+    // evaluated on every stamp (no bypass hit can mask a fault) and every
+    // solve starts from a fresh factorization, while Newton may still
+    // reuse its LU between the iterations of one solve.
+    let ckt = driven_nonlinear();
+    let opts = TranOptions::new(4e-6, 2e-8).unwrap();
+    let clean = Simulator::new(&ckt).transient(&opts).unwrap();
+    let armed = Simulator::new(&ckt)
+        .with_fault_plan(FaultPlan::new().inject_at(usize::MAX, FaultKind::NanResidual))
+        .transient(&opts)
+        .unwrap();
+    let (c, a) = (clean.recovery(), armed.recovery());
+    assert!(c.is_clean() && a.is_clean(), "{c:?} / {a:?}");
+    assert_eq!(a.solve_attempts, c.solve_attempts, "{a:?}");
+
+    // The unarmed run takes both shortcuts, so the checks below can fail.
+    assert!(c.bypass_hits > 0, "{c:?}");
+    assert!(
+        c.lu_refactors < c.solve_attempts,
+        "no cross-solve reuse: {c:?}"
+    );
+
+    assert_eq!(a.bypass_hits, 0, "{a:?}");
+    assert!(a.bypass_misses > 0, "{a:?}");
+    // Every solve iterates here, and a solve that may not start from the
+    // retained LU factors at least once.
+    assert!(a.lu_refactors >= a.solve_attempts, "{a:?}");
+    assert!(a.lu_reuses > 0, "no within-solve reuse: {a:?}");
+
+    // Both runs converge to the same waveform within the solver's
+    // tolerance: 1e-3 relative, floored at 1 V.
+    assert_eq!(armed.times(), clean.times());
+    for node in ["out", "gate"] {
+        let (a, c) = (armed.voltage(node).unwrap(), clean.voltage(node).unwrap());
+        for (k, (va, vc)) in a.iter().zip(&c).enumerate() {
+            assert!(
+                (va - vc).abs() <= 1e-3 * vc.abs().max(1.0),
+                "{node} at sample {k}: armed {va} vs clean {vc}"
+            );
+        }
+    }
+}
