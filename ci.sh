@@ -1,13 +1,13 @@
 #!/bin/sh
 # Offline-first CI gate. The workspace has zero third-party dependencies,
-# so everything here must pass with no network access (--offline).
-# dso-bench is excluded from the workspace (criterion/rand need a registry)
-# and is NOT built here.
+# so everything here must pass with no network access (--offline). The
+# workspace includes dso-bench, so the release build below also builds
+# the paper's figure and table binaries that the reproduce stage runs.
 #
 # Usage: ./ci.sh [lint|test]
 #   lint — fmt check, clippy, rustdoc (the static stages)
-#   test — build, tests, perfbench tests, bench, resume drill, serve drill
-#          (the run stages)
+#   test — build, tests, perfbench tests, reproduce, resume drill,
+#          serve drill (the run stages)
 # With no argument both groups run, in lint-first order. The GitHub
 # workflow runs the two groups as parallel jobs.
 set -eu
@@ -55,20 +55,15 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # public-API change that breaks the benchmark must fail here.
     cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
-    echo "==> bench (release, emits BENCH_campaign.json + results/ copy)"
-    # Times serial vs parallel campaigns and exits non-zero if the parallel
-    # output diverges from serial, the warm-start saving regresses below 20%,
-    # the cached repeat campaign is less than 5x faster than its cold run (the
-    # evaluation-cache gate; hit rate and dedup count land in the JSON), the
-    # cold serial campaign reuses fewer than half its LU factorizations
-    # (deterministic: a count, not a time), the three-design
-    # sweep shares no healthy-reference grid across its equal-plan designs
-    # (the cross_design_dedup_rate figure), or a derived figure regresses
-    # >25% vs the committed BENCH_baseline.json (including the
-    # lower-is-better serve_p99_ms latency figure).
-    # Refresh the baseline after an intentional perf change with:
-    #   cargo run --release --example bench_campaign -- --write-baseline
-    cargo run --release -q --offline --example bench_campaign
+    echo "==> reproduce (Table 1 and Figs. 3, 4, 5, 7 against results/)"
+    # Reruns the paper artifacts that the current solver reproduces byte
+    # for byte and fails on any drift from the committed text. fig1,
+    # fig2, fig6 and ablation_duty are out of scope: their committed
+    # results/ files predate solver changes and drift today.
+    for bin in table1 fig3_timing fig4_temperature fig5_voltage fig7_defects; do
+        echo "    $bin"
+        "target/release/$bin" 2>&1 | diff -u "results/$bin.txt" -
+    done
 
     echo "==> resume drill (kill-and-resume the persistent result store)"
     # Tears a result store mid-append with injected short writes, reopens it,

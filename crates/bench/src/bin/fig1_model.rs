@@ -32,9 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("           |");
     println!("          GND");
     println!();
-    println!(
-        "analysis range: Rop in [1 kOhm, 1 MOhm+], cell voltage Vc in [GND, Vdd]"
-    );
+    println!("analysis range: Rop in [1 kOhm, 1 MOhm+], cell voltage Vc in [GND, Vdd]");
     println!();
     println!("Defect sites pre-placed in each victim cell:");
     for site in DefectSite::ALL {

@@ -5,8 +5,8 @@
 //! settlement curves, the sense-threshold curve `Vsa(R)`, the mid-point
 //! voltage `Vmp`, and the border resistance from both extraction methods.
 
-use dso_bench::plot::{zip_points, AsciiChart};
 use dso_bench::figure_design;
+use dso_bench::plot::{zip_points, AsciiChart};
 use dso_core::analysis::{find_border, result_planes, Analyzer, DetectionCondition};
 use dso_core::eval::EvalService;
 use dso_defects::{BitLineSide, Defect};
@@ -31,12 +31,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     let r_values = logspace(1e3, 1e7, 13)?;
-    eprintln!("generating planes over {} resistance points…", r_values.len());
+    eprintln!(
+        "generating planes over {} resistance points…",
+        r_values.len()
+    );
     let planes = result_planes(&analyzer, &defect, &nominal, &r_values, 2)?;
 
     // (a) w0 plane.
-    let mut chart = AsciiChart::new("(a) plane of w0 — Vc after successive w0 ops", "R (Ohm)", "Vc (V)")
-        .with_log_x();
+    let mut chart = AsciiChart::new(
+        "(a) plane of w0 — Vc after successive w0 ops",
+        "R (Ohm)",
+        "Vc (V)",
+    )
+    .with_log_x();
     chart.add_series(
         "(1) w0",
         zip_points(&r_values, planes.w0.after_ops(1)?.ys()),
@@ -49,8 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", chart.render());
 
     // (b) w1 plane.
-    let mut chart = AsciiChart::new("(b) plane of w1 — Vc after successive w1 ops", "R (Ohm)", "Vc (V)")
-        .with_log_x();
+    let mut chart = AsciiChart::new(
+        "(b) plane of w1 — Vc after successive w1 ops",
+        "R (Ohm)",
+        "Vc (V)",
+    )
+    .with_log_x();
     chart.add_series(
         "(1) w1",
         zip_points(&r_values, planes.w1.after_ops(1)?.ys()),
@@ -80,7 +91,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", chart.render());
 
-    println!("Vmp (mid-point voltage of the healthy cell): {:.3} V", planes.vmp);
+    println!(
+        "Vmp (mid-point voltage of the healthy cell): {:.3} V",
+        planes.vmp
+    );
     match planes.border_from_intersection()? {
         Some(br) => println!(
             "border resistance from the w0 x Vsa curve intersection: {}",

@@ -6,8 +6,8 @@
 //! below `Vsa` — the sensed value does not change with timing. Conclusion
 //! (paper Section 4.1): reducing `tcyc` is the more stressful condition.
 
-use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::figure_design;
+use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::plot::{zip_points, AsciiChart};
 use dso_core::analysis::{find_border, Analyzer, DetectionCondition};
 use dso_core::eval::EvalService;
@@ -56,9 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Bottom panel: read just below Vsa -----------------------------
     let vsa = service.vsa(&defect, rop, &nominal)?;
     let vc_init = (vsa - 0.1).max(0.0);
-    println!(
-        "Vsa at the border (nominal SC): {vsa:.3} V; reads start at {vc_init:.3} V"
-    );
+    println!("Vsa at the border (nominal SC): {vsa:.3} V; reads start at {vc_init:.3} V");
     let mut chart = AsciiChart::new("Vc after a read operation", "t (s)", "Vc (V)");
     let mut sensed = Vec::new();
     for &tcyc in &tcycs {

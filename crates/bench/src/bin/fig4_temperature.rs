@@ -7,8 +7,8 @@
 //! highlights. The ambiguity is resolved by comparing border resistances
 //! at +27 °C and +87 °C (paper Section 4.2).
 
-use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::figure_design;
+use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::plot::{zip_points, AsciiChart};
 use dso_core::analysis::{find_border, Analyzer, DetectionCondition};
 use dso_core::eval::EvalService;
@@ -86,7 +86,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         || shifts.windows(2).all(|w| w[1] >= w[0] - 1e-3);
     println!(
         "  => Vsa versus T is {} (paper: multiple opposing temperature",
-        if monotone { "monotone here" } else { "NON-MONOTONIC" }
+        if monotone {
+            "monotone here"
+        } else {
+            "NON-MONOTONIC"
+        }
     );
     println!("     mechanisms: threshold voltage, drain current, leakage)");
     println!();
@@ -108,10 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite borders"))
         .expect("two candidates");
-    let br_other = borders
-        .iter()
-        .map(|&(_, b)| b)
-        .fold(0.0_f64, f64::max);
+    let br_other = borders.iter().map(|&(_, b)| b).fold(0.0_f64, f64::max);
     println!();
     if (br_other - br_best) / br_best < 0.04 {
         println!("conclusion: the BR difference is below the bisection resolution —");
@@ -119,9 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("with the paper, which reports only a 5 kΩ (≈2.5%) BR reduction at");
         println!("high T for its 200 kΩ cell open.");
     } else {
-        println!(
-            "conclusion (paper Sec. 4.2): the lower BR wins — T = {t_best:+.0} °C is the"
-        );
+        println!("conclusion (paper Sec. 4.2): the lower BR wins — T = {t_best:+.0} °C is the");
         println!("more effective temperature (the paper reports high T reducing BR).");
     }
     Ok(())

@@ -7,8 +7,8 @@
 //! the paper resolves the direction by measuring the border resistance at
 //! each candidate voltage (Section 4.3).
 
-use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::figure_design;
+use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::plot::{zip_points, AsciiChart};
 use dso_core::analysis::{find_border, Analyzer, DetectionCondition};
 use dso_core::eval::EvalService;

@@ -40,10 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     let r_values = logspace(1e3, 1e7, 13)?;
-    eprintln!("generating stressed planes over {} resistance points…", r_values.len());
+    eprintln!(
+        "generating stressed planes over {} resistance points…",
+        r_values.len()
+    );
     let planes = result_planes(&analyzer, &defect, &stressed, &r_values, 3)?;
 
-    for (title, plane) in [("(a) plane of w0", &planes.w0), ("(b) plane of w1", &planes.w1)] {
+    for (title, plane) in [
+        ("(a) plane of w0", &planes.w0),
+        ("(b) plane of w1", &planes.w1),
+    ] {
         let mut chart =
             AsciiChart::new(&format!("{title} under the SC"), "R (Ohm)", "Vc (V)").with_log_x();
         for (i, curve) in plane.curves.iter().enumerate() {
@@ -59,13 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (1) Border drop.
     let detection_nom = DetectionCondition::default_for(&defect, 2);
     let br_nominal = find_border(&service, &defect, &detection_nom, &nominal, 0.03)?;
-    let detection_sc = derive_detection(
-        &service,
-        &defect,
-        br_nominal.resistance,
-        &stressed,
-        6,
-    )?;
+    let detection_sc = derive_detection(&service, &defect, br_nominal.resistance, &stressed, 6)?;
     let br_stressed = find_border(&service, &defect, &detection_sc, &stressed, 0.03)?;
     println!(
         "(1) border resistance: nominal {} -> stressed {}   (paper: 200 kΩ -> ~50 kΩ)",
@@ -88,9 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fail_band: Vec<f64> = r_values
         .iter()
         .copied()
-        .filter(|&r| {
-            w1_first.eval_clamped(r) < planes.r.vsa.eval_clamped(r)
-        })
+        .filter(|&r| w1_first.eval_clamped(r) < planes.r.vsa.eval_clamped(r))
         .collect();
     match (fail_band.first(), fail_band.last()) {
         (Some(lo), Some(hi)) => println!(
@@ -102,7 +100,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // (4) Even R = site-default no longer settles rail-to-rail in one op.
-    let healthy = service.settle_sequence(&defect, defect.absent_resistance(), &stressed, false, 1)?;
+    let healthy =
+        service.settle_sequence(&defect, defect.absent_resistance(), &stressed, false, 1)?;
     println!(
         "(4) defect-free single w0 under the SC ends at {:.3} V (from {} V)",
         healthy[0], stressed.vdd

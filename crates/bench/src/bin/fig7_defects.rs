@@ -1,7 +1,7 @@
 //! Figure 7 — the simulated cell defects: 3 opens, 2 shorts, 2 bridges,
 //! each on the true and the complementary bit line.
 
-use dso_defects::{BitLineSide, Defect};
+use dso_defects::Defect;
 use dso_dram::column::DefectSite;
 
 fn main() {
@@ -18,7 +18,10 @@ fn main() {
     println!("        GND        GND     GND                GND");
     println!("      (a) opens           (b) shorts         (c) bridges");
     println!();
-    println!("{:<12} {:<8} {:<10} {:<22} {}", "defect", "class", "fails for", "sweep range (Ω)", "site meaning");
+    println!(
+        "{:<12} {:<8} {:<10} {:<22} site meaning",
+        "defect", "class", "fails for", "sweep range (Ω)"
+    );
     println!("{}", "-".repeat(86));
     for defect in Defect::all() {
         let (lo, hi) = defect.sweep_range();
@@ -35,16 +38,17 @@ fn main() {
             "{:<12} {:<8} {:<10} [{:>8.1e}, {:>8.1e}]  {}",
             defect.to_string(),
             defect.class().to_string(),
-            if defect.fails_above() { "R > BR" } else { "R < BR" },
+            if defect.fails_above() {
+                "R > BR"
+            } else {
+                "R < BR"
+            },
             lo,
             hi,
             meaning,
         );
     }
     println!();
-    println!(
-        "victim cells carry all 7 pre-placed sites; injection sets one site's"
-    );
+    println!("victim cells carry all 7 pre-placed sites; injection sets one site's");
     println!("resistance (see `dso_dram::column` and `dso_defects`).");
-    let _ = BitLineSide::True; // referenced for the doc link above
 }

@@ -43,16 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", format_table(&reports, &StressKind::TABLE1));
 
     // Summary checks against the paper's qualitative claims.
-    let tcyc_down_opens = reports
-        .iter()
-        .filter(|r| r.defect.fails_above())
-        .all(|r| {
-            r.decisions
-                .iter()
-                .find(|d| d.kind == StressKind::CycleTime)
-                .map(|d| d.arrow() == "↓")
-                .unwrap_or(false)
-        });
+    let tcyc_down_opens = reports.iter().filter(|r| r.defect.fails_above()).all(|r| {
+        r.decisions
+            .iter()
+            .find(|d| d.kind == StressKind::CycleTime)
+            .map(|d| d.arrow() == "↓")
+            .unwrap_or(false)
+    });
     let tcyc_up_count = reports
         .iter()
         .filter(|r| {
@@ -68,18 +65,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!(
         "paper claim: reducing tcyc is more stressful for opens (write-time limited) — {}",
-        if tcyc_down_opens { "reproduced" } else { "NOT reproduced" }
+        if tcyc_down_opens {
+            "reproduced"
+        } else {
+            "NOT reproduced"
+        }
     );
     if tcyc_up_count > 0 {
-        println!(
-            "  note: {tcyc_up_count} leak-type defects prefer tcyc ↑ in our model — their"
-        );
-        println!(
-            "  failure is retention-limited, so a longer cycle leaks more charge"
-        );
-        println!(
-            "  before the read (the paper models the same defects but asserts ↓"
-        );
+        println!("  note: {tcyc_up_count} leak-type defects prefer tcyc ↑ in our model — their");
+        println!("  failure is retention-limited, so a longer cycle leaks more charge");
+        println!("  before the read (the paper models the same defects but asserts ↓");
         println!("  from write-time reasoning only; see EXPERIMENTS.md)");
     }
     println!(

@@ -89,9 +89,16 @@ pub fn read_panel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast_design;
     use dso_core::analysis::Analyzer;
     use dso_defects::BitLineSide;
+    use dso_dram::design::ColumnDesign;
+
+    fn fast_design() -> ColumnDesign {
+        ColumnDesign {
+            dt_fraction: 1.0 / 250.0,
+            ..ColumnDesign::default()
+        }
+    }
 
     #[test]
     fn panels_produce_waveforms() {

@@ -1,5 +1,4 @@
-//! Shared helpers for the figure/table regeneration binaries and the
-//! Criterion benchmarks.
+//! Shared helpers for the figure/table regeneration binaries.
 //!
 //! Each binary in this crate regenerates one artifact of the paper's
 //! evaluation (see `DESIGN.md` for the experiment index):
@@ -24,12 +23,4 @@ use dso_dram::design::ColumnDesign;
 /// which matches the parameters documented in `DESIGN.md`.
 pub fn figure_design() -> ColumnDesign {
     ColumnDesign::default()
-}
-
-/// A faster design for smoke tests and benches that iterate many times.
-pub fn fast_design() -> ColumnDesign {
-    ColumnDesign {
-        dt_fraction: 1.0 / 250.0,
-        ..ColumnDesign::default()
-    }
 }

@@ -49,7 +49,6 @@
 #![warn(clippy::large_enum_variant)]
 
 pub mod analysis;
-pub mod bench;
 pub mod env;
 pub mod error;
 pub mod eval;

@@ -155,11 +155,19 @@ fn result_planes_parallel_matches_serial_and_warm_start_pays() {
         warm_perf.newton_iters,
         cold_perf.newton_iters
     );
+    // Newton iteration counts are deterministic, so the floor can sit
+    // close to the measured saving (0.392 on this fixture).
     let saved = 1.0 - warm_perf.newton_iters as f64 / cold_perf.newton_iters as f64;
     assert!(
-        saved >= 0.10,
+        saved >= 0.327,
         "warm start saved only {:.1}% of Newton iterations",
         saved * 100.0
+    );
+    // Cold solves still chain modified-Newton iterations within a point.
+    assert!(
+        cold_perf.lu_reuse_rate() > 0.5,
+        "cold LU reuse rate {:.3} never cleared 0.5",
+        cold_perf.lu_reuse_rate()
     );
     // Warm and cold solve the same physics to the same tolerance.
     let warm_border = warm_planes.border_from_intersection().unwrap().unwrap();

@@ -43,7 +43,6 @@
 //! ```
 
 pub use dso_core::analysis;
-pub use dso_core::bench;
 pub use dso_core::eval;
 pub use dso_core::exec;
 pub use dso_core::service;
