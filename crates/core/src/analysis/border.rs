@@ -9,10 +9,11 @@
 
 use super::detection::DetectionCondition;
 use crate::eval::EvalService;
+use crate::exec::CampaignConfig;
 use crate::CoreError;
 use dso_defects::Defect;
 use dso_dram::design::OperatingPoint;
-use dso_num::roots::{bisect_transition_hinted, Hint, Scale, Transition};
+use dso_num::roots::{bisect_transition_prefetching, Hint, Scale, Transition};
 use dso_num::NumError;
 
 /// A located border resistance.
@@ -24,7 +25,8 @@ pub struct BorderResistance {
     /// (opens); `false` if it fails below (shorts, bridges).
     pub fails_above: bool,
     /// Predicate calls spent, cache hits included: each is one
-    /// detection-condition request to the [`EvalService`].
+    /// detection-condition request to the [`EvalService`]. Points a
+    /// prefetching search simulates ahead on the side are not counted.
     pub evaluations: usize,
 }
 
@@ -114,19 +116,55 @@ pub fn find_border_near(
     rel_tol: f64,
     hint: Option<f64>,
 ) -> Result<BorderResistance, CoreError> {
-    search_border(defect, rel_tol, hint, |r| {
+    search_border(defect, rel_tol, hint, |r, _| {
         service
             .detection_passes(defect, r, detection, op_point)
             .map(|pass| !pass)
     })
 }
 
-/// The border search over an arbitrary `fails_at(R)` oracle.
+/// As [`find_border_near`], but each probe that has to simulate also
+/// simulates the point the search expects to ask next
+/// ([`dso_num::roots::bisect_transition_prefetching`]), on a helper
+/// thread when `config` has more than one
+/// ([`EvalService::eval_prefetching`]). The points the search asks, its
+/// result and [`BorderResistance::evaluations`] are exactly
+/// [`find_border_near`]'s; only wall time and the service's request count
+/// move. For lone searches: a search inside an executor fan-out would
+/// compete with its sibling workers for the cores.
+///
+/// # Errors
+///
+/// As [`find_border`].
+pub(crate) fn find_border_prefetched(
+    service: &EvalService,
+    defect: &Defect,
+    detection: &DetectionCondition,
+    op_point: &OperatingPoint,
+    rel_tol: f64,
+    hint: Option<f64>,
+    config: &CampaignConfig,
+) -> Result<BorderResistance, CoreError> {
+    search_border(defect, rel_tol, hint, |r, next| {
+        match next {
+            Some(next) => {
+                service.detection_passes_prefetching(defect, r, next, detection, op_point, config)
+            }
+            None => service.detection_passes(defect, r, detection, op_point),
+        }
+        .map(|pass| !pass)
+    })
+}
+
+/// The border search over an arbitrary `fails_at(R, next)` oracle, where
+/// `next` is the resistance the search expects to ask after `R`, if any
+/// (see [`bisect_transition_prefetching`]; the end probes prefetch `hi`
+/// with `lo`).
 fn search_border(
     defect: &Defect,
     rel_tol: f64,
     hint: Option<f64>,
-    mut fails_at: impl FnMut(f64) -> Result<bool, CoreError>,
+    mut fails_at: impl FnMut(f64, Option<f64>) -> Result<bool, CoreError>,
 ) -> Result<BorderResistance, CoreError> {
     let (lo, hi) = defect.sweep_range();
     let fails_above = defect.fails_above();
@@ -149,8 +187,8 @@ fn search_border(
 
     // Probe the ends first for precise error reporting. Opens fail at the
     // high end; shorts/bridges fail at the low end.
-    let fail_lo = fails_at(lo)?;
-    let fail_hi = fails_at(hi)?;
+    let fail_lo = fails_at(lo, Some(hi))?;
+    let fail_hi = fails_at(hi, None)?;
     let (failing_end_fails, passing_end_fails) = if fails_above {
         (fail_hi, fail_lo)
     } else {
@@ -193,24 +231,19 @@ fn bisect_oriented(
     rel_tol: f64,
     hint: Option<Hint>,
     fails_above: bool,
-    fails_at: &mut impl FnMut(f64) -> Result<bool, CoreError>,
+    fails_at: &mut impl FnMut(f64, Option<f64>) -> Result<bool, CoreError>,
 ) -> Result<Result<Transition, NumError>, CoreError> {
     let mut probe_error = None;
     let transition =
-        bisect_transition_hinted(
-            lo,
-            hi,
-            rel_tol,
-            Scale::Logarithmic,
-            hint,
-            |r| match fails_at(r) {
+        bisect_transition_prefetching(lo, hi, rel_tol, Scale::Logarithmic, hint, |r, next| {
+            match fails_at(r, next) {
                 Ok(failing) => Ok(if fails_above { failing } else { !failing }),
                 Err(e) => {
                     probe_error = Some(e);
                     Err(NumError::InvalidArgument("border probe failed".into()))
                 }
-            },
-        );
+            }
+        });
     match probe_error {
         Some(e) => Err(e),
         None => Ok(transition),
@@ -404,17 +437,83 @@ mod tests {
         }
     }
 
+    #[test]
+    fn prefetched_border_matches_find_border_bits() {
+        let defect = Defect::cell_open(BitLineSide::True);
+        let detection = DetectionCondition::default_for(&defect, 1);
+        let nominal = OperatingPoint::nominal();
+        let reference = fast_service();
+        let plain = find_border(&reference, &defect, &detection, &nominal, 0.03).unwrap();
+        let hint = Some(plain.resistance * 1.1);
+        let near = find_border_near(&reference, &defect, &detection, &nominal, 0.03, hint).unwrap();
+        let mut counts = Vec::new();
+        for threads in [1, 2] {
+            let config = CampaignConfig::with_threads(threads);
+            for (hint, expected) in [(None, plain), (hint, near)] {
+                let service = fast_service();
+                let search = || {
+                    find_border_prefetched(
+                        &service, &defect, &detection, &nominal, 0.03, hint, &config,
+                    )
+                    .unwrap()
+                };
+                let cold = search();
+                assert_eq!(cold.resistance.to_bits(), expected.resistance.to_bits());
+                assert_eq!(cold, expected, "threads {threads}, hint {hint:?}");
+                let after = service.cache_stats();
+                // Asks the prefetches answered are hits on a fresh service.
+                let re_probes = if hint.is_some() { 0 } else { 2 };
+                assert!(after.hits > re_probes, "threads {threads}, hint {hint:?}");
+                // A repeat is all hits and starts no prefetch.
+                let again = search();
+                assert_eq!(again, cold);
+                let repeat = service.cache_stats();
+                assert_eq!(repeat.misses, after.misses);
+                assert_eq!(repeat.hits - after.hits, again.evaluations as u64);
+                counts.push((repeat.hits, repeat.misses, repeat.inserts));
+            }
+        }
+        let (one, two) = counts.split_at(2);
+        assert_eq!(one, two, "request set moved with the thread count");
+    }
+
     /// A monotone open-like oracle (fails above 1 MΩ) that raises `error`
     /// on its `nth` call.
-    fn failing_oracle(nth: usize, error: CoreError) -> impl FnMut(f64) -> Result<bool, CoreError> {
+    fn failing_oracle(
+        nth: usize,
+        error: CoreError,
+    ) -> impl FnMut(f64, Option<f64>) -> Result<bool, CoreError> {
         let mut calls = 0;
         let mut error = Some(error);
-        move |r| {
+        move |r, _| {
             calls += 1;
             match (calls == nth).then(|| error.take()).flatten() {
                 Some(e) => Err(e),
                 None => Ok(r > 1e6),
             }
+        }
+    }
+
+    /// The service's prefetch contract over `outcome(R)`: an asked point
+    /// is replayed from the memo or computed; its prefetch point is
+    /// computed beside it and memoized on success, its error dropped.
+    fn prefetching_oracle(
+        mut outcome: impl FnMut(f64) -> Result<bool, CoreError>,
+    ) -> impl FnMut(f64, Option<f64>) -> Result<bool, CoreError> {
+        let mut memo = std::collections::HashMap::new();
+        move |r: f64, next: Option<f64>| {
+            if let Some(&hit) = memo.get(&r.to_bits()) {
+                return Ok(hit);
+            }
+            let asked = outcome(r);
+            if let Some(next) = next {
+                if let Ok(fails) = outcome(next) {
+                    memo.insert(next.to_bits(), fails);
+                }
+            }
+            let fails = asked?;
+            memo.insert(r.to_bits(), fails);
+            Ok(fails)
         }
     }
 
@@ -450,6 +549,68 @@ mod tests {
         // Without an error the same oracle yields a border near 1 MΩ.
         let border = search_border(&defect, 0.03, None, failing_oracle(0, no_outcome())).unwrap();
         assert!((border.resistance / 1e6).ln().abs() < 0.03);
+
+        // Errors at prefetched points: one the search never asks must not
+        // surface; one it asks afterwards must come back unchanged.
+        let mut tried = (0, 0);
+        for hint in [None, Some(1.1e6), Some(0.9e6)] {
+            // Asked points, and points computed beside the asked one.
+            let asked = std::cell::RefCell::new(Vec::new());
+            let prefetched = std::cell::RefCell::new(Vec::new());
+            let mut oracle = prefetching_oracle(|r| {
+                if asked.borrow().last() != Some(&r.to_bits()) {
+                    prefetched.borrow_mut().push(r.to_bits());
+                }
+                Ok(r > 1e6)
+            });
+            let clean = search_border(&defect, 0.03, hint, |r, next| {
+                asked.borrow_mut().push(r.to_bits());
+                oracle(r, next)
+            })
+            .unwrap();
+            drop(oracle);
+            let asked = asked.into_inner();
+            let (used, unused): (Vec<u64>, Vec<u64>) = prefetched
+                .into_inner()
+                .into_iter()
+                .partition(|p| asked.contains(p));
+            tried.0 += used.len();
+            tried.1 += unused.len();
+            for bits in unused {
+                let mut raised = false;
+                let oracle = prefetching_oracle(|r| {
+                    if r.to_bits() != bits {
+                        return Ok(r > 1e6);
+                    }
+                    raised = true;
+                    Err(at_point())
+                });
+                let border = search_border(&defect, 0.03, hint, oracle).unwrap();
+                assert!(
+                    raised,
+                    "hint {hint:?}: no prefetch at {}",
+                    f64::from_bits(bits)
+                );
+                assert_eq!(border, clean, "hint {hint:?}");
+            }
+            for bits in used {
+                for error in [no_outcome(), at_point()] {
+                    let oracle = prefetching_oracle(|r| {
+                        if r.to_bits() == bits {
+                            Err(error.clone())
+                        } else {
+                            Ok(r > 1e6)
+                        }
+                    });
+                    let err = search_border(&defect, 0.03, hint, oracle).unwrap_err();
+                    assert_eq!(err, error, "hint {hint:?}, at {}", f64::from_bits(bits));
+                }
+            }
+        }
+        assert!(
+            tried.0 > 0 && tried.1 > 0,
+            "{tried:?} used and unused prefetches"
+        );
     }
 
     #[test]

@@ -312,6 +312,21 @@ impl SimValue {
     }
 }
 
+/// Whether a detection request's value passes: every read returns the
+/// condition's expected value.
+fn reads_pass(
+    value: SimValue,
+    defect: &Defect,
+    condition: &DetectionCondition,
+) -> Result<bool, CoreError> {
+    let (_, expected) = condition.to_logic(defect.side());
+    let (_, reads) = value.into_outcomes()?;
+    Ok(reads
+        .iter()
+        .zip(&expected)
+        .all(|(g, e)| g.map(|v| v == *e).unwrap_or(false)))
+}
+
 fn shape_mismatch(wanted: &str, got: &SimValue) -> CoreError {
     let shape = match got {
         SimValue::Series(_) => "series",
@@ -614,6 +629,59 @@ impl EvalService {
             };
         }
         let key = request.content_key(self.context_key);
+        match self.lookup(key) {
+            Some(hit) => hit,
+            None => self.compute(key, request, seed, warm_probes),
+        }
+    }
+
+    /// Evaluates `request` through the cache tiers; when it misses both,
+    /// also evaluates `prefetch`, the request the caller expects to ask
+    /// next. With more than one thread in `config` the prefetch runs on one
+    /// scoped helper thread while `request` computes on the calling
+    /// thread, otherwise serially after it. Either way its value lands in
+    /// the memo (and store), so asking it next is a hit; its failure is
+    /// not cached and not returned, so it surfaces only if it is asked.
+    /// A hit starts no prefetch, so the set of requests the service sees
+    /// is the same at every thread count.
+    ///
+    /// # Errors
+    ///
+    /// As [`EvalService::eval`], for `request` only.
+    pub(crate) fn eval_prefetching(
+        &self,
+        request: &SimRequest,
+        prefetch: &SimRequest,
+        config: &CampaignConfig,
+    ) -> Result<SimValue, CoreError> {
+        dso_obs::counter!("eval.requests").incr();
+        let key = request.content_key(self.context_key);
+        if let Some(hit) = self.lookup(key) {
+            return hit.value;
+        }
+        dso_obs::counter!("eval.prefetches").incr();
+        let parent = dso_obs::current_span_id();
+        let prefetch = || {
+            let _span = dso_obs::span_child_of("eval.prefetch", parent);
+            // Only the cache tiers keep the outcome.
+            let _ = self.eval(prefetch);
+        };
+        if config.threads > 1 {
+            std::thread::scope(|scope| {
+                scope.spawn(prefetch);
+                self.compute(key, request, None, false).value
+            })
+        } else {
+            let value = self.compute(key, request, None, false).value;
+            prefetch();
+            value
+        }
+    }
+
+    /// Answers `key` from memory or disk, waiting out an identical
+    /// in-flight computation. On a miss it marks `key` in flight and
+    /// returns `None`: the caller must then [`EvalService::compute`] it.
+    fn lookup(&self, key: u64) -> Option<TaskOutcome> {
         {
             let mut map = self.cache.lock().expect("eval cache poisoned");
             let mut waited = false;
@@ -622,13 +690,13 @@ impl EvalService {
                     Some(Slot::Done { value, stats }) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         dso_obs::counter!("eval.cache_hits").incr();
-                        return TaskOutcome {
+                        return Some(TaskOutcome {
                             value: Ok(value.clone()),
                             stats: *stats,
                             trace: None,
                             cached: true,
                             from_disk: false,
-                        };
+                        });
                     }
                     Some(Slot::InFlight) => {
                         if !waited {
@@ -649,30 +717,38 @@ impl EvalService {
         // their own synchronization and must not serialize the memo
         // cache). This request holds the in-flight marker, so duplicates
         // wait and then replay the promoted entry from memory.
-        if let Some(store) = &self.store {
-            if let Some(found) = store.get(key) {
-                {
-                    let mut map = self.cache.lock().expect("eval cache poisoned");
-                    map.insert(
-                        key,
-                        Slot::Done {
-                            value: found.value.clone(),
-                            stats: found.stats,
-                        },
-                    );
-                }
-                self.done.notify_all();
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                dso_obs::counter!("eval.disk_hits").incr();
-                return TaskOutcome {
-                    value: Ok(found.value),
+        let found = self.store.as_ref()?.get(key)?;
+        {
+            let mut map = self.cache.lock().expect("eval cache poisoned");
+            map.insert(
+                key,
+                Slot::Done {
+                    value: found.value.clone(),
                     stats: found.stats,
-                    trace: None,
-                    cached: true,
-                    from_disk: true,
-                };
-            }
+                },
+            );
         }
+        self.done.notify_all();
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        dso_obs::counter!("eval.disk_hits").incr();
+        Some(TaskOutcome {
+            value: Ok(found.value),
+            stats: found.stats,
+            trace: None,
+            cached: true,
+            from_disk: true,
+        })
+    }
+
+    /// Computes a request whose `key` [`EvalService::lookup`] marked in
+    /// flight, and memoizes and persists a success.
+    fn compute(
+        &self,
+        key: u64,
+        request: &SimRequest,
+        seed: Option<&OpTrace>,
+        warm_probes: bool,
+    ) -> TaskOutcome {
         self.misses.fetch_add(1, Ordering::Relaxed);
         dso_obs::counter!("eval.cache_misses").incr();
         let (value, stats, trace) = self.execute(request, None, seed, warm_probes);
@@ -898,15 +974,29 @@ impl EvalService {
         condition: &DetectionCondition,
         op_point: &OperatingPoint,
     ) -> Result<bool, CoreError> {
-        let (_, expected) = condition.to_logic(defect.side());
         let value = self.eval(&SimRequest::detection(
             defect, resistance, op_point, condition,
         ))?;
-        let (_, reads) = value.into_outcomes()?;
-        Ok(reads
-            .iter()
-            .zip(&expected)
-            .all(|(g, e)| g.map(|v| v == *e).unwrap_or(false)))
+        reads_pass(value, defect, condition)
+    }
+
+    /// As [`EvalService::detection_passes`], prefetching the same condition
+    /// at resistance `prefetch` ([`EvalService::eval_prefetching`]).
+    pub(crate) fn detection_passes_prefetching(
+        &self,
+        defect: &Defect,
+        resistance: f64,
+        prefetch: f64,
+        condition: &DetectionCondition,
+        op_point: &OperatingPoint,
+        config: &CampaignConfig,
+    ) -> Result<bool, CoreError> {
+        let value = self.eval_prefetching(
+            &SimRequest::detection(defect, resistance, op_point, condition),
+            &SimRequest::detection(defect, prefetch, op_point, condition),
+            config,
+        )?;
+        reads_pass(value, defect, condition)
     }
 
     /// A single physical write, used by calibration layers that sample a
@@ -1034,6 +1124,45 @@ mod tests {
         assert_eq!(after.hits, before.hits);
         assert_eq!(after.bypasses, before.bypasses + 1);
         assert_eq!(after.entries, before.entries, "bypass must not store");
+    }
+
+    #[test]
+    fn prefetches_land_in_the_cache_and_their_failures_stay_silent() {
+        let defect = Defect::cell_open(BitLineSide::True);
+        let op = OperatingPoint::nominal();
+        let write = |r: f64| SimRequest::write_end(&defect, r, &op, true);
+        // `n_ops == 0` fails before any transient runs.
+        let bad = SimRequest::settle(&defect, 1e5, &op, true, 0);
+        let mut counts = Vec::new();
+        for threads in [1, 2] {
+            let svc = service();
+            let config = CampaignConfig::with_threads(threads);
+            // A miss computes the prefetch beside it; asking it is a hit.
+            let first = svc.eval_prefetching(&write(1e5), &write(2e5), &config);
+            assert_eq!(first.unwrap(), svc.eval(&write(1e5)).unwrap());
+            svc.eval(&write(2e5)).unwrap();
+            let stats = svc.cache_stats();
+            assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 2, 2));
+            // A hit starts no prefetch.
+            svc.eval_prefetching(&write(1e5), &bad, &config).unwrap();
+            assert_eq!(svc.cache_stats().misses, 2);
+            // A failing prefetch is neither returned nor cached ...
+            svc.eval_prefetching(&write(3e5), &bad, &config).unwrap();
+            let stats = svc.cache_stats();
+            assert_eq!(
+                (stats.misses, stats.failures_seen, stats.entries),
+                (4, 1, 3)
+            );
+            // ... and asking for it returns its error unchanged.
+            let asked = svc.eval_prefetching(&bad, &write(1e5), &config);
+            assert_eq!(asked.unwrap_err(), svc.eval(&bad).unwrap_err());
+            let stats = svc.cache_stats();
+            counts.push((stats.hits, stats.misses, stats.inserts, stats.failures_seen));
+        }
+        assert_eq!(
+            counts[0], counts[1],
+            "request set moved with the thread count"
+        );
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! an already-campaigned operating point is free, and with `DSO_STORE`
 //! set all of it persists across processes.
 
-use crate::analysis::border::{find_border, refine_border_from_planes, BorderResistance};
+use crate::analysis::border::{
+    find_border_prefetched, refine_border_from_planes, BorderResistance,
+};
 use crate::analysis::design_space::{
     design_sweep_impl, DesignSpace, DesignSweepRequest, DesignSweepResult,
 };
@@ -275,9 +277,15 @@ impl Session {
     /// log-bisection within the defect's sweep range to relative tolerance
     /// `rel_tol`.
     ///
+    /// Each probe that simulates also simulates the probe the bisection
+    /// expects next, on a second thread when the session's config has
+    /// one: the result, [`BorderResistance::evaluations`] included, is
+    /// [`find_border`](crate::analysis::find_border)'s bit for bit, in
+    /// less wall time.
+    ///
     /// # Errors
     ///
-    /// As [`find_border`].
+    /// As [`crate::analysis::find_border`].
     pub fn border(
         &self,
         defect: &Defect,
@@ -285,7 +293,15 @@ impl Session {
         op_point: &OperatingPoint,
         rel_tol: f64,
     ) -> Result<BorderResistance, CoreError> {
-        find_border(&self.service, defect, detection, op_point, rel_tol)
+        find_border_prefetched(
+            &self.service,
+            defect,
+            detection,
+            op_point,
+            rel_tol,
+            None,
+            &self.config,
+        )
     }
 
     /// Refines the plane-intersection border estimate by log-bisecting the

@@ -2,6 +2,7 @@
 
 use super::probe::{combine_trends, probe_stress, DecisionBasis, StressDecision};
 use super::types::{Direction, StressKind};
+use crate::analysis::border::find_border_prefetched;
 use crate::analysis::{
     find_border_near, Analyzer, BorderResistance, Confidence, DetectionCondition,
 };
@@ -471,17 +472,18 @@ impl StressOptimizer {
         }
         // Re-derive the detection condition near the expected stressed
         // border and search from there: the stressed border is near the
-        // nominal one in log space.
+        // nominal one in log space. A lone search, so it prefetches.
         let stressed_detection =
             self.session
                 .detect(defect, r_ref, &stressed_op, self.config.max_settling_writes)?;
-        let stressed_border = find_border_near(
+        let stressed_border = find_border_prefetched(
             self.session.service(),
             defect,
             &stressed_detection,
             &stressed_op,
             self.config.border_tol,
             Some(r_ref),
+            &self.config.exec,
         )?;
         Ok((stressed_detection, stressed_border, stressed_op))
     }

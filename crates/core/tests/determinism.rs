@@ -15,7 +15,7 @@
 use dso_core::analysis::{Analyzer, CampaignFaults, PlaneCampaign};
 use dso_core::exec::{self, CampaignConfig};
 use dso_core::stress::{DecisionBasis, OptimizerConfig, StressOptimizer, StressReport};
-use dso_core::{EvalService, Session};
+use dso_core::{CacheStats, EvalService, Session};
 use dso_defects::{BitLineSide, Defect};
 use dso_dram::column::DefectSite;
 use dso_dram::design::{ColumnDesign, OperatingPoint};
@@ -298,8 +298,9 @@ fn shuffled_chunk_interleaving_is_bit_identical() {
     }
 }
 
-/// Two Table-1 rows, optimized cold on a fresh session at `threads`.
-fn optimize_rows(threads: usize) -> Vec<StressReport> {
+/// Two Table-1 rows, optimized cold on a fresh session at `threads`, and
+/// the session's cache counters afterwards.
+fn optimize_rows(threads: usize) -> (Vec<StressReport>, CacheStats) {
     let config = CampaignConfig::with_threads(threads).with_warm_start(true);
     let analyzer = Analyzer::new(fast_design());
     let session = Session::from_parts(EvalService::new(analyzer), config.clone());
@@ -307,7 +308,7 @@ fn optimize_rows(threads: usize) -> Vec<StressReport> {
         exec: config,
         ..OptimizerConfig::default()
     });
-    [
+    let reports = [
         Defect::new(DefectSite::O1, BitLineSide::True),
         Defect::new(DefectSite::Sv, BitLineSide::True),
     ]
@@ -317,12 +318,13 @@ fn optimize_rows(threads: usize) -> Vec<StressReport> {
             .optimize(defect, &OperatingPoint::nominal())
             .expect("row optimizes")
     })
-    .collect()
+    .collect();
+    (reports, optimizer.service().cache_stats())
 }
 
 #[test]
 fn optimizer_reports_are_thread_count_invariant() {
-    let serial = optimize_rows(1);
+    let (serial, serial_cache) = optimize_rows(1);
     // O1 decides a stress by border comparison: its candidate searches
     // (hinted by the nominal border) run in the executor's fan-out.
     let compared = serial.iter().any(|r| {
@@ -332,8 +334,15 @@ fn optimizer_reports_are_thread_count_invariant() {
     });
     assert!(compared, "no row took a border comparison");
     for threads in [2, 4] {
-        let parallel = optimize_rows(threads);
+        let (parallel, cache) = optimize_rows(threads);
         assert_eq!(parallel, serial, "threads {threads}: reports diverged");
+        // The lone searches prefetch at every thread count (serially at
+        // one), so the service sees the same requests.
+        assert_eq!(
+            (cache.hits, cache.misses, cache.inserts),
+            (serial_cache.hits, serial_cache.misses, serial_cache.inserts),
+            "threads {threads}: request set diverged"
+        );
         // `Debug` prints every f64 in full, so this is bitwise.
         assert_eq!(
             format!("{parallel:?}"),

@@ -8,7 +8,9 @@
 //!   gives a boolean, so [`bisect_transition`] does a guarded boolean
 //!   bisection, optionally on a logarithmic axis (resistances span decades).
 //!   [`bisect_transition_hinted`] starts the same bisection near a guess
-//!   and ends on the same bracket with fewer evaluations.
+//!   and ends on the same bracket with fewer evaluations, and
+//!   [`bisect_transition_prefetching`] also names, with each probe, the
+//!   point it is likely to probe next, so a caller can simulate it ahead.
 //! * **Continuous roots** — intersections of interpolated curves. For these
 //!   [`brent`] offers superlinear convergence with bisection's robustness.
 
@@ -32,7 +34,9 @@ pub struct Transition {
     /// Smallest probed value on the `true` side of the transition.
     pub first_true: f64,
     /// Number of predicate calls spent (probes a hinted search settles by
-    /// monotonicity make none).
+    /// monotonicity make none). Prefetch points handed to the predicate
+    /// ([`bisect_transition_prefetching`]) are not counted: they are not
+    /// calls, and a caller that simulates them does so beside this count.
     pub evaluations: usize,
 }
 
@@ -153,10 +157,68 @@ pub fn bisect_transition_hinted<F>(
     rel_tol: f64,
     scale: Scale,
     hint: Option<Hint>,
-    predicate: F,
+    mut predicate: F,
 ) -> Result<Transition, NumError>
 where
     F: FnMut(f64) -> Result<bool, NumError>,
+{
+    bisect_transition_prefetching(lo, hi, rel_tol, scale, hint, |x, _| predicate(x))
+}
+
+/// As [`bisect_transition_hinted`], but the predicate is called as
+/// `predicate(x, next)`: with each point `x` it must decide, the search
+/// hands it at most one lattice point `next` that it is likely to ask for
+/// next, so a caller with an idle core can start on it.
+///
+/// The prefetch point is
+///
+/// * for a bisection midpoint, the split point of the half toward
+///   `hint.at` (the lower half when there is no hint);
+/// * for the lower end of the hint cell, its upper end;
+/// * for `lo` in the plain search (or a fallback to it), `hi`;
+///
+/// and `None` for every other probe, where that half no longer splits,
+/// or where monotonicity already settles the point. The search's own
+/// decisions never look at `next`, so for *any* predicate, monotone or
+/// not, the points it asks, the bracket and [`Transition::evaluations`]
+/// are exactly those of [`bisect_transition_hinted`]. Every prefetch point
+/// is a lattice point strictly between the largest point answered `false`
+/// and the smallest answered `true` so far.
+///
+/// # Errors
+///
+/// As [`bisect_transition_hinted`].
+///
+/// # Example
+///
+/// ```
+/// use dso_num::roots::{bisect_transition_prefetching, Scale};
+///
+/// # fn main() -> Result<(), dso_num::NumError> {
+/// let mut asked = Vec::new();
+/// let mut prefetched = Vec::new();
+/// let t = bisect_transition_prefetching(1e3, 1e8, 0.03, Scale::Logarithmic, None, |x, next| {
+///     asked.push(x);
+///     prefetched.extend(next);
+///     Ok(x > 4e4)
+/// })?;
+/// assert_eq!(t.evaluations, asked.len());
+/// // The first prefetch is `hi`, asked right after `lo`.
+/// assert_eq!((asked[1], prefetched[0]), (1e8, 1e8));
+/// assert!(prefetched.iter().all(|p| (1e3..=1e8).contains(p)));
+/// # Ok(())
+/// # }
+/// ```
+pub fn bisect_transition_prefetching<F>(
+    lo: f64,
+    hi: f64,
+    rel_tol: f64,
+    scale: Scale,
+    hint: Option<Hint>,
+    predicate: F,
+) -> Result<Transition, NumError>
+where
+    F: FnMut(f64, Option<f64>) -> Result<bool, NumError>,
 {
     if lo >= hi || lo.is_nan() || hi.is_nan() {
         return Err(NumError::InvalidBracket { lo, hi });
@@ -186,14 +248,26 @@ where
     let mut cell = match hinted {
         Some(cell) => cell,
         None => {
-            if oracle.probe(lo)? || !oracle.probe(hi)? {
+            if oracle.probe(lo, Some(hi))? || !oracle.probe(hi, None)? {
                 return Err(NumError::InvalidBracket { lo, hi });
             }
             root
         }
     };
     while let Some(mid) = lattice.split(cell) {
-        if oracle.probe(mid)? {
+        // Prefetch the split of the half toward the hint (half-open cells:
+        // a hint on `mid` lies right of it), or of the lower half.
+        let (a, b) = if hint.is_some_and(|h| h.at >= mid) {
+            (mid, cell.hi)
+        } else {
+            (cell.lo, mid)
+        };
+        let next = lattice.split(Cell {
+            lo: a,
+            hi: b,
+            depth: cell.depth + 1,
+        });
+        if oracle.probe(mid, next)? {
             cell.hi = mid;
         } else {
             cell.lo = mid;
@@ -279,13 +353,13 @@ impl Lattice {
         oracle: &mut Oracle<F>,
     ) -> Result<Option<Cell>, NumError>
     where
-        F: FnMut(f64) -> Result<bool, NumError>,
+        F: FnMut(f64, Option<f64>) -> Result<bool, NumError>,
     {
         // Cells are half-open, [lo, hi): a hint on a split point goes right.
         let cell = self.descend(root, hint.min_cell_span, |mid| hint.at < mid);
-        let lo_true = oracle.probe(cell.lo)?;
+        let lo_true = oracle.probe(cell.lo, Some(cell.hi))?;
         // Settled without a call when `lo_true`.
-        let hi_true = oracle.probe(cell.hi)?;
+        let hi_true = oracle.probe(cell.hi, None)?;
         if !lo_true && hi_true {
             return Ok(Some(cell));
         }
@@ -299,7 +373,7 @@ impl Lattice {
         };
         if let Some(n) = neighbour {
             // The end shared with `cell` is settled; one call at most.
-            if !oracle.probe(n.lo)? && oracle.probe(n.hi)? {
+            if !oracle.probe(n.lo, None)? && oracle.probe(n.hi, None)? {
                 return Ok(Some(n));
             }
         }
@@ -309,7 +383,8 @@ impl Lattice {
 
 /// The predicate behind a memo of monotonicity: a probe at or below the
 /// largest known `false` point is `false`, at or above the smallest known
-/// `true` point is `true`, and only the rest call the predicate.
+/// `true` point is `true`, and only the rest call the predicate, together
+/// with the prefetch point if that is not settled either.
 struct Oracle<F> {
     predicate: F,
     evaluations: usize,
@@ -319,17 +394,25 @@ struct Oracle<F> {
 
 impl<F> Oracle<F>
 where
-    F: FnMut(f64) -> Result<bool, NumError>,
+    F: FnMut(f64, Option<f64>) -> Result<bool, NumError>,
 {
-    fn probe(&mut self, x: f64) -> Result<bool, NumError> {
+    fn settled(&self, x: f64) -> Option<bool> {
         if self.known_false.is_some_and(|f| x <= f) {
-            return Ok(false);
+            Some(false)
+        } else if self.known_true.is_some_and(|t| x >= t) {
+            Some(true)
+        } else {
+            None
         }
-        if self.known_true.is_some_and(|t| x >= t) {
-            return Ok(true);
+    }
+
+    fn probe(&mut self, x: f64, next: Option<f64>) -> Result<bool, NumError> {
+        if let Some(outcome) = self.settled(x) {
+            return Ok(outcome);
         }
         self.evaluations += 1;
-        let outcome = (self.predicate)(x)?;
+        let next = next.filter(|&p| self.settled(p).is_none());
+        let outcome = (self.predicate)(x, next)?;
         // `x` lies strictly between the known points, so it tightens one.
         if outcome {
             self.known_true = Some(x);

@@ -8,7 +8,10 @@ use dso_num::interp::{linspace, logspace, Curve};
 use dso_num::lu::LuFactor;
 use dso_num::matrix::{norm_inf, DMatrix};
 use dso_num::newton::{NewtonOptions, NewtonSolver, NonlinearSystem};
-use dso_num::roots::{bisect_transition, bisect_transition_hinted, brent, Hint, Scale, Transition};
+use dso_num::roots::{
+    bisect_transition, bisect_transition_hinted, bisect_transition_prefetching, brent, Hint, Scale,
+    Transition,
+};
 use dso_num::testing::TestRng;
 use dso_num::trend::{classify, Trend};
 use dso_num::NumError;
@@ -346,6 +349,168 @@ fn hinted_bisection_ends_on_the_plain_bracket() {
     // The sample really exercises the saving, not just the fallbacks.
     assert!(in_cell_cases > CASES * 8, "{in_cell_cases} in-cell cases");
     assert!(saved > in_cell_cases, "{saved} evaluations saved");
+}
+
+/// `true` when `x` is a point of the reference lattice over `[lo, hi]`:
+/// an end, or the split point of a cell the reference search can visit.
+fn on_lattice((lo, hi): (f64, f64), rel_tol: f64, scale: Scale, x: f64) -> bool {
+    if x == lo || x == hi {
+        return true;
+    }
+    let (mut a, mut b) = (lo, hi);
+    for _ in 0..200 {
+        let span = match scale {
+            Scale::Linear => (b - a) / b.abs().max(1e-300),
+            Scale::Logarithmic => (b / a).ln(),
+        };
+        if span.abs() < rel_tol {
+            return false;
+        }
+        let mid = match scale {
+            Scale::Linear => 0.5 * (a + b),
+            Scale::Logarithmic => (a * b).sqrt(),
+        };
+        if mid <= a || mid >= b || x == mid {
+            return x == mid;
+        }
+        if x < mid {
+            b = mid;
+        } else {
+            a = mid;
+        }
+    }
+    false
+}
+
+#[test]
+fn prefetching_bisection_asks_what_the_hinted_one_asks() {
+    let mut rng = TestRng::new(0x100b);
+    let (mut asks, mut prefetches, mut used) = (0usize, 0usize, 0usize);
+    for case in 0..CASES * 4 {
+        let scale = if case % 2 == 0 {
+            Scale::Logarithmic
+        } else {
+            Scale::Linear
+        };
+        let (lo, hi) = match scale {
+            Scale::Logarithmic => {
+                let lo = rng.log_range(1e-2, 1e4);
+                (lo, lo * 10f64.powf(rng.range(1.0, 9.0)))
+            }
+            Scale::Linear => {
+                let lo = rng.range(-5.0, 5.0);
+                (lo, lo + rng.range(0.5, 20.0))
+            }
+        };
+        let inside = |rng: &mut TestRng| match scale {
+            Scale::Logarithmic => rng.log_range(lo, hi),
+            Scale::Linear => rng.range(lo, hi),
+        };
+        let rel_tol = *rng.choose(&[1e-6, 0.03, 0.2]);
+        let min_span = *rng.choose(&[0.05, 0.3, 1.0]);
+        // Half the cases a monotone threshold; the other half a fixed
+        // random outcome per point, false at `lo` and true at `hi` in most
+        // cases so the searches get past their bracket checks.
+        let monotone = case % 4 < 2;
+        let threshold = inside(&mut rng);
+        let salt = rng.next_u64();
+        let fails = |x: f64| {
+            if monotone {
+                x > threshold
+            } else if x == lo || x == hi {
+                (x == hi) != salt.is_multiple_of(8)
+            } else {
+                TestRng::new(x.to_bits() ^ salt).next_bool()
+            }
+        };
+        let (cell_lo, cell_hi, _) = spec_hint_cell((lo, hi), rel_tol, scale, threshold, min_span);
+        let hints = [
+            None,
+            // Inside the threshold's cell, next to it on either side, far off.
+            Some(threshold),
+            Some(cell_lo.next_down()),
+            Some(cell_hi),
+            Some(inside(&mut rng)),
+        ];
+        for at in hints {
+            let hint = at.map(|at| Hint {
+                at,
+                min_cell_span: min_span,
+            });
+            let label = format!(
+                "case {case}: {scale:?} [{lo}, {hi}] monotone {monotone} threshold {threshold} hint {at:?}"
+            );
+            let mut reference_calls = Vec::new();
+            let reference = bisect_transition_hinted(lo, hi, rel_tol, scale, hint, |x| {
+                reference_calls.push(x.to_bits());
+                Ok(fails(x))
+            });
+            // The bracket the answers so far leave open: above every point
+            // answered `false`, below every point answered `true`.
+            let (mut known_false, mut known_true) = (f64::NEG_INFINITY, f64::INFINITY);
+            let mut calls = Vec::new();
+            let mut handed = Vec::new();
+            let mut upward = 0;
+            let got = bisect_transition_prefetching(lo, hi, rel_tol, scale, hint, |x, next| {
+                // One `Option` per ask: at most one prefetch goes with it.
+                if let Some(p) = next {
+                    assert!(
+                        known_false < p && p < known_true && p != x,
+                        "{label}: prefetch {p} outside ({known_false}, {known_true}) or at {x}"
+                    );
+                    assert!(
+                        on_lattice((lo, hi), rel_tol, scale, p),
+                        "{label}: prefetch {p} off the lattice"
+                    );
+                    // Toward the hint, or down without one: only the end
+                    // probes prefetch above without a hint.
+                    assert!(
+                        p > x || at.is_none_or(|at| at < x),
+                        "{label}: prefetch {p} below {x}, away from the hint"
+                    );
+                    upward += usize::from(p > x);
+                    handed.push((calls.len(), p.to_bits()));
+                }
+                calls.push(x.to_bits());
+                let outcome = fails(x);
+                if outcome {
+                    known_true = known_true.min(x);
+                } else {
+                    known_false = known_false.max(x);
+                }
+                Ok(outcome)
+            });
+            assert_eq!(calls, reference_calls, "{label}: call sequence");
+            if at.is_none() {
+                assert!(upward <= 1, "{label}: {upward} prefetches above the ask");
+            }
+            match (&reference, &got) {
+                (Ok(r), Ok(g)) => {
+                    assert_eq!(g.last_false.to_bits(), r.last_false.to_bits(), "{label}");
+                    assert_eq!(g.first_true.to_bits(), r.first_true.to_bits(), "{label}");
+                    assert_eq!(g.evaluations, r.evaluations, "{label}");
+                    assert_eq!(g.evaluations, calls.len(), "{label}");
+                }
+                (Err(r), Err(g)) => assert_eq!(r, g, "{label}"),
+                _ => panic!("{label}: {reference:?} vs {got:?}"),
+            }
+            asks += calls.len();
+            prefetches += handed.len();
+            used += handed
+                .iter()
+                .filter(|&&(after, p)| calls[after + 1..].contains(&p))
+                .count();
+        }
+    }
+    // The sample exercises the prefetch, and it mostly guesses right.
+    assert!(
+        prefetches > asks / 2,
+        "{prefetches} prefetches for {asks} asks"
+    );
+    assert!(
+        used * 2 > prefetches,
+        "{used} of {prefetches} prefetches asked"
+    );
 }
 
 #[test]
