@@ -382,7 +382,8 @@ pub struct CacheStats {
     pub bypasses: u64,
     /// Evaluations that ended in a simulation failure. Failures are never
     /// cached, so a hot failing point recomputes on every revisit — this
-    /// counter is the only place that cost shows up.
+    /// counter is the only place that cost shows up. A border search's
+    /// prefetch that fails is not counted until the search asks it.
     pub failures_seen: u64,
     /// Entries currently stored.
     pub entries: usize,
@@ -617,33 +618,30 @@ impl EvalService {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             dso_obs::counter!("eval.cache_bypass").incr();
             let (value, stats, trace) = self.execute(request, faults, seed, warm_probes);
-            if value.is_err() {
-                self.note_failure();
-            }
-            return TaskOutcome {
+            return self.noted(TaskOutcome {
                 value,
                 stats,
                 trace,
                 cached: false,
                 from_disk: false,
-            };
+            });
         }
         let key = request.content_key(self.context_key);
         match self.lookup(key) {
             Some(hit) => hit,
-            None => self.compute(key, request, seed, warm_probes),
+            None => self.noted(self.compute(key, request, seed, warm_probes)),
         }
     }
 
-    /// Evaluates `request` through the cache tiers; when it misses both,
-    /// also evaluates `prefetch`, the request the caller expects to ask
-    /// next. With more than one thread in `config` the prefetch runs on one
-    /// scoped helper thread while `request` computes on the calling
-    /// thread, otherwise serially after it. Either way its value lands in
-    /// the memo (and store), so asking it next is a hit; its failure is
-    /// not cached and not returned, so it surfaces only if it is asked.
-    /// A hit starts no prefetch, so the set of requests the service sees
-    /// is the same at every thread count.
+    /// Evaluates `request` through the cache tiers; when it misses both
+    /// and `config` has more than one thread, also evaluates `prefetch`,
+    /// the request the caller expects to ask next, on one scoped helper
+    /// thread while `request` computes on the calling thread. The
+    /// prefetch's value lands in the memo (and store), so asking it next
+    /// is a hit; its failure is not cached, returned or counted in
+    /// [`CacheStats::failures_seen`], so it surfaces only if it is asked.
+    /// A hit starts no prefetch. With one thread a prefetch could only run
+    /// after the ask and save nothing, so this is [`EvalService::eval`].
     ///
     /// # Errors
     ///
@@ -654,6 +652,9 @@ impl EvalService {
         prefetch: &SimRequest,
         config: &CampaignConfig,
     ) -> Result<SimValue, CoreError> {
+        if config.threads <= 1 {
+            return self.eval(request);
+        }
         dso_obs::counter!("eval.requests").incr();
         let key = request.content_key(self.context_key);
         if let Some(hit) = self.lookup(key) {
@@ -661,21 +662,18 @@ impl EvalService {
         }
         dso_obs::counter!("eval.prefetches").incr();
         let parent = dso_obs::current_span_id();
-        let prefetch = || {
-            let _span = dso_obs::span_child_of("eval.prefetch", parent);
-            // Only the cache tiers keep the outcome.
-            let _ = self.eval(prefetch);
-        };
-        if config.threads > 1 {
-            std::thread::scope(|scope| {
-                scope.spawn(prefetch);
-                self.compute(key, request, None, false).value
-            })
-        } else {
-            let value = self.compute(key, request, None, false).value;
-            prefetch();
-            value
-        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _span = dso_obs::span_child_of("eval.prefetch", parent);
+                dso_obs::counter!("eval.requests").incr();
+                let key = prefetch.content_key(self.context_key);
+                if self.lookup(key).is_none() {
+                    // Only the cache tiers keep the outcome.
+                    self.compute(key, prefetch, None, false);
+                }
+            });
+            self.noted(self.compute(key, request, None, false)).value
+        })
     }
 
     /// Answers `key` from memory or disk, waiting out an identical
@@ -741,7 +739,8 @@ impl EvalService {
     }
 
     /// Computes a request whose `key` [`EvalService::lookup`] marked in
-    /// flight, and memoizes and persists a success.
+    /// flight, and memoizes and persists a success. A failure is left to
+    /// the caller to [`EvalService::noted`].
     fn compute(
         &self,
         key: u64,
@@ -773,15 +772,10 @@ impl EvalService {
             }
         }
         self.done.notify_all();
-        match &value {
-            // Write-through: persist the computed success after releasing
-            // the memo lock, so disk latency never blocks other workers.
-            Ok(v) => {
-                if let Some(store) = &self.store {
-                    store.put(key, v, &stats);
-                }
-            }
-            Err(_) => self.note_failure(),
+        // Write-through: persist the computed success after releasing the
+        // memo lock, so disk latency never blocks other workers.
+        if let (Ok(v), Some(store)) = (&value, &self.store) {
+            store.put(key, v, &stats);
         }
         TaskOutcome {
             value,
@@ -792,9 +786,14 @@ impl EvalService {
         }
     }
 
-    fn note_failure(&self) {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        dso_obs::counter!("eval.failures_seen").incr();
+    /// Counts `outcome` in [`CacheStats::failures_seen`] if it failed: the
+    /// outcome of an asked request.
+    fn noted(&self, outcome: TaskOutcome) -> TaskOutcome {
+        if outcome.value.is_err() {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+            dso_obs::counter!("eval.failures_seen").incr();
+        }
+        outcome
     }
 
     /// Runs the request's transient(s) on the analyzer.
@@ -1133,36 +1132,41 @@ mod tests {
         let write = |r: f64| SimRequest::write_end(&defect, r, &op, true);
         // `n_ops == 0` fails before any transient runs.
         let bad = SimRequest::settle(&defect, 1e5, &op, true, 0);
-        let mut counts = Vec::new();
-        for threads in [1, 2] {
-            let svc = service();
-            let config = CampaignConfig::with_threads(threads);
-            // A miss computes the prefetch beside it; asking it is a hit.
-            let first = svc.eval_prefetching(&write(1e5), &write(2e5), &config);
-            assert_eq!(first.unwrap(), svc.eval(&write(1e5)).unwrap());
-            svc.eval(&write(2e5)).unwrap();
-            let stats = svc.cache_stats();
-            assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 2, 2));
-            // A hit starts no prefetch.
-            svc.eval_prefetching(&write(1e5), &bad, &config).unwrap();
-            assert_eq!(svc.cache_stats().misses, 2);
-            // A failing prefetch is neither returned nor cached ...
-            svc.eval_prefetching(&write(3e5), &bad, &config).unwrap();
-            let stats = svc.cache_stats();
-            assert_eq!(
-                (stats.misses, stats.failures_seen, stats.entries),
-                (4, 1, 3)
-            );
-            // ... and asking for it returns its error unchanged.
-            let asked = svc.eval_prefetching(&bad, &write(1e5), &config);
-            assert_eq!(asked.unwrap_err(), svc.eval(&bad).unwrap_err());
-            let stats = svc.cache_stats();
-            counts.push((stats.hits, stats.misses, stats.inserts, stats.failures_seen));
-        }
+        let svc = service();
+        let config = CampaignConfig::with_threads(2);
+        // A miss computes the prefetch beside it; asking it is a hit.
+        let first = svc.eval_prefetching(&write(1e5), &write(2e5), &config);
+        assert_eq!(first.unwrap(), svc.eval(&write(1e5)).unwrap());
+        svc.eval(&write(2e5)).unwrap();
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 2, 2));
+        // A hit starts no prefetch.
+        svc.eval_prefetching(&write(1e5), &bad, &config).unwrap();
+        assert_eq!(svc.cache_stats().misses, 2);
+        // A failing prefetch is neither returned, cached nor counted ...
+        svc.eval_prefetching(&write(3e5), &bad, &config).unwrap();
+        let stats = svc.cache_stats();
         assert_eq!(
-            counts[0], counts[1],
-            "request set moved with the thread count"
+            (stats.misses, stats.failures_seen, stats.entries),
+            (4, 0, 3)
         );
+        // ... and asking for it returns its error unchanged.
+        let asked = svc.eval_prefetching(&bad, &write(1e5), &config);
+        assert_eq!(asked.unwrap_err(), svc.eval(&bad).unwrap_err());
+        assert_eq!(svc.cache_stats().failures_seen, 2);
+    }
+
+    #[test]
+    fn one_thread_prefetches_nothing() {
+        let defect = Defect::cell_open(BitLineSide::True);
+        let op = OperatingPoint::nominal();
+        let write = |r: f64| SimRequest::write_end(&defect, r, &op, true);
+        let svc = service();
+        let config = CampaignConfig::with_threads(1);
+        svc.eval_prefetching(&write(1e5), &write(2e5), &config)
+            .unwrap();
+        let stats = svc.cache_stats();
+        assert_eq!((stats.misses, stats.entries), (1, 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::analysis::detection::DetectionCondition;
 use crate::analysis::planes::plane_campaign_hooked;
 use crate::analysis::shmoo::margin_shmoo;
 use crate::analysis::sweep::CampaignFaults;
-use crate::analysis::{derive_detection, DesignSpace, DesignSweepRequest};
+use crate::analysis::{derive_detection, find_border, DesignSpace, DesignSweepRequest};
 use crate::exec::ExecHooks;
 use crate::session::Session;
 use dso_obs::json::Json;
@@ -493,8 +493,10 @@ fn run_job(inner: &Arc<Inner>, job: QueuedJob) {
             rel_tol,
         } => {
             let detection = DetectionCondition::default_for(defect, *settling);
-            session
-                .border(defect, &detection, op, *rel_tol)
+            // The plain search, not `Session::border`'s prefetching one: the
+            // daemon's workers already share the cores, so a prefetch helper
+            // would compete with them.
+            find_border(session.service(), defect, &detection, op, *rel_tol)
                 .map(|b| protocol::border_result(&b))
         }
         JobKind::Detection {

@@ -277,11 +277,11 @@ impl Session {
     /// log-bisection within the defect's sweep range to relative tolerance
     /// `rel_tol`.
     ///
-    /// Each probe that simulates also simulates the probe the bisection
-    /// expects next, on a second thread when the session's config has
-    /// one: the result, [`BorderResistance::evaluations`] included, is
-    /// [`find_border`](crate::analysis::find_border)'s bit for bit, in
-    /// less wall time.
+    /// When the session's config has more than one thread, each probe that
+    /// simulates also simulates, on a second thread, the probe the
+    /// bisection expects next: the result, [`BorderResistance::evaluations`]
+    /// included, is [`find_border`](crate::analysis::find_border)'s bit for
+    /// bit, in less wall time.
     ///
     /// # Errors
     ///

@@ -216,6 +216,95 @@ fn spec_hint_cell(
     (a, b, depth)
 }
 
+/// The hinted search as [`bisect_transition_hinted`]'s documentation
+/// specifies it, for valid arguments, written from [`spec_hint_cell`] and
+/// [`reference_bisect`] rather than the library's lattice: test the ends
+/// of the hint cell, then those of the one neighbouring cell a miss points
+/// to, then fall back to `lo` and `hi`; bisect from the first cell whose
+/// ends bracket the transition. A point at or below the largest point
+/// answered `false`, or at or above the smallest answered `true`, is
+/// settled without a call.
+fn reference_hinted_bisect<F>(
+    (lo, hi): (f64, f64),
+    rel_tol: f64,
+    scale: Scale,
+    hint: Option<Hint>,
+    mut predicate: F,
+) -> Result<Transition, NumError>
+where
+    F: FnMut(f64) -> Result<bool, NumError>,
+{
+    let Some(hint) = hint else {
+        return reference_bisect(lo, hi, rel_tol, scale, predicate);
+    };
+    let (mut known_false, mut known_true) = (f64::NEG_INFINITY, f64::INFINITY);
+    let mut evaluations = 0;
+    let mut probe = |x: f64| -> Result<bool, NumError> {
+        if x <= known_false || x >= known_true {
+            return Ok(x >= known_true);
+        }
+        evaluations += 1;
+        let outcome = predicate(x)?;
+        if outcome {
+            known_true = known_true.min(x);
+        } else {
+            known_false = known_false.max(x);
+        }
+        Ok(outcome)
+    };
+    let cell_of = |at: f64| spec_hint_cell((lo, hi), rel_tol, scale, at, hint.min_cell_span);
+    let (a, b, depth) = cell_of(hint.at);
+    let lo_true = probe(a)?;
+    let hi_true = probe(b)?;
+    let mut start = (!lo_true && hi_true).then_some((a, b, depth));
+    if start.is_none() {
+        // Just below `a` (cells are half-open), or the cell holding `b`.
+        let neighbour = if lo_true {
+            (a > lo).then(|| cell_of(a.next_down()))
+        } else {
+            (b < hi).then(|| cell_of(b))
+        };
+        if let Some((na, nb, nd)) = neighbour {
+            if !probe(na)? && probe(nb)? {
+                start = Some((na, nb, nd));
+            }
+        }
+    }
+    let (mut a, mut b, mut depth) = match start {
+        Some(cell) => cell,
+        None => {
+            if probe(lo)? || !probe(hi)? {
+                return Err(NumError::InvalidBracket { lo, hi });
+            }
+            (lo, hi, 0)
+        }
+    };
+    while depth < 200 {
+        let span = match scale {
+            Scale::Linear => (b - a) / b.abs().max(1e-300),
+            Scale::Logarithmic => (b / a).ln(),
+        };
+        let mid = match scale {
+            Scale::Linear => 0.5 * (a + b),
+            Scale::Logarithmic => (a * b).sqrt(),
+        };
+        if span.abs() < rel_tol || mid <= a || mid >= b {
+            break;
+        }
+        if probe(mid)? {
+            b = mid;
+        } else {
+            a = mid;
+        }
+        depth += 1;
+    }
+    Ok(Transition {
+        last_false: a,
+        first_true: b,
+        evaluations,
+    })
+}
+
 #[test]
 fn hinted_bisection_ends_on_the_plain_bracket() {
     let mut rng = TestRng::new(0x100a);
@@ -383,7 +472,7 @@ fn on_lattice((lo, hi): (f64, f64), rel_tol: f64, scale: Scale, x: f64) -> bool 
 }
 
 #[test]
-fn prefetching_bisection_asks_what_the_hinted_one_asks() {
+fn prefetching_bisection_asks_what_the_specified_search_asks() {
     let mut rng = TestRng::new(0x100b);
     let (mut asks, mut prefetches, mut used) = (0usize, 0usize, 0usize);
     for case in 0..CASES * 4 {
@@ -441,7 +530,7 @@ fn prefetching_bisection_asks_what_the_hinted_one_asks() {
                 "case {case}: {scale:?} [{lo}, {hi}] monotone {monotone} threshold {threshold} hint {at:?}"
             );
             let mut reference_calls = Vec::new();
-            let reference = bisect_transition_hinted(lo, hi, rel_tol, scale, hint, |x| {
+            let reference = reference_hinted_bisect((lo, hi), rel_tol, scale, hint, |x| {
                 reference_calls.push(x.to_bits());
                 Ok(fails(x))
             });
