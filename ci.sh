@@ -59,12 +59,18 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # Reruns the paper artifacts that the current solver reproduces byte
     # for byte and fails on any drift from the committed text. table1 and
     # ablation_duty run the stress optimizer, so they also gate its
-    # prefetched border searches. fig2 and fig6 are out of scope: they
-    # print 6-decimal plane values that target-cpu=native can move
-    # between hosts.
+    # prefetched border searches, and table1 gates its stress probes.
+    # fig3, fig4 and fig5 print Vsa values, so they gate the read
+    # threshold and write-end transients stopped at word-line closing.
+    # fig2 and fig6 are out of scope: they print 6-decimal plane values
+    # that target-cpu=native can move between hosts. Each binary's wall
+    # time is printed for the record; it gates nothing.
     for bin in table1 fig1_model fig3_timing fig4_temperature fig5_voltage fig7_defects ablation_duty; do
-        echo "    $bin"
+        printf '    %-18s' "$bin"
+        t0=$(date +%s.%N)
         "target/release/$bin" 2>&1 | diff -u "results/$bin.txt" -
+        t1=$(date +%s.%N)
+        awk -v t0="$t0" -v t1="$t1" 'BEGIN { printf "%6.1f s\n", t1 - t0 }'
     done
 
     echo "==> resume drill (kill-and-resume the persistent result store)"

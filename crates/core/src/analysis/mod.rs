@@ -34,7 +34,7 @@ pub use sweep::{CampaignFaults, Confidence, PointStatus, SweepPoint, SweepReport
 use crate::CoreError;
 use dso_defects::Defect;
 use dso_dram::design::{ColumnDesign, OperatingPoint};
-use dso_dram::ops::{physical_write, OpTrace, Operation, OperationEngine};
+use dso_dram::ops::{physical_write, Observation, OpTrace, Operation, OperationEngine};
 use dso_num::chaos::FaultPlan;
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 
@@ -170,7 +170,9 @@ impl Analyzer {
     /// the stored charge during the rest of the cycle — the quantity the
     /// paper's stress probes reason about ("reducing `tcyc` reduces the
     /// time the memory has to charge or discharge the cell, which affects
-    /// the write operation and not the read").
+    /// the write operation and not the read"). The transient stops at
+    /// word-line closing ([`OperationEngine::observe`]); its value is
+    /// bit-identical to the same instant of a full-cycle run.
     ///
     /// # Errors
     ///
@@ -188,27 +190,22 @@ impl Analyzer {
         let op = physical_write(high, defect.side());
         let vc_init = if high { 0.0 } else { op_point.vdd };
         let operation = if high { "w1 probe" } else { "w0 probe" };
-        let trace = engine
-            .run(&[op], vc_init)
+        let observed = engine
+            .observe(op, vc_init, None)
             .map_err(|e| CoreError::at_point(operation, resistance, Some(vc_init), e.into()))?;
-        stats.merge(trace.recovery());
-        let schedule = dso_dram::timing::CycleSchedule::new(op_point.duty)?;
-        let t_wl_off = schedule.wl_off * op_point.tcyc;
-        let storage = dso_dram::column::nodes::cap_top(defect.side());
-        let vc = trace
-            .tran()
-            .voltage_at(&storage, t_wl_off)
-            .map_err(dso_dram::DramError::Spice)?;
-        Ok(vc)
+        stats.merge(observed.recovery());
+        Ok(observed.vc_obs())
     }
 
     /// The sense-amplifier threshold voltage `Vsa`: the initial cell
     /// voltage above which a read senses the accessed bit line high. Found
-    /// by bisection on single-read outcomes; with `warm_probes` each
-    /// probe's transient is seeded from the previous probe's trace (same
-    /// resistance, same time grid, only the initial cell voltage differs —
-    /// the chain is local to this one bisection, so it never couples sweep
-    /// points).
+    /// by bisection on single-read outcomes, each read's transient stopped
+    /// at its observation instant ([`OperationEngine::observe`]: the
+    /// outcome is bit-identical to a full-cycle read's). With
+    /// `warm_probes` each probe's transient is seeded from the previous
+    /// probe's prefix (same resistance, same time grid, only the initial
+    /// cell voltage differs — the chain is local to this one bisection, so
+    /// it never couples sweep points).
     ///
     /// Returns `0.0` when even a fully discharged cell reads high (the
     /// paper's `Vsa → GND` limit for large opens) and `vdd` when even a
@@ -228,18 +225,20 @@ impl Analyzer {
         stats: &mut RecoveryStats,
     ) -> Result<f64, CoreError> {
         let engine = self.engine_with(defect, resistance, op_point, faults)?;
-        let mut last: Option<OpTrace> = None;
+        let mut last: Option<Observation> = None;
         let mut reads_high = |vc: f64| -> Result<bool, CoreError> {
             let seed = if warm_probes { last.as_ref() } else { None };
-            let trace = engine.run_seeded(&[Operation::R], vc, seed).map_err(|e| {
-                CoreError::at_point("read threshold", resistance, Some(vc), e.into())
-            })?;
-            stats.merge(trace.recovery());
-            let high = trace.cycles()[0]
-                .read
+            let observed = engine
+                .observe(Operation::R, vc, seed.map(Observation::tran))
+                .map_err(|e| {
+                    CoreError::at_point("read threshold", resistance, Some(vc), e.into())
+                })?;
+            stats.merge(observed.recovery());
+            let high = observed
+                .read()
                 .map(|r| r.accessed_high(defect.side()))
                 .ok_or_else(|| CoreError::BadRequest("read cycle produced no outcome".into()));
-            last = Some(trace);
+            last = Some(observed);
             high
         };
         if reads_high(0.0)? {
@@ -359,6 +358,135 @@ mod tests {
         assert_eq!(highs, vec![true, true]);
         let (_, lows) = svc.read_sequence(&defect, 1e3, &op, 0.0, 1).unwrap();
         assert_eq!(lows, vec![false]);
+    }
+
+    /// Full-cycle reference for [`Analyzer::vsa_probed`]: the same plain
+    /// bisection over whole-cycle `run_seeded` reads, each seeded (when
+    /// `warm`) from the previous read's full trace.
+    fn reference_vsa(
+        analyzer: &Analyzer,
+        defect: &Defect,
+        resistance: f64,
+        op: &OperatingPoint,
+        warm: bool,
+    ) -> f64 {
+        let engine = analyzer.engine_with(defect, resistance, op, None).unwrap();
+        let mut last: Option<OpTrace> = None;
+        let mut reads_high = |vc: f64| {
+            let seed = if warm { last.as_ref() } else { None };
+            let trace = engine.run_seeded(&[Operation::R], vc, seed).unwrap();
+            let high = trace.cycles()[0].read.unwrap().accessed_high(defect.side());
+            last = Some(trace);
+            high
+        };
+        if reads_high(0.0) {
+            return 0.0;
+        }
+        if !reads_high(op.vdd) {
+            return op.vdd;
+        }
+        let (mut lo, mut hi) = (0.0, op.vdd);
+        while hi - lo > 2e-3 {
+            let mid = 0.5 * (lo + hi);
+            if reads_high(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// Full-cycle reference for [`Analyzer::write_end_voltage`]: the
+    /// cap-top voltage of a whole-cycle write run at word-line closing.
+    fn reference_write_end(
+        analyzer: &Analyzer,
+        defect: &Defect,
+        resistance: f64,
+        op: &OperatingPoint,
+        high: bool,
+    ) -> f64 {
+        let engine = analyzer.engine_with(defect, resistance, op, None).unwrap();
+        let vc_init = if high { 0.0 } else { op.vdd };
+        let trace = engine
+            .run(&[physical_write(high, defect.side())], vc_init)
+            .unwrap();
+        let t_wl_off = dso_dram::timing::CycleSchedule::new(op.duty)
+            .unwrap()
+            .wl_off
+            * op.tcyc;
+        let storage = dso_dram::column::nodes::cap_top(defect.side());
+        trace.tran().voltage_at(&storage, t_wl_off).unwrap()
+    }
+
+    #[test]
+    fn observed_probes_equal_full_cycle_reference() {
+        let analyzer = Analyzer::new(fast_design());
+        let nominal = OperatingPoint::nominal();
+        let wide = OperatingPoint {
+            duty: 0.8,
+            ..nominal
+        };
+        let true_open = Defect::cell_open(BitLineSide::True);
+        let comp_open = Defect::cell_open(BitLineSide::Comp);
+        // (defect, resistance, operating point, warm probes); the 1 GΩ
+        // open takes the early `Vsa → GND` return after one read.
+        let vsa_cases = [
+            (true_open, 1e6, nominal, true),
+            (true_open, 1e6, nominal, false),
+            (comp_open, 1e6, wide, true),
+            (comp_open, 1e6, nominal, false),
+            (true_open, 1e9, nominal, true),
+        ];
+        for (defect, r, op, warm) in vsa_cases {
+            let mut stats = RecoveryStats::default();
+            let got = analyzer
+                .vsa_probed(&defect, r, &op, None, warm, &mut stats)
+                .unwrap();
+            let want = reference_vsa(&analyzer, &defect, r, &op, warm);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "Vsa of {defect} at {r:e} Ω, duty {}, warm {warm}: {got} vs {want}",
+                op.duty
+            );
+        }
+        assert_eq!(
+            analyzer
+                .vsa_probed(
+                    &true_open,
+                    1e9,
+                    &nominal,
+                    None,
+                    true,
+                    &mut RecoveryStats::default()
+                )
+                .unwrap(),
+            0.0
+        );
+        for defect in [true_open, comp_open] {
+            for op in [nominal, wide] {
+                for high in [false, true] {
+                    let got = analyzer
+                        .write_end_voltage(
+                            &defect,
+                            1e6,
+                            &op,
+                            high,
+                            None,
+                            &mut RecoveryStats::default(),
+                        )
+                        .unwrap();
+                    let want = reference_write_end(&analyzer, &defect, 1e6, &op, high);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "write end of {defect}, duty {}, high {high}: {got} vs {want}",
+                        op.duty
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -200,6 +200,39 @@ impl OpTrace {
     }
 }
 
+/// What one operation shows at its observation instant, from a transient
+/// stopped there ([`OperationEngine::observe`]).
+#[derive(Debug, Clone)]
+pub struct Observation {
+    tran: TranResult,
+    read: Option<ReadOutcome>,
+    vc_obs: f64,
+}
+
+impl Observation {
+    /// The transient prefix: every sample up to the first step past the
+    /// observation instant. It seeds the next observation of the same
+    /// operation.
+    pub fn tran(&self) -> &TranResult {
+        &self.tran
+    }
+
+    /// The read outcome, for [`Operation::R`].
+    pub fn read(&self) -> Option<ReadOutcome> {
+        self.read
+    }
+
+    /// Physical cell (cap-top) voltage at the observation instant.
+    pub fn vc_obs(&self) -> f64 {
+        self.vc_obs
+    }
+
+    /// Convergence-recovery actions the transient prefix needed.
+    pub fn recovery(&self) -> &RecoveryStats {
+        self.tran.recovery()
+    }
+}
+
 /// Runs operation sequences on a (possibly defective) column.
 #[derive(Debug, Clone)]
 pub struct OperationEngine {
@@ -322,14 +355,53 @@ impl OperationEngine {
         vc_init: f64,
         seed: Option<&OpTrace>,
     ) -> Result<OpTrace, DramError> {
-        let span = dso_obs::span("dram.op_sequence");
-        span.note("ops", ops_seq.len() as f64);
-        dso_obs::counter!("dram.op_runs").incr();
-        dso_obs::counter!("dram.ops").add(ops_seq.len() as u64);
+        let _span = op_span(ops_seq);
         let prepared = self.prepare_run(ops_seq, vc_init)?;
         let sim = self.simulator_for(&prepared.ckt);
         let tran = sim.transient_seeded(&prepared.tran_opts, seed.map(|s| s.tran()))?;
         self.extract_trace(ops_seq, tran, &prepared)
+    }
+
+    /// Runs the single operation `op` only up to its observation instant
+    /// `t_obs` (word-line closing) and reports what it shows there: the
+    /// read outcome for [`Operation::R`] and the victim's cap-top voltage.
+    /// `seed` warm-starts the transient like [`Self::run_seeded`]; the
+    /// prefix of a previous observation of `op` is a valid seed.
+    ///
+    /// The transient stops at step `k = floor(t_obs / dt) + 2` (capped at
+    /// the full cycle), at time `k as f64 * dt`: the same float the full
+    /// run reaches at step `k`. A fixed-step transient's first `k` steps
+    /// do not depend on its stop time, so the samples are a bitwise prefix
+    /// of the full-cycle run's, and the read outcome and voltage at
+    /// `t_obs` equal what [`Self::run_seeded`] reports there.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::run`].
+    pub fn observe(
+        &self,
+        op: Operation,
+        vc_init: f64,
+        seed: Option<&TranResult>,
+    ) -> Result<Observation, DramError> {
+        let ops_seq = [op];
+        let _span = op_span(&ops_seq);
+        let mut prepared = self.prepare_run(&ops_seq, vc_init)?;
+        let t_obs = prepared.observe_at * self.op_point.tcyc;
+        let dt = prepared.tran_opts.dt;
+        let k = (t_obs / dt).floor() as usize + 2;
+        if k < (prepared.t_stop / dt).round() as usize {
+            prepared.tran_opts.t_stop = k as f64 * dt;
+        }
+        let tran = self
+            .simulator_for(&prepared.ckt)
+            .transient_seeded(&prepared.tran_opts, seed)?;
+        let read = match op {
+            Operation::R => Some(read_outcome(&tran, t_obs)?),
+            _ => None,
+        };
+        let vc_obs = tran.voltage_at(&nodes::cap_top(self.victim), t_obs)?;
+        Ok(Observation { tran, read, vc_obs })
     }
 
     /// Builds the waveform-installed scratch circuit and transient options
@@ -434,12 +506,7 @@ impl OperationEngine {
             let vc_end = tran.voltage_at(&storage_node, t_end)?;
             let read = if operation == Operation::R {
                 let t_obs = (k as f64 + prepared.observe_at) * tcyc;
-                let diff =
-                    tran.voltage_at(nodes::BT, t_obs)? - tran.voltage_at(nodes::BC, t_obs)?;
-                Some(ReadOutcome {
-                    logic: diff > 0.0,
-                    differential: diff,
-                })
+                Some(read_outcome(&tran, t_obs)?)
             } else {
                 None
             };
@@ -458,9 +525,29 @@ impl OperationEngine {
     }
 }
 
-/// Everything [`OperationEngine::run_seeded`] builds before handing the
-/// circuit to the simulator: the waveform-installed scratch circuit, the
-/// transient options, and the extraction timing metadata.
+/// Opens the span of one engine run of `ops_seq` and counts the run.
+fn op_span(ops_seq: &[Operation]) -> dso_obs::SpanGuard {
+    let span = dso_obs::span("dram.op_sequence");
+    span.note("ops", ops_seq.len() as f64);
+    dso_obs::counter!("dram.op_runs").incr();
+    dso_obs::counter!("dram.ops").add(ops_seq.len() as u64);
+    span
+}
+
+/// The read outcome of a transient at the observation instant `t_obs`:
+/// the sign of the bit-line differential there.
+fn read_outcome(tran: &TranResult, t_obs: f64) -> Result<ReadOutcome, DramError> {
+    let diff = tran.voltage_at(nodes::BT, t_obs)? - tran.voltage_at(nodes::BC, t_obs)?;
+    Ok(ReadOutcome {
+        logic: diff > 0.0,
+        differential: diff,
+    })
+}
+
+/// Everything an engine run ([`OperationEngine::run_seeded`],
+/// [`OperationEngine::observe`]) builds before handing the circuit to the
+/// simulator: the waveform-installed scratch circuit, the transient
+/// options, and the extraction timing metadata.
 struct PreparedRun {
     ckt: Circuit,
     tran_opts: TranOptions,
@@ -568,6 +655,83 @@ mod tests {
         assert_eq!(t.len(), vc.len());
         assert!(t.len() > 100);
         assert!(!trace.tran().is_empty());
+    }
+
+    /// Asserts that `obs` stopped early and that its samples, read outcome
+    /// and cap-top voltage at the observation instant equal `full`'s, bit
+    /// for bit.
+    fn assert_prefix(eng: &OperationEngine, obs: &Observation, full: &OpTrace, label: &str) {
+        let (short, long) = (obs.tran(), full.tran());
+        assert!(
+            short.len() < long.len(),
+            "{label}: observation did not stop early"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(short.times()),
+            bits(&long.times()[..short.len()]),
+            "{label}: time grid"
+        );
+        for node in eng.column().circuit().node_names() {
+            assert_eq!(
+                bits(&short.voltage(node).unwrap()),
+                bits(&long.voltage(node).unwrap()[..short.len()]),
+                "{label}: samples of {node}"
+            );
+        }
+        let op = eng.operating_point();
+        let t_obs = CycleSchedule::new(op.duty).unwrap().observe_at() * op.tcyc;
+        let vc_full = long
+            .voltage_at(&nodes::cap_top(eng.victim()), t_obs)
+            .unwrap();
+        assert_eq!(
+            obs.vc_obs().to_bits(),
+            vc_full.to_bits(),
+            "{label}: vc at t_obs"
+        );
+        let read_bits = |r: Option<ReadOutcome>| r.map(|r| (r.logic, r.differential.to_bits()));
+        assert_eq!(
+            read_bits(obs.read()),
+            read_bits(full.cycles()[0].read),
+            "{label}: read outcome"
+        );
+    }
+
+    #[test]
+    fn observation_is_a_bitwise_prefix_of_the_full_cycle() {
+        for (duty, side) in [
+            (0.5, BitLineSide::True),
+            (0.5, BitLineSide::Comp),
+            (0.3, BitLineSide::True),
+            (0.8, BitLineSide::Comp),
+        ] {
+            let op_point = OperatingPoint {
+                duty,
+                ..OperatingPoint::nominal()
+            };
+            let eng = OperationEngine::new(test_design(), op_point)
+                .unwrap()
+                .with_victim(side);
+            let label = format!("duty {duty}, {side:?}");
+            // A read, then a read seeded from it: the observed chain seeds
+            // from the previous prefix, the full chain from the full cycle.
+            let full = eng.run_seeded(&[Operation::R], 0.0, None).unwrap();
+            let obs = eng.observe(Operation::R, 0.0, None).unwrap();
+            assert_prefix(&eng, &obs, &full, &format!("{label}, r"));
+            let full_seeded = eng.run_seeded(&[Operation::R], 1.4, Some(&full)).unwrap();
+            let obs_seeded = eng.observe(Operation::R, 1.4, Some(obs.tran())).unwrap();
+            assert_prefix(
+                &eng,
+                &obs_seeded,
+                &full_seeded,
+                &format!("{label}, seeded r"),
+            );
+            for (op, vc_init) in [(Operation::W0, 2.4), (Operation::W1, 0.0)] {
+                let full = eng.run(&[op], vc_init).unwrap();
+                let obs = eng.observe(op, vc_init, None).unwrap();
+                assert_prefix(&eng, &obs, &full, &format!("{label}, {op}"));
+            }
+        }
     }
 
     #[test]
