@@ -55,17 +55,17 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # public-API change that breaks the benchmark must fail here.
     cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
-    echo "==> reproduce (Table 1, Figs. 1, 3, 4, 5, 7 and the duty ablation against results/)"
-    # Reruns the paper artifacts that the current solver reproduces byte
-    # for byte and fails on any drift from the committed text. table1 and
-    # ablation_duty run the stress optimizer, so they also gate its
-    # prefetched border searches, and table1 gates its stress probes.
-    # fig3, fig4 and fig5 print Vsa values, so they gate the read
-    # threshold and write-end transients stopped at word-line closing.
-    # fig2 and fig6 are out of scope: they print 6-decimal plane values
-    # that target-cpu=native can move between hosts. Each binary's wall
-    # time is printed for the record; it gates nothing.
-    for bin in table1 fig1_model fig3_timing fig4_temperature fig5_voltage fig7_defects ablation_duty; do
+    echo "==> reproduce (Table 1, Figs. 1-7 and the duty ablation against results/)"
+    # Reruns the paper artifacts and fails on any drift from the committed
+    # text. table1 and ablation_duty run the stress optimizer, so they
+    # also gate its prefetched border searches, whose detection runs stop
+    # at their last read, and table1 gates its stress probes. fig3, fig4
+    # and fig5 print Vsa values, so they gate the read threshold and
+    # write-end transients stopped at word-line closing. fig2 and fig6
+    # print the planes' Vsa(R) curves, so they gate the hinted threshold
+    # searches chained along each sweep. Each binary's wall time is
+    # printed for the record; it gates nothing.
+    for bin in table1 fig1_model fig2_result_planes fig3_timing fig4_temperature fig5_voltage fig6_sc_planes fig7_defects ablation_duty; do
         printf '    %-18s' "$bin"
         t0=$(date +%s.%N)
         "target/release/$bin" 2>&1 | diff -u "results/$bin.txt" -

@@ -124,7 +124,8 @@ pub fn find_border_near(
 }
 
 /// As [`find_border_near`], but when `config` has more than one thread,
-/// each probe that has to simulate also simulates, on a helper thread,
+/// each probe that has to simulate also simulates, on one helper thread
+/// that lives for the whole search ([`EvalService::with_prefetcher`]),
 /// the point the search expects to ask next
 /// ([`dso_num::roots::bisect_transition_prefetching`],
 /// [`EvalService::eval_prefetching`]). The points the search asks, its
@@ -145,14 +146,15 @@ pub(crate) fn find_border_prefetched(
     hint: Option<f64>,
     config: &CampaignConfig,
 ) -> Result<BorderResistance, CoreError> {
-    search_border(defect, rel_tol, hint, |r, next| {
-        match next {
-            Some(next) => {
-                service.detection_passes_prefetching(defect, r, next, detection, op_point, config)
+    service.with_prefetcher(config, |helper| {
+        search_border(defect, rel_tol, hint, |r, next| {
+            match next {
+                Some(next) => service
+                    .detection_passes_prefetching(defect, r, next, detection, op_point, helper),
+                None => service.detection_passes(defect, r, detection, op_point),
             }
-            None => service.detection_passes(defect, r, detection, op_point),
-        }
-        .map(|pass| !pass)
+            .map(|pass| !pass)
+        })
     })
 }
 

@@ -36,6 +36,8 @@ use dso_defects::Defect;
 use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_dram::ops::{physical_write, Observation, OpTrace, Operation, OperationEngine};
 use dso_num::chaos::FaultPlan;
+use dso_num::roots::{bisect_transition_hinted, Hint, Scale};
+use dso_num::NumError;
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 
 /// Analysis front end: owns the column design and recovery policy, builds
@@ -199,13 +201,23 @@ impl Analyzer {
 
     /// The sense-amplifier threshold voltage `Vsa`: the initial cell
     /// voltage above which a read senses the accessed bit line high. Found
-    /// by bisection on single-read outcomes, each read's transient stopped
-    /// at its observation instant ([`OperationEngine::observe`]: the
-    /// outcome is bit-identical to a full-cycle read's). With
-    /// `warm_probes` each probe's transient is seeded from the previous
-    /// probe's prefix (same resistance, same time grid, only the initial
-    /// cell voltage differs — the chain is local to this one bisection, so
-    /// it never couples sweep points).
+    /// by bisection of `[0, vdd]` on single-read outcomes, down to cells of
+    /// at most [`VSA_RESOLUTION`] (the absolute-width lattice of
+    /// [`Scale::LinearAbsolute`]), each read's transient stopped at its
+    /// observation instant ([`OperationEngine::observe`]: the outcome is
+    /// bit-identical to a full-cycle read's). With `warm_probes` each
+    /// probe's transient is seeded from the previous probe's prefix (same
+    /// resistance, same time grid, only the initial cell voltage differs —
+    /// the chain is local to this one bisection, so it never couples sweep
+    /// points).
+    ///
+    /// With a `hint` (a nearby `Vsa`, e.g. the previous sweep point's) the
+    /// search starts from the lattice cell of [`VSA_HINT_CELL_WIDTH`]
+    /// around it ([`bisect_transition_hinted`]) and reads only that cell's
+    /// ends and its sub-levels when the threshold lies inside. The read
+    /// outcome being monotone in the cell voltage, the result is the
+    /// unhinted one, bit for bit; only the reads spent (and the
+    /// `RecoveryStats` they accrue) differ.
     ///
     /// Returns `0.0` when even a fully discharged cell reads high (the
     /// paper's `Vsa → GND` limit for large opens) and `vdd` when even a
@@ -215,6 +227,7 @@ impl Analyzer {
     ///
     /// Propagates simulation failures, wrapped with campaign context
     /// ([`CoreError::AtPoint`]).
+    #[allow(clippy::too_many_arguments)] // campaign plumbing: faults + warm start + stats
     pub(crate) fn vsa_probed(
         &self,
         defect: &Defect,
@@ -222,44 +235,74 @@ impl Analyzer {
         op_point: &OperatingPoint,
         faults: Option<&FaultPlan>,
         warm_probes: bool,
+        hint: Option<f64>,
         stats: &mut RecoveryStats,
     ) -> Result<f64, CoreError> {
         let engine = self.engine_with(defect, resistance, op_point, faults)?;
         let mut last: Option<Observation> = None;
-        let mut reads_high = |vc: f64| -> Result<bool, CoreError> {
-            let seed = if warm_probes { last.as_ref() } else { None };
-            let observed = engine
-                .observe(Operation::R, vc, seed.map(Observation::tran))
-                .map_err(|e| {
-                    CoreError::at_point("read threshold", resistance, Some(vc), e.into())
-                })?;
-            stats.merge(observed.recovery());
-            let high = observed
-                .read()
-                .map(|r| r.accessed_high(defect.side()))
-                .ok_or_else(|| CoreError::BadRequest("read cycle produced no outcome".into()));
-            last = Some(observed);
-            high
-        };
-        if reads_high(0.0)? {
-            return Ok(0.0);
+        let mut failure = None;
+        let mut zero_reads_high = false;
+        let hint = hint.map(|at| Hint {
+            at,
+            min_cell_span: VSA_HINT_CELL_WIDTH,
+        });
+        let search = bisect_transition_hinted(
+            0.0,
+            op_point.vdd,
+            VSA_RESOLUTION,
+            Scale::LinearAbsolute,
+            hint,
+            |vc| {
+                let seed = if warm_probes { last.as_ref() } else { None };
+                let read = engine
+                    .observe(Operation::R, vc, seed.map(Observation::tran))
+                    .map_err(|e| {
+                        CoreError::at_point("read threshold", resistance, Some(vc), e.into())
+                    })
+                    .and_then(|observed| {
+                        stats.merge(observed.recovery());
+                        let high = observed.read().map(|r| r.accessed_high(defect.side()));
+                        last = Some(observed);
+                        high.ok_or_else(|| {
+                            CoreError::BadRequest("read cycle produced no outcome".into())
+                        })
+                    });
+                match read {
+                    Ok(high) => {
+                        zero_reads_high |= vc == 0.0 && high;
+                        Ok(high)
+                    }
+                    Err(e) => {
+                        failure = Some(e);
+                        Err(NumError::InvalidArgument("threshold read failed".into()))
+                    }
+                }
+            },
+        );
+        if let Some(e) = failure {
+            return Err(e);
         }
-        if !reads_high(op_point.vdd)? {
-            return Ok(op_point.vdd);
+        match search {
+            Ok(transition) => Ok(transition.midpoint()),
+            // The bracket fails only at its ends: a read high at 0 V, or
+            // one low at `vdd`.
+            Err(NumError::InvalidBracket { .. }) if zero_reads_high => Ok(0.0),
+            Err(NumError::InvalidBracket { .. }) => Ok(op_point.vdd),
+            Err(e) => Err(e.into()),
         }
-        // Plain bisection on the monotone read outcome.
-        let (mut lo, mut hi) = (0.0, op_point.vdd);
-        while hi - lo > 2e-3 {
-            let mid = 0.5 * (lo + hi);
-            if reads_high(mid)? {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Ok(0.5 * (lo + hi))
     }
 }
+
+/// Width (volts) the `Vsa` bisection stops at: cells of at most 2 mV.
+pub(crate) const VSA_RESOLUTION: f64 = 2e-3;
+
+/// Smallest width (volts) of the lattice cell a hinted `Vsa` search starts
+/// from ([`Analyzer::vsa_probed`]): 37.5 mV cells on `[0, 2.4 V]`. In
+/// perfbench's traced `planes` and `table1` passes, 5, 10 and 20 mV cost
+/// solve attempts within 1 % of each other and 40 mV 1 % more; the widest
+/// of the flat range lets the hint cell hold the most of the larger `Vsa`
+/// moves (stress probes, the steep part of a sweep).
+pub(crate) const VSA_HINT_CELL_WIDTH: f64 = 0.02;
 
 #[cfg(test)]
 pub(crate) mod test_support {
@@ -441,7 +484,7 @@ mod tests {
         for (defect, r, op, warm) in vsa_cases {
             let mut stats = RecoveryStats::default();
             let got = analyzer
-                .vsa_probed(&defect, r, &op, None, warm, &mut stats)
+                .vsa_probed(&defect, r, &op, None, warm, None, &mut stats)
                 .unwrap();
             let want = reference_vsa(&analyzer, &defect, r, &op, warm);
             assert_eq!(
@@ -459,6 +502,7 @@ mod tests {
                     &nominal,
                     None,
                     true,
+                    None,
                     &mut RecoveryStats::default()
                 )
                 .unwrap(),
@@ -486,6 +530,51 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hinted_vsa_equals_unhinted() {
+        let analyzer = Analyzer::new(fast_design());
+        let nominal = OperatingPoint::nominal();
+        let wide = OperatingPoint {
+            duty: 0.8,
+            ..nominal
+        };
+        let vsa = |defect: &Defect, r: f64, op: &OperatingPoint, warm: bool, hint| {
+            let mut stats = RecoveryStats::default();
+            let v = analyzer
+                .vsa_probed(defect, r, op, None, warm, hint, &mut stats)
+                .unwrap();
+            (v, stats.solve_attempts)
+        };
+        for side in [BitLineSide::True, BitLineSide::Comp] {
+            let defect = Defect::cell_open(side);
+            for op in [nominal, wide] {
+                for warm in [false, true] {
+                    let (plain, plain_cost) = vsa(&defect, 1e6, &op, warm, None);
+                    let label = format!("{defect}, duty {}, warm {warm}", op.duty);
+                    // In the final cell, next to it, far off, at 0 V and
+                    // above `vdd`.
+                    for hint in [plain, plain + 0.015, plain - 0.3, 0.0, op.vdd + 1.0] {
+                        let (got, cost) = vsa(&defect, 1e6, &op, warm, Some(hint));
+                        assert_eq!(got.to_bits(), plain.to_bits(), "{label}, hint {hint}");
+                        if hint == plain {
+                            assert!(cost < plain_cost, "{label}: {cost} vs {plain_cost}");
+                        }
+                    }
+                }
+            }
+        }
+        // The `Vsa → GND` return, with hints that read high at both ends
+        // of their cell.
+        let open = Defect::cell_open(BitLineSide::True);
+        for hint in [None, Some(0.0), Some(1.2), Some(9.0)] {
+            assert_eq!(
+                vsa(&open, 1e9, &nominal, true, hint).0,
+                0.0,
+                "hint {hint:?}"
+            );
         }
     }
 

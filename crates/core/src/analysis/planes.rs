@@ -14,7 +14,7 @@
 
 use super::sweep::{CampaignFaults, Confidence, PointStatus, SweepReport};
 use super::Analyzer;
-use crate::eval::{EvalService, SimRequest, TaskOutcome};
+use crate::eval::{EvalService, SimRequest, TaskOutcome, Warm};
 use crate::exec::{self, CampaignConfig, CampaignPerfStats};
 use crate::CoreError;
 use dso_defects::Defect;
@@ -187,19 +187,24 @@ impl PointData {
 }
 
 /// Converged operation traces of one sweep point, carried forward as
-/// warm-start seeds for the next point of the same work chunk. Seeds never
-/// cross chunk boundaries, so the seed chain is part of the deterministic
-/// chunk computation (see [`crate::exec`]).
+/// warm-start seeds for the next point of the same work chunk, and its
+/// `Vsa`, the hint the next point's threshold search starts from. Seeds
+/// and hints never cross chunk boundaries, so the chains are part of the
+/// deterministic chunk computation (see [`crate::exec`]).
 #[derive(Debug, Default)]
 struct WarmSeeds {
     w0: Option<OpTrace>,
     w1: Option<OpTrace>,
     below: Option<OpTrace>,
     above: Option<OpTrace>,
+    vsa: Option<f64>,
 }
 
-/// Number of transients per point that accept a warm seed (the `Vsa`
-/// bisection is excluded: its probe voltages vary per point).
+/// Number of transients per point that accept a warm seed trace. The `Vsa`
+/// bisection is not one of them: its reads start from per-point voltages,
+/// so it takes the previous point's `Vsa` as a hint instead (which changes
+/// the reads it spends, never its value) and warm-starts only its reads
+/// from each other (`warm_probes`).
 const SEEDABLE_TRANSIENTS: usize = 4;
 
 impl WarmSeeds {
@@ -262,7 +267,8 @@ impl CacheTally {
 /// from the corresponding trace in `seeds` when present; the point's own
 /// converged traces are returned for the next point in the chunk. Cache
 /// hits return no trace, so the seed chain restarts at the next computed
-/// point.
+/// point. The `Vsa` search starts from the previous point's `Vsa`, cached
+/// or not: a hint is a value, and it never changes the result.
 #[allow(clippy::too_many_arguments)]
 fn measure_point(
     service: &EvalService,
@@ -280,8 +286,7 @@ fn measure_point(
         service.eval_seeded(
             &SimRequest::settle(defect, r, op_point, false, n_ops),
             faults,
-            seeds.w0.as_ref(),
-            false,
+            Warm::seeded(seeds.w0.as_ref()),
         ),
         stats,
     )?;
@@ -290,8 +295,7 @@ fn measure_point(
         service.eval_seeded(
             &SimRequest::settle(defect, r, op_point, true, n_ops),
             faults,
-            seeds.w1.as_ref(),
-            false,
+            Warm::seeded(seeds.w1.as_ref()),
         ),
         stats,
     )?;
@@ -300,8 +304,11 @@ fn measure_point(
         service.eval_seeded(
             &SimRequest::vsa(defect, r, op_point),
             faults,
-            None,
-            warm_probes,
+            Warm {
+                probes: warm_probes,
+                vsa_hint: seeds.vsa,
+                ..Warm::default()
+            },
         ),
         stats,
     )?;
@@ -312,8 +319,7 @@ fn measure_point(
         service.eval_seeded(
             &SimRequest::reads(defect, r, op_point, below_start, n_ops),
             faults,
-            seeds.below.as_ref(),
-            false,
+            Warm::seeded(seeds.below.as_ref()),
         ),
         stats,
     )?;
@@ -322,8 +328,7 @@ fn measure_point(
         service.eval_seeded(
             &SimRequest::reads(defect, r, op_point, above_start, n_ops),
             faults,
-            seeds.above.as_ref(),
-            false,
+            Warm::seeded(seeds.above.as_ref()),
         ),
         stats,
     )?;
@@ -341,6 +346,7 @@ fn measure_point(
             w1: w1_trace,
             below: below_trace,
             above: above_trace,
+            vsa: Some(vsa),
         },
     ))
 }

@@ -62,9 +62,10 @@ use dso_dram::ops::{fingerprint_ops, OpTrace, Operation};
 use dso_num::chaos::FaultPlan;
 use dso_num::fingerprint::Fingerprint;
 use dso_spice::recovery::RecoveryStats;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{mpsc, Condvar, Mutex};
 
 /// The simulation task a request asks for, together with its payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +81,15 @@ pub enum SimTask {
     /// An arbitrary logic-operation sequence from `vc_init`, reporting the
     /// cell voltage after every cycle and the logic value of every read.
     Run {
+        /// Logic operations, in order.
+        seq: Vec<Operation>,
+        /// Initial cell voltage.
+        vc_init: f64,
+    },
+    /// A detection condition's logic sequence from `vc_init`, reporting
+    /// only the logic value of every read: the transient stops at the last
+    /// read's observation instant.
+    Detection {
         /// Logic operations, in order.
         seq: Vec<Operation>,
         /// Initial cell voltage.
@@ -113,6 +123,11 @@ impl SimTask {
             SimTask::WriteEnd { high } => {
                 fp.write_u8(3);
                 fp.write_bool(*high);
+            }
+            SimTask::Detection { seq, vc_init } => {
+                fp.write_u8(4);
+                fingerprint_ops(seq, fp);
+                fp.write_f64(*vc_init);
             }
         }
     }
@@ -208,7 +223,9 @@ impl SimRequest {
     }
 
     /// The request running a detection condition's logic sequence: ops and
-    /// initial level resolved for the defect's bit-line side.
+    /// initial level resolved for the defect's bit-line side. Its value is
+    /// [`SimValue::Reads`], and its key differs from the [`SimRequest::run`]
+    /// of the same sequence.
     pub fn detection(
         defect: &Defect,
         resistance: f64,
@@ -221,7 +238,12 @@ impl SimRequest {
         } else {
             0.0
         };
-        SimRequest::run(defect, resistance, op_point, seq, vc_init)
+        SimRequest {
+            defect: *defect,
+            resistance,
+            op_point: *op_point,
+            task: SimTask::Detection { seq, vc_init },
+        }
     }
 
     /// The defect under test.
@@ -272,6 +294,9 @@ pub enum SimValue {
     },
     /// A single voltage ([`SimTask::Vsa`], [`SimTask::WriteEnd`]).
     Scalar(f64),
+    /// Logic value of each read operation, in order
+    /// ([`SimTask::Detection`]).
+    Reads(Vec<bool>),
 }
 
 impl SimValue {
@@ -299,6 +324,18 @@ impl SimValue {
         }
     }
 
+    /// Unwraps a [`SimValue::Reads`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadRequest`] when the value holds a different shape.
+    pub fn into_reads(self) -> Result<Vec<bool>, CoreError> {
+        match self {
+            SimValue::Reads(reads) => Ok(reads),
+            other => Err(shape_mismatch("reads", &other)),
+        }
+    }
+
     /// Unwraps a [`SimValue::Scalar`].
     ///
     /// # Errors
@@ -320,11 +357,11 @@ fn reads_pass(
     condition: &DetectionCondition,
 ) -> Result<bool, CoreError> {
     let (_, expected) = condition.to_logic(defect.side());
-    let (_, reads) = value.into_outcomes()?;
-    Ok(reads
+    Ok(value
+        .into_reads()?
         .iter()
         .zip(&expected)
-        .all(|(g, e)| g.map(|v| v == *e).unwrap_or(false)))
+        .all(|(g, e)| g == e))
 }
 
 fn shape_mismatch(wanted: &str, got: &SimValue) -> CoreError {
@@ -332,6 +369,7 @@ fn shape_mismatch(wanted: &str, got: &SimValue) -> CoreError {
         SimValue::Series(_) => "series",
         SimValue::Outcomes { .. } => "outcomes",
         SimValue::Scalar(_) => "scalar",
+        SimValue::Reads(_) => "reads",
     };
     CoreError::BadRequest(format!("expected a {wanted} value, evaluated to {shape}"))
 }
@@ -345,6 +383,68 @@ enum Slot {
         value: SimValue,
         stats: RecoveryStats,
     },
+}
+
+/// How a computation may start warm. None of it enters the content key: a
+/// seed moves at most the last bits a solve converges to, and a hint only
+/// which reads a `Vsa` search spends.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Warm<'a> {
+    /// Converged trace of the same sequence under neighbouring conditions.
+    pub seed: Option<&'a OpTrace>,
+    /// Seed each read of a `Vsa` bisection from the previous read.
+    pub probes: bool,
+    /// A nearby `Vsa` the threshold search starts from
+    /// ([`Analyzer::vsa_probed`]).
+    pub vsa_hint: Option<f64>,
+}
+
+impl<'a> Warm<'a> {
+    /// A warm start from a seed trace alone.
+    pub fn seeded(seed: Option<&'a OpTrace>) -> Self {
+        Warm {
+            seed,
+            ..Warm::default()
+        }
+    }
+}
+
+/// A prefetch: the request and the span its ask runs under.
+type PrefetchJob = (SimRequest, Option<u64>);
+
+/// The handle a search holds on its prefetch helper
+/// ([`EvalService::with_prefetcher`]): the scope the helper runs in, and
+/// its job and completion channels once it has started.
+pub(crate) struct Prefetcher<'scope, 'env> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    service: &'env EvalService,
+    helper: OnceCell<(mpsc::Sender<PrefetchJob>, mpsc::Receiver<()>)>,
+}
+
+impl Prefetcher<'_, '_> {
+    /// The helper's channels, starting it on first use.
+    fn channels(&self) -> &(mpsc::Sender<PrefetchJob>, mpsc::Receiver<()>) {
+        self.helper.get_or_init(|| {
+            let (jobs, inbox) = mpsc::channel::<PrefetchJob>();
+            let (finished, done) = mpsc::channel();
+            let service = self.service;
+            self.scope.spawn(move || {
+                for (prefetch, parent) in inbox {
+                    let _span = dso_obs::span_child_of("eval.prefetch", parent);
+                    dso_obs::counter!("eval.requests").incr();
+                    let key = prefetch.content_key(service.context_key);
+                    if service.lookup(key).is_none() {
+                        // Only the cache tiers keep the outcome.
+                        service.compute(key, &prefetch, Warm::default());
+                    }
+                    if finished.send(()).is_err() {
+                        break;
+                    }
+                }
+            });
+            (jobs, done)
+        })
+    }
 }
 
 /// Everything one evaluation reports back to a campaign-layer caller.
@@ -566,7 +666,7 @@ impl EvalService {
     ///
     /// Propagates simulation failures (never cached).
     pub fn eval(&self, request: &SimRequest) -> Result<SimValue, CoreError> {
-        self.eval_seeded(request, None, None, false).value
+        self.eval_seeded(request, None, Warm::default()).value
     }
 
     /// Evaluates a batch of requests through the configured worker pool,
@@ -578,9 +678,36 @@ impl EvalService {
         requests: &[SimRequest],
         config: &CampaignConfig,
     ) -> Vec<Result<SimValue, CoreError>> {
+        self.eval_batch_hinted(requests, None, config)
+    }
+
+    /// As [`EvalService::eval_batch`], starting every `Vsa` request that
+    /// computes from `vsa_hint` ([`Warm::vsa_hint`]).
+    pub(crate) fn eval_batch_hinted(
+        &self,
+        requests: &[SimRequest],
+        vsa_hint: Option<f64>,
+        config: &CampaignConfig,
+    ) -> Vec<Result<SimValue, CoreError>> {
+        let warm = Warm {
+            vsa_hint,
+            ..Warm::default()
+        };
         exec::map_chunked(requests.len(), config, |range| {
-            range.map(|i| self.eval(&requests[i])).collect()
+            range
+                .map(|i| self.eval_seeded(&requests[i], None, warm).value)
+                .collect()
         })
+    }
+
+    /// The value the in-memory cache holds for `request`, if it is done:
+    /// a hint source, not a request, so it counts nothing and never waits.
+    pub(crate) fn memoized(&self, request: &SimRequest) -> Option<SimValue> {
+        let key = request.content_key(self.context_key);
+        match self.cache.lock().expect("eval cache poisoned").get(&key) {
+            Some(Slot::Done { value, .. }) => Some(value.clone()),
+            _ => None,
+        }
     }
 
     /// Runs the request's transient fresh — skipping the cache in both
@@ -591,17 +718,17 @@ impl EvalService {
     /// # Errors
     ///
     /// Propagates simulation failures; [`CoreError::BadRequest`] for
-    /// request kinds that carry no trace (`Vsa`, `WriteEnd`).
+    /// request kinds that carry no trace (`Vsa`, `WriteEnd`, `Detection`).
     pub fn trace_of(&self, request: &SimRequest) -> Result<OpTrace, CoreError> {
         self.bypasses.fetch_add(1, Ordering::Relaxed);
         dso_obs::counter!("eval.cache_bypass").incr();
-        let (value, _, trace) = self.execute(request, None, None, false);
+        let (value, _, trace) = self.execute(request, None, Warm::default());
         value?;
         trace.ok_or_else(|| CoreError::BadRequest("request kind carries no trace".into()))
     }
 
-    /// The full campaign-layer entry point: optional fault plan, optional
-    /// warm-start seed, optional intra-bisection warm probes.
+    /// The full campaign-layer entry point: optional fault plan and warm
+    /// start (seed trace, intra-bisection warm probes, `Vsa` hint).
     ///
     /// Requests with an armed fault plan bypass the cache — memory *and*
     /// disk — in both directions: a fault-injected result must neither be
@@ -610,14 +737,13 @@ impl EvalService {
         &self,
         request: &SimRequest,
         faults: Option<&FaultPlan>,
-        seed: Option<&OpTrace>,
-        warm_probes: bool,
+        warm: Warm<'_>,
     ) -> TaskOutcome {
         dso_obs::counter!("eval.requests").incr();
         if faults.is_some() {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             dso_obs::counter!("eval.cache_bypass").incr();
-            let (value, stats, trace) = self.execute(request, faults, seed, warm_probes);
+            let (value, stats, trace) = self.execute(request, faults, warm);
             return self.noted(TaskOutcome {
                 value,
                 stats,
@@ -629,19 +755,45 @@ impl EvalService {
         let key = request.content_key(self.context_key);
         match self.lookup(key) {
             Some(hit) => hit,
-            None => self.noted(self.compute(key, request, seed, warm_probes)),
+            None => self.noted(self.compute(key, request, warm)),
         }
     }
 
+    /// Runs `search` beside one prefetch helper: when `config` has more
+    /// than one thread, the first prefetch [`EvalService::eval_prefetching`]
+    /// hands the helper starts one scoped thread, which computes every
+    /// later prefetch of the call too, one at a time, and is joined before
+    /// this returns. A search whose asks all hit starts no thread. With
+    /// one thread a prefetch could only run after the ask and save
+    /// nothing, so `search` gets no helper.
+    pub(crate) fn with_prefetcher<R>(
+        &self,
+        config: &CampaignConfig,
+        search: impl FnOnce(Option<&Prefetcher<'_, '_>>) -> R,
+    ) -> R {
+        if config.threads <= 1 {
+            return search(None);
+        }
+        std::thread::scope(|scope| {
+            // The helper's inbox closes when `search` returns and the
+            // handle drops: the helper drains and the scope joins it.
+            search(Some(&Prefetcher {
+                scope,
+                service: self,
+                helper: OnceCell::new(),
+            }))
+        })
+    }
+
     /// Evaluates `request` through the cache tiers; when it misses both
-    /// and `config` has more than one thread, also evaluates `prefetch`,
-    /// the request the caller expects to ask next, on one scoped helper
-    /// thread while `request` computes on the calling thread. The
-    /// prefetch's value lands in the memo (and store), so asking it next
-    /// is a hit; its failure is not cached, returned or counted in
+    /// and a `helper` is given, also evaluates `prefetch`, the request the
+    /// caller expects to ask next, on the helper while `request` computes
+    /// on the calling thread, and waits for both. The prefetch's value
+    /// lands in the memo (and store), so asking it next is a hit; its
+    /// failure is not cached, returned or counted in
     /// [`CacheStats::failures_seen`], so it surfaces only if it is asked.
-    /// A hit starts no prefetch. With one thread a prefetch could only run
-    /// after the ask and save nothing, so this is [`EvalService::eval`].
+    /// A hit starts no prefetch. Without a helper this is
+    /// [`EvalService::eval`].
     ///
     /// # Errors
     ///
@@ -650,30 +802,25 @@ impl EvalService {
         &self,
         request: &SimRequest,
         prefetch: &SimRequest,
-        config: &CampaignConfig,
+        helper: Option<&Prefetcher<'_, '_>>,
     ) -> Result<SimValue, CoreError> {
-        if config.threads <= 1 {
+        let Some(helper) = helper else {
             return self.eval(request);
-        }
+        };
         dso_obs::counter!("eval.requests").incr();
         let key = request.content_key(self.context_key);
         if let Some(hit) = self.lookup(key) {
             return hit.value;
         }
         dso_obs::counter!("eval.prefetches").incr();
-        let parent = dso_obs::current_span_id();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _span = dso_obs::span_child_of("eval.prefetch", parent);
-                dso_obs::counter!("eval.requests").incr();
-                let key = prefetch.content_key(self.context_key);
-                if self.lookup(key).is_none() {
-                    // Only the cache tiers keep the outcome.
-                    self.compute(key, prefetch, None, false);
-                }
-            });
-            self.noted(self.compute(key, request, None, false)).value
-        })
+        let (jobs, done) = helper.channels();
+        jobs.send((prefetch.clone(), dso_obs::current_span_id()))
+            .expect("prefetch helper alive");
+        let value = self
+            .noted(self.compute(key, request, Warm::default()))
+            .value;
+        done.recv().expect("prefetch helper exited");
+        value
     }
 
     /// Answers `key` from memory or disk, waiting out an identical
@@ -741,16 +888,10 @@ impl EvalService {
     /// Computes a request whose `key` [`EvalService::lookup`] marked in
     /// flight, and memoizes and persists a success. A failure is left to
     /// the caller to [`EvalService::noted`].
-    fn compute(
-        &self,
-        key: u64,
-        request: &SimRequest,
-        seed: Option<&OpTrace>,
-        warm_probes: bool,
-    ) -> TaskOutcome {
+    fn compute(&self, key: u64, request: &SimRequest, warm: Warm<'_>) -> TaskOutcome {
         self.misses.fetch_add(1, Ordering::Relaxed);
         dso_obs::counter!("eval.cache_misses").incr();
-        let (value, stats, trace) = self.execute(request, None, seed, warm_probes);
+        let (value, stats, trace) = self.execute(request, None, warm);
         {
             let mut map = self.cache.lock().expect("eval cache poisoned");
             match &value {
@@ -801,8 +942,7 @@ impl EvalService {
         &self,
         request: &SimRequest,
         faults: Option<&FaultPlan>,
-        seed: Option<&OpTrace>,
-        warm_probes: bool,
+        warm: Warm<'_>,
     ) -> (Result<SimValue, CoreError>, RecoveryStats, Option<OpTrace>) {
         let mut stats = RecoveryStats::default();
         let SimRequest {
@@ -821,7 +961,7 @@ impl EvalService {
                     *high,
                     *n_ops,
                     faults,
-                    seed,
+                    warm.seed,
                     &mut stats,
                 )
                 .map(|(vcs, trace)| (SimValue::Series(vcs), Some(trace))),
@@ -829,13 +969,25 @@ impl EvalService {
                 let engine = self
                     .analyzer
                     .engine_with(defect, *resistance, op_point, faults)?;
-                let trace = engine.run_seeded(seq, *vc_init, seed).map_err(|e| {
+                let trace = engine.run_seeded(seq, *vc_init, warm.seed).map_err(|e| {
                     CoreError::at_point("sequence", *resistance, Some(*vc_init), e.into())
                 })?;
                 stats.merge(trace.recovery());
                 let vc_ends = trace.vc_ends();
                 let reads = trace.read_values();
                 Ok((SimValue::Outcomes { vc_ends, reads }, Some(trace)))
+            })(),
+            SimTask::Detection { seq, vc_init } => (|| {
+                let engine = self
+                    .analyzer
+                    .engine_with(defect, *resistance, op_point, faults)?;
+                let observed = engine
+                    .observe_reads(seq, *vc_init, warm.seed.map(OpTrace::tran))
+                    .map_err(|e| {
+                        CoreError::at_point("sequence", *resistance, Some(*vc_init), e.into())
+                    })?;
+                stats.merge(observed.recovery());
+                Ok((SimValue::Reads(observed.read_values()), None))
             })(),
             SimTask::Vsa => self
                 .analyzer
@@ -844,7 +996,8 @@ impl EvalService {
                     *resistance,
                     op_point,
                     faults,
-                    warm_probes,
+                    warm.probes,
+                    warm.vsa_hint,
                     &mut stats,
                 )
                 .map(|v| (SimValue::Scalar(v), None)),
@@ -988,12 +1141,12 @@ impl EvalService {
         prefetch: f64,
         condition: &DetectionCondition,
         op_point: &OperatingPoint,
-        config: &CampaignConfig,
+        helper: Option<&Prefetcher<'_, '_>>,
     ) -> Result<bool, CoreError> {
         let value = self.eval_prefetching(
             &SimRequest::detection(defect, resistance, op_point, condition),
             &SimRequest::detection(defect, prefetch, op_point, condition),
-            config,
+            helper,
         )?;
         reads_pass(value, defect, condition)
     }
@@ -1117,7 +1270,7 @@ mod tests {
         let before = svc.cache_stats();
         // A fault-armed evaluation must not read the cached value.
         let plan = FaultPlan::always(FaultKind::NanResidual);
-        let outcome = svc.eval_seeded(&req, Some(&plan), None, false);
+        let outcome = svc.eval_seeded(&req, Some(&plan), Warm::default());
         assert!(!outcome.cached);
         let after = svc.cache_stats();
         assert_eq!(after.hits, before.hits);
@@ -1134,26 +1287,31 @@ mod tests {
         let bad = SimRequest::settle(&defect, 1e5, &op, true, 0);
         let svc = service();
         let config = CampaignConfig::with_threads(2);
-        // A miss computes the prefetch beside it; asking it is a hit.
-        let first = svc.eval_prefetching(&write(1e5), &write(2e5), &config);
-        assert_eq!(first.unwrap(), svc.eval(&write(1e5)).unwrap());
-        svc.eval(&write(2e5)).unwrap();
-        let stats = svc.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 2, 2));
-        // A hit starts no prefetch.
-        svc.eval_prefetching(&write(1e5), &bad, &config).unwrap();
-        assert_eq!(svc.cache_stats().misses, 2);
-        // A failing prefetch is neither returned, cached nor counted ...
-        svc.eval_prefetching(&write(3e5), &bad, &config).unwrap();
-        let stats = svc.cache_stats();
-        assert_eq!(
-            (stats.misses, stats.failures_seen, stats.entries),
-            (4, 0, 3)
-        );
-        // ... and asking for it returns its error unchanged.
-        let asked = svc.eval_prefetching(&bad, &write(1e5), &config);
-        assert_eq!(asked.unwrap_err(), svc.eval(&bad).unwrap_err());
-        assert_eq!(svc.cache_stats().failures_seen, 2);
+        // One helper serves every ask of the search.
+        svc.with_prefetcher(&config, |helper| {
+            assert!(helper.is_some());
+            // A miss computes the prefetch beside it; asking it is a hit.
+            let first = svc.eval_prefetching(&write(1e5), &write(2e5), helper);
+            assert_eq!(first.unwrap(), svc.eval(&write(1e5)).unwrap());
+            svc.eval(&write(2e5)).unwrap();
+            let stats = svc.cache_stats();
+            assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 2, 2));
+            // A hit starts no prefetch.
+            svc.eval_prefetching(&write(1e5), &bad, helper).unwrap();
+            assert_eq!(svc.cache_stats().misses, 2);
+            // A failing prefetch is neither returned, cached nor counted,
+            // and the ask waits for it ...
+            svc.eval_prefetching(&write(3e5), &bad, helper).unwrap();
+            let stats = svc.cache_stats();
+            assert_eq!(
+                (stats.misses, stats.failures_seen, stats.entries),
+                (4, 0, 3)
+            );
+            // ... and asking for it returns its error unchanged.
+            let asked = svc.eval_prefetching(&bad, &write(1e5), helper);
+            assert_eq!(asked.unwrap_err(), svc.eval(&bad).unwrap_err());
+            assert_eq!(svc.cache_stats().failures_seen, 2);
+        });
     }
 
     #[test]
@@ -1163,10 +1321,53 @@ mod tests {
         let write = |r: f64| SimRequest::write_end(&defect, r, &op, true);
         let svc = service();
         let config = CampaignConfig::with_threads(1);
-        svc.eval_prefetching(&write(1e5), &write(2e5), &config)
-            .unwrap();
+        svc.with_prefetcher(&config, |helper| {
+            assert!(helper.is_none());
+            svc.eval_prefetching(&write(1e5), &write(2e5), helper)
+                .unwrap();
+        });
         let stats = svc.cache_stats();
         assert_eq!((stats.misses, stats.entries), (1, 1));
+    }
+
+    #[test]
+    fn detection_runs_have_their_own_kind_and_key() {
+        let svc = service();
+        let defect = Defect::cell_open(BitLineSide::True);
+        let op = OperatingPoint::nominal();
+        let condition = DetectionCondition::default_for(&defect, 2);
+        let (seq, expected) = condition.to_logic(defect.side());
+        let vc_init = if condition.initial_level() {
+            op.vdd
+        } else {
+            0.0
+        };
+        for r in [1e3, 2.5e6] {
+            let detection = SimRequest::detection(&defect, r, &op, &condition);
+            let run = SimRequest::run(&defect, r, &op, seq.clone(), vc_init);
+            assert_ne!(detection.content_key(7), run.content_key(7));
+            // The detection value holds the full run's read outcomes ...
+            let reads = svc.eval(&detection).unwrap().into_reads().unwrap();
+            let (vc_ends, full_reads) = svc.eval(&run).unwrap().into_outcomes().unwrap();
+            assert_eq!(
+                reads.iter().map(|&v| Some(v)).collect::<Vec<_>>(),
+                full_reads
+            );
+            assert_eq!(
+                svc.detection_passes(&defect, r, &condition, &op).unwrap(),
+                reads == expected
+            );
+            // ... and `end_voltage_of` still reads the full cycle's end.
+            let end = svc.end_voltage_of(&defect, r, &op, &seq, vc_init).unwrap();
+            let engine = svc.analyzer().engine_with(&defect, r, &op, None).unwrap();
+            let fresh = engine.run(&seq, vc_init).unwrap().vc_ends();
+            assert_eq!(end.to_bits(), fresh.last().unwrap().to_bits());
+            assert_eq!(end.to_bits(), vc_ends.last().unwrap().to_bits());
+        }
+        // A detection value has no trace and no `vc_end`.
+        let detection = SimRequest::detection(&defect, 1e3, &op, &condition);
+        assert!(svc.trace_of(&detection).is_err());
+        assert!(svc.eval(&detection).unwrap().into_outcomes().is_err());
     }
 
     #[test]

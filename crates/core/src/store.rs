@@ -398,6 +398,13 @@ fn encode_value(w: &mut ByteWriter, value: &SimValue) {
             w.put_u8(2);
             w.put_f64(*v);
         }
+        SimValue::Reads(reads) => {
+            w.put_u8(3);
+            w.put_u32(reads.len() as u32);
+            for &r in reads {
+                w.put_u8(u8::from(r));
+            }
+        }
     }
 }
 
@@ -406,36 +413,50 @@ fn decode_value(r: &mut ByteReader<'_>) -> Result<SimValue, CodecError> {
         0 => Ok(SimValue::Series(r.f64_vec()?)),
         1 => {
             let vc_ends = r.f64_vec()?;
-            let start = r.position();
-            let n = r.u32()? as usize;
-            if n > r.remaining() {
-                return Err(CodecError {
-                    expected: "reads length",
-                    offset: start,
-                });
-            }
-            let reads = (0..n)
-                .map(|_| {
-                    let at = r.position();
-                    match r.u8()? {
-                        0 => Ok(None),
-                        1 => Ok(Some(false)),
-                        2 => Ok(Some(true)),
-                        _ => Err(CodecError {
-                            expected: "read outcome",
-                            offset: at,
-                        }),
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let reads = decode_reads(r, |byte| match byte {
+                0 => Some(None),
+                1 => Some(Some(false)),
+                2 => Some(Some(true)),
+                _ => None,
+            })?;
             Ok(SimValue::Outcomes { vc_ends, reads })
         }
         2 => Ok(SimValue::Scalar(r.f64()?)),
+        3 => Ok(SimValue::Reads(decode_reads(r, |byte| match byte {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        })?)),
         _ => Err(CodecError {
             expected: "value tag",
             offset: r.position().saturating_sub(1),
         }),
     }
+}
+
+/// A length-prefixed run of read-outcome bytes; a byte `outcome` maps to
+/// `None` is corruption and fails the decode.
+fn decode_reads<T>(
+    r: &mut ByteReader<'_>,
+    outcome: impl Fn(u8) -> Option<T>,
+) -> Result<Vec<T>, CodecError> {
+    let start = r.position();
+    let n = r.u32()? as usize;
+    if n > r.remaining() {
+        return Err(CodecError {
+            expected: "reads length",
+            offset: start,
+        });
+    }
+    (0..n)
+        .map(|_| {
+            let at = r.position();
+            outcome(r.u8()?).ok_or(CodecError {
+                expected: "read outcome",
+                offset: at,
+            })
+        })
+        .collect()
 }
 
 fn encode_stats(w: &mut ByteWriter, s: &RecoveryStats) {
@@ -582,13 +603,14 @@ mod tests {
 
     fn sample(i: u64) -> StoredResult {
         StoredResult {
-            value: match i % 3 {
+            value: match i % 4 {
                 0 => SimValue::Scalar(1.5 + i as f64),
                 1 => SimValue::Series(vec![0.1 * i as f64, -0.0, f64::MIN_POSITIVE]),
-                _ => SimValue::Outcomes {
+                2 => SimValue::Outcomes {
                     vc_ends: vec![1.0, 2.0],
                     reads: vec![None, Some(true), Some(false)],
                 },
+                _ => SimValue::Reads(vec![true, false, true]),
             },
             stats: RecoveryStats {
                 solve_attempts: i as usize,

@@ -139,10 +139,16 @@ pub fn probe_stress(
         requests.push(SimRequest::vsa(defect, r_ref, &op));
         ops.push(op);
     }
+    // Every stress after the first finds the nominal point's `Vsa` in the
+    // memo (its probes included the nominal value); the `Vsa` searches
+    // start from it. A hint never changes a value, only the reads spent.
+    let vsa_hint = service
+        .memoized(&SimRequest::vsa(defect, r_ref, nominal))
+        .and_then(|v| v.scalar().ok());
     // Chunk 1: each request is an independent point (no warm chains here),
     // so the finest decomposition gives the best fan-out.
     let mut results = service
-        .eval_batch(&requests, &exec.clone().with_chunk(1))
+        .eval_batch_hinted(&requests, vsa_hint, &exec.clone().with_chunk(1))
         .into_iter();
 
     let mut write_residuals = Vec::with_capacity(values.len());

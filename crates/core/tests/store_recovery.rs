@@ -22,9 +22,10 @@ fn tmp_path(name: &str) -> PathBuf {
 /// A deterministic record whose payload exercises every value shape and
 /// carries seed-dependent f64 bits worth checking for bit-identity.
 fn record(rng: &mut TestRng, i: u64) -> StoredResult {
-    let value = match i % 3 {
+    let value = match i % 4 {
         0 => SimValue::Scalar(rng.range(-2.0, 2.0)),
         1 => SimValue::Series(rng.vec(1 + (i as usize % 5), 0.0, 1.8)),
+        3 => SimValue::Reads((0..4).map(|_| rng.next_bool()).collect()),
         _ => SimValue::Outcomes {
             vc_ends: rng.vec(3, 0.0, 1.8),
             reads: (0..4)

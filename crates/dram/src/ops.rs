@@ -233,6 +233,37 @@ impl Observation {
     }
 }
 
+/// The reads of an operation sequence, from a transient stopped at its
+/// last read's observation instant ([`OperationEngine::observe_reads`]).
+#[derive(Debug, Clone)]
+pub struct ReadsObservation {
+    tran: TranResult,
+    reads: Vec<ReadOutcome>,
+}
+
+impl ReadsObservation {
+    /// The transient prefix: every sample up to the first step past the
+    /// last read's observation instant.
+    pub fn tran(&self) -> &TranResult {
+        &self.tran
+    }
+
+    /// The outcome of each read, in order.
+    pub fn reads(&self) -> &[ReadOutcome] {
+        &self.reads
+    }
+
+    /// Logic values of the reads, in order.
+    pub fn read_values(&self) -> Vec<bool> {
+        self.reads.iter().map(|r| r.logic).collect()
+    }
+
+    /// Convergence-recovery actions the transient prefix needed.
+    pub fn recovery(&self) -> &RecoveryStats {
+        self.tran.recovery()
+    }
+}
+
 /// Runs operation sequences on a (possibly defective) column.
 #[derive(Debug, Clone)]
 pub struct OperationEngine {
@@ -388,11 +419,7 @@ impl OperationEngine {
         let _span = op_span(&ops_seq);
         let mut prepared = self.prepare_run(&ops_seq, vc_init)?;
         let t_obs = prepared.observe_at * self.op_point.tcyc;
-        let dt = prepared.tran_opts.dt;
-        let k = (t_obs / dt).floor() as usize + 2;
-        if k < (prepared.t_stop / dt).round() as usize {
-            prepared.tran_opts.t_stop = k as f64 * dt;
-        }
+        prepared.stop_after(t_obs);
         let tran = self
             .simulator_for(&prepared.ckt)
             .transient_seeded(&prepared.tran_opts, seed)?;
@@ -402,6 +429,45 @@ impl OperationEngine {
         };
         let vc_obs = tran.voltage_at(&nodes::cap_top(self.victim), t_obs)?;
         Ok(Observation { tran, read, vc_obs })
+    }
+
+    /// Runs `ops_seq` from `vc_init` only up to the observation instant of
+    /// its last read and reports every read's outcome — all a pass/fail
+    /// detection run looks at. `seed` warm-starts the transient like
+    /// [`Self::run_seeded`]. A sequence without a read runs in full.
+    ///
+    /// The transient stops at step `k = floor(t_obs / dt) + 2` of the last
+    /// read's `t_obs`, as [`Self::observe`] does for one operation: its
+    /// samples are a bitwise prefix of the full run's, so every read
+    /// outcome equals the one [`Self::run_seeded`] reports.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::run`].
+    pub fn observe_reads(
+        &self,
+        ops_seq: &[Operation],
+        vc_init: f64,
+        seed: Option<&TranResult>,
+    ) -> Result<ReadsObservation, DramError> {
+        let _span = op_span(ops_seq);
+        let mut prepared = self.prepare_run(ops_seq, vc_init)?;
+        let tcyc = self.op_point.tcyc;
+        let t_reads: Vec<f64> = (0..ops_seq.len())
+            .filter(|&k| ops_seq[k] == Operation::R)
+            .map(|k| (k as f64 + prepared.observe_at) * tcyc)
+            .collect();
+        if let Some(&t_last) = t_reads.last() {
+            prepared.stop_after(t_last);
+        }
+        let tran = self
+            .simulator_for(&prepared.ckt)
+            .transient_seeded(&prepared.tran_opts, seed)?;
+        let reads = t_reads
+            .iter()
+            .map(|&t_obs| read_outcome(&tran, t_obs))
+            .collect::<Result<_, _>>()?;
+        Ok(ReadsObservation { tran, reads })
     }
 
     /// Builds the waveform-installed scratch circuit and transient options
@@ -553,6 +619,19 @@ struct PreparedRun {
     tran_opts: TranOptions,
     t_stop: f64,
     observe_at: f64,
+}
+
+impl PreparedRun {
+    /// Stops the transient at step `k = floor(t_obs / dt) + 2`, at time
+    /// `k as f64 * dt` — the float the full run reaches at step `k` — or
+    /// leaves it whole where `k` reaches the full cycle count.
+    fn stop_after(&mut self, t_obs: f64) {
+        let dt = self.tran_opts.dt;
+        let k = (t_obs / dt).floor() as usize + 2;
+        if k < (self.t_stop / dt).round() as usize {
+            self.tran_opts.t_stop = k as f64 * dt;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -730,6 +809,62 @@ mod tests {
                 let full = eng.run(&[op], vc_init).unwrap();
                 let obs = eng.observe(op, vc_init, None).unwrap();
                 assert_prefix(&eng, &obs, &full, &format!("{label}, {op}"));
+            }
+        }
+    }
+
+    #[test]
+    fn read_observation_is_a_bitwise_prefix_of_multi_op_runs() {
+        use Operation::{Nop, R, W0, W1};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (duty, side) in [
+            (0.5, BitLineSide::True),
+            (0.3, BitLineSide::Comp),
+            (0.8, BitLineSide::True),
+        ] {
+            let op_point = OperatingPoint {
+                duty,
+                ..OperatingPoint::nominal()
+            };
+            let eng = OperationEngine::new(test_design(), op_point)
+                .unwrap()
+                .with_victim(side);
+            // Two reads; a read after a pause; a read before a last write.
+            for (seq, vc_init) in [
+                (vec![W1, R, W0, R], 0.0),
+                (vec![W1, Nop, R], 0.0),
+                (vec![W0, R, W1], 2.4),
+            ] {
+                let label = format!("duty {duty}, {side:?}, {seq:?}");
+                let full = eng.run(&seq, vc_init).unwrap();
+                let obs = eng.observe_reads(&seq, vc_init, None).unwrap();
+                let (short, long) = (obs.tran(), full.tran());
+                assert!(short.len() < long.len(), "{label}: did not stop early");
+                assert_eq!(
+                    bits(short.times()),
+                    bits(&long.times()[..short.len()]),
+                    "{label}: time grid"
+                );
+                for node in eng.column().circuit().node_names() {
+                    assert_eq!(
+                        bits(&short.voltage(node).unwrap()),
+                        bits(&long.voltage(node).unwrap()[..short.len()]),
+                        "{label}: samples of {node}"
+                    );
+                }
+                let read_bits = |r: &ReadOutcome| (r.logic, r.differential.to_bits());
+                let want: Vec<_> = full
+                    .cycles()
+                    .iter()
+                    .filter_map(|c| c.read.as_ref().map(read_bits))
+                    .collect();
+                let got: Vec<_> = obs.reads().iter().map(read_bits).collect();
+                assert_eq!(got, want, "{label}: read outcomes");
+                assert_eq!(
+                    full.read_values(),
+                    obs.read_values().into_iter().map(Some).collect::<Vec<_>>(),
+                    "{label}: read values"
+                );
             }
         }
     }

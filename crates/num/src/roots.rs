@@ -15,15 +15,22 @@
 //!   [`brent`] offers superlinear convergence with bisection's robustness.
 
 use crate::NumError;
+use std::cmp::Ordering;
 
-/// Axis scaling for [`bisect_transition`].
+/// Axis scaling for [`bisect_transition`], and the measure its tolerance
+/// is given in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
-    /// Bisect the arithmetic midpoint.
+    /// Bisect the arithmetic midpoint; a cell splits while its width
+    /// relative to its upper end is at least `rel_tol`.
     #[default]
     Linear,
-    /// Bisect the geometric midpoint (both bracket ends must be positive).
+    /// Bisect the geometric midpoint (both bracket ends must be positive);
+    /// a cell splits while its ln-width is at least `rel_tol`.
     Logarithmic,
+    /// Bisect the arithmetic midpoint `0.5·(lo + hi)`; `rel_tol` is an
+    /// absolute width, and a cell splits while `hi − lo > rel_tol`.
+    LinearAbsolute,
 }
 
 /// Result of a boolean-transition bisection.
@@ -55,8 +62,8 @@ impl Transition {
 }
 
 /// Locates the boundary where a monotone boolean `predicate` switches from
-/// `false` (at `lo`) to `true` (at `hi`), to within relative tolerance
-/// `rel_tol`.
+/// `false` (at `lo`) to `true` (at `hi`), to within tolerance `rel_tol`
+/// (relative, or absolute on [`Scale::LinearAbsolute`]).
 ///
 /// The predicate is assumed monotone on `[lo, hi]`: `false` at `lo`, `true`
 /// at `hi`. Both endpoints are probed first and the bracket verified.
@@ -102,8 +109,9 @@ pub struct Hint {
     pub at: f64,
     /// Smallest span of the lattice cell the search starts from, in the
     /// measure `rel_tol` is given in: ln-width on [`Scale::Logarithmic`],
-    /// width relative to the upper end on [`Scale::Linear`]. It should
-    /// exceed the distance the transition may lie from [`Hint::at`].
+    /// width relative to the upper end on [`Scale::Linear`], width on
+    /// [`Scale::LinearAbsolute`]. It should exceed the distance the
+    /// transition may lie from [`Hint::at`].
     pub min_cell_span: f64,
 }
 
@@ -304,17 +312,24 @@ impl Lattice {
         match self.scale {
             Scale::Linear => (cell.hi - cell.lo) / cell.hi.abs().max(1e-300),
             Scale::Logarithmic => (cell.hi / cell.lo).ln(),
+            Scale::LinearAbsolute => cell.hi - cell.lo,
         }
     }
 
     /// The point the search splits `cell` at, or `None` where it stops:
     /// tolerance reached, depth cap, or floating-point exhaustion.
     fn split(&self, cell: Cell) -> Option<f64> {
-        if cell.depth >= MAX_DEPTH || self.span(cell).abs() < self.rel_tol {
+        let span = self.span(cell);
+        let done = match self.scale {
+            // `!(span > tol)`: split while `hi - lo > tol`; a NaN stops.
+            Scale::LinearAbsolute => span.partial_cmp(&self.rel_tol) != Some(Ordering::Greater),
+            Scale::Linear | Scale::Logarithmic => span.abs() < self.rel_tol,
+        };
+        if cell.depth >= MAX_DEPTH || done {
             return None;
         }
         let mid = match self.scale {
-            Scale::Linear => 0.5 * (cell.lo + cell.hi),
+            Scale::Linear | Scale::LinearAbsolute => 0.5 * (cell.lo + cell.hi),
             Scale::Logarithmic => (cell.lo * cell.hi).sqrt(),
         };
         (mid > cell.lo && mid < cell.hi).then_some(mid)

@@ -160,12 +160,15 @@ where
         let span = match scale {
             Scale::Linear => (first_true - last_false) / first_true.abs().max(1e-300),
             Scale::Logarithmic => (first_true / last_false).ln(),
+            Scale::LinearAbsolute => {
+                unreachable!("the lattice references draw Linear or Logarithmic only")
+            }
         };
         if span.abs() < rel_tol {
             break;
         }
         let mid = match scale {
-            Scale::Linear => 0.5 * (last_false + first_true),
+            Scale::Linear | Scale::LinearAbsolute => 0.5 * (last_false + first_true),
             Scale::Logarithmic => (last_false * first_true).sqrt(),
         };
         if mid <= last_false || mid >= first_true {
@@ -197,11 +200,14 @@ fn spec_hint_cell(
     let span = |a: f64, b: f64| match scale {
         Scale::Linear => (b - a) / b.abs().max(1e-300),
         Scale::Logarithmic => (b / a).ln(),
+        Scale::LinearAbsolute => {
+            unreachable!("the lattice references draw Linear or Logarithmic only")
+        }
     };
     let (mut a, mut b, mut depth) = (lo, hi, 0);
     while depth < 200 && span(a, b).abs() >= rel_tol {
         let mid = match scale {
-            Scale::Linear => 0.5 * (a + b),
+            Scale::Linear | Scale::LinearAbsolute => 0.5 * (a + b),
             Scale::Logarithmic => (a * b).sqrt(),
         };
         if mid <= a || mid >= b {
@@ -283,9 +289,12 @@ where
         let span = match scale {
             Scale::Linear => (b - a) / b.abs().max(1e-300),
             Scale::Logarithmic => (b / a).ln(),
+            Scale::LinearAbsolute => {
+                unreachable!("the lattice references draw Linear or Logarithmic only")
+            }
         };
         let mid = match scale {
-            Scale::Linear => 0.5 * (a + b),
+            Scale::Linear | Scale::LinearAbsolute => 0.5 * (a + b),
             Scale::Logarithmic => (a * b).sqrt(),
         };
         if span.abs() < rel_tol || mid <= a || mid >= b {
@@ -321,14 +330,14 @@ fn hinted_bisection_ends_on_the_plain_bracket() {
                 let lo = rng.log_range(1e-2, 1e4);
                 (lo, lo * 10f64.powf(rng.range(1.0, 9.0)))
             }
-            Scale::Linear => {
+            Scale::Linear | Scale::LinearAbsolute => {
                 let lo = rng.range(-5.0, 5.0);
                 (lo, lo + rng.range(0.5, 20.0))
             }
         };
         let inside = |rng: &mut TestRng| match scale {
             Scale::Logarithmic => rng.log_range(lo, hi),
-            Scale::Linear => rng.range(lo, hi),
+            Scale::Linear | Scale::LinearAbsolute => rng.range(lo, hi),
         };
         let rel_tol = *rng.choose(&[1e-6, 0.03, 0.2]);
         let min_span = *rng.choose(&[0.05, 0.3, 1.0]);
@@ -379,7 +388,7 @@ fn hinted_bisection_ends_on_the_plain_bracket() {
             threshold,
             match scale {
                 Scale::Logarithmic => cell_lo * (cell_hi / cell_lo).powf(rng.next_f64()),
-                Scale::Linear => rng.range(cell_lo, cell_hi),
+                Scale::Linear | Scale::LinearAbsolute => rng.range(cell_lo, cell_hi),
             },
             // Next to it, on either side.
             cell_lo.next_down(),
@@ -394,11 +403,11 @@ fn hinted_bisection_ends_on_the_plain_bracket() {
             hi,
             match scale {
                 Scale::Logarithmic => lo / 10.0,
-                Scale::Linear => lo - 1.0,
+                Scale::Linear | Scale::LinearAbsolute => lo - 1.0,
             },
             match scale {
                 Scale::Logarithmic => hi * 10.0,
-                Scale::Linear => hi + 1.0,
+                Scale::Linear | Scale::LinearAbsolute => hi + 1.0,
             },
         ];
         for at in hints {
@@ -440,6 +449,130 @@ fn hinted_bisection_ends_on_the_plain_bracket() {
     assert!(saved > in_cell_cases, "{saved} evaluations saved");
 }
 
+/// The sense-threshold search as `dso-core` ran it before it moved onto
+/// the shared lattice, kept as the reference the absolute-width lattice
+/// must reproduce: read at 0 V (high there: the threshold collapses to
+/// 0 V) and at `vdd` (low there: it sits at `vdd`), then halve `[0, vdd]`
+/// while it is wider than 2 mV. Returns the threshold, the final cell and
+/// the number of reads.
+fn reference_vsa(vdd: f64, reads_high: impl Fn(f64) -> bool) -> (f64, Option<(f64, f64)>, usize) {
+    if reads_high(0.0) {
+        return (0.0, None, 1);
+    }
+    if !reads_high(vdd) {
+        return (vdd, None, 2);
+    }
+    let (mut lo, mut hi, mut reads) = (0.0, vdd, 2);
+    while hi - lo > 2e-3 {
+        let mid = 0.5 * (lo + hi);
+        reads += 1;
+        if reads_high(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    (0.5 * (lo + hi), Some((lo, hi)), reads)
+}
+
+#[test]
+fn absolute_lattice_reproduces_the_reference_threshold_search() {
+    let mut rng = TestRng::new(0x100c);
+    let (mut in_cell, mut saved) = (0usize, 0usize);
+    for case in 0..CASES * 8 {
+        let vdd = *rng.choose(&[2.1, 2.4, 2.7]);
+        // Mostly a threshold inside the rails; some below 0 V (every read
+        // high) or at or above `vdd` (every read low): the early returns.
+        let threshold = match rng.index(10) {
+            0 => -rng.range(0.0, 1.0),
+            1 if rng.next_bool() => vdd,
+            1 => vdd + rng.range(0.0, 1.0),
+            _ => rng.range(0.0, vdd),
+        };
+        let strict = rng.next_bool();
+        let reads_high = |vc: f64| {
+            if strict {
+                vc > threshold
+            } else {
+                vc >= threshold
+            }
+        };
+        let (want, cell, reads) = reference_vsa(vdd, reads_high);
+        // The threshold a search reports: the bracket's midpoint, or an
+        // early return told apart by the read at 0 V.
+        let run = |hint: Option<f64>| {
+            let mut zero_high = false;
+            let hint = hint.map(|at| Hint {
+                at,
+                min_cell_span: 0.02,
+            });
+            let t = bisect_transition_hinted(0.0, vdd, 2e-3, Scale::LinearAbsolute, hint, |vc| {
+                let high = reads_high(vc);
+                zero_high |= vc == 0.0 && high;
+                Ok(high)
+            });
+            match t {
+                Ok(t) => (
+                    t.midpoint(),
+                    Some((t.last_false, t.first_true)),
+                    t.evaluations,
+                ),
+                Err(NumError::InvalidBracket { .. }) => {
+                    (if zero_high { 0.0 } else { vdd }, None, 0)
+                }
+                Err(e) => panic!("case {case}: {e}"),
+            }
+        };
+        let (plain, plain_cell, plain_reads) = run(None);
+        assert_eq!(plain.to_bits(), want.to_bits(), "case {case}: plain search");
+        if cell.is_some() {
+            assert_eq!(plain_cell, cell, "case {case}: plain cell");
+            assert_eq!(plain_reads, reads, "case {case}: plain reads");
+        }
+        let (a, b) = cell.unwrap_or((0.0, vdd));
+        // Depth of the hint cell: the deepest halving of `vdd` that is
+        // still 20 mV wide.
+        let hint_depth = (1..).find(|&d| vdd / f64::from(1 << d) < 0.02).unwrap() - 1;
+        let hints = [
+            // Inside the final cell.
+            threshold,
+            rng.range(a, b),
+            // Next to it, and one hint cell away on either side.
+            a.next_down(),
+            b,
+            a - 0.02,
+            b + 0.02,
+            // Far off, at 0 V and above `vdd`.
+            rng.range(0.0, vdd),
+            0.0,
+            vdd + rng.range(0.0, 1.0),
+        ];
+        for at in hints {
+            let label = format!("case {case}: vdd {vdd}, threshold {threshold}, hint {at}");
+            let (got, got_cell, got_reads) = run(Some(at));
+            assert_eq!(got.to_bits(), want.to_bits(), "{label}");
+            assert_eq!(got_cell, cell, "{label}: final cell");
+            if cell.is_some() {
+                assert!(
+                    got_reads <= reads + 3,
+                    "{label}: {got_reads} vs {reads} reads"
+                );
+                if (a..b).contains(&at) {
+                    assert_eq!(got_reads, reads - hint_depth, "{label}: in-cell reads");
+                    in_cell += 1;
+                    saved += reads - got_reads;
+                }
+            }
+        }
+    }
+    // Hints inside the final cell read the 2 mV lattice from a 20 mV cell.
+    assert!(in_cell > CASES * 8, "{in_cell} in-cell hints");
+    assert!(
+        saved >= 4 * in_cell,
+        "{saved} reads saved over {in_cell} hints"
+    );
+}
+
 /// `true` when `x` is a point of the reference lattice over `[lo, hi]`:
 /// an end, or the split point of a cell the reference search can visit.
 fn on_lattice((lo, hi): (f64, f64), rel_tol: f64, scale: Scale, x: f64) -> bool {
@@ -451,12 +584,15 @@ fn on_lattice((lo, hi): (f64, f64), rel_tol: f64, scale: Scale, x: f64) -> bool 
         let span = match scale {
             Scale::Linear => (b - a) / b.abs().max(1e-300),
             Scale::Logarithmic => (b / a).ln(),
+            Scale::LinearAbsolute => {
+                unreachable!("the lattice references draw Linear or Logarithmic only")
+            }
         };
         if span.abs() < rel_tol {
             return false;
         }
         let mid = match scale {
-            Scale::Linear => 0.5 * (a + b),
+            Scale::Linear | Scale::LinearAbsolute => 0.5 * (a + b),
             Scale::Logarithmic => (a * b).sqrt(),
         };
         if mid <= a || mid >= b || x == mid {
@@ -486,14 +622,14 @@ fn prefetching_bisection_asks_what_the_specified_search_asks() {
                 let lo = rng.log_range(1e-2, 1e4);
                 (lo, lo * 10f64.powf(rng.range(1.0, 9.0)))
             }
-            Scale::Linear => {
+            Scale::Linear | Scale::LinearAbsolute => {
                 let lo = rng.range(-5.0, 5.0);
                 (lo, lo + rng.range(0.5, 20.0))
             }
         };
         let inside = |rng: &mut TestRng| match scale {
             Scale::Logarithmic => rng.log_range(lo, hi),
-            Scale::Linear => rng.range(lo, hi),
+            Scale::Linear | Scale::LinearAbsolute => rng.range(lo, hi),
         };
         let rel_tol = *rng.choose(&[1e-6, 0.03, 0.2]);
         let min_span = *rng.choose(&[0.05, 0.3, 1.0]);
