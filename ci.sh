@@ -6,8 +6,8 @@
 #
 # Usage: ./ci.sh [lint|test]
 #   lint — fmt check, clippy, rustdoc (the static stages)
-#   test — build, tests, perfbench tests, reproduce, resume drill,
-#          serve drill (the run stages)
+#   test — build, tests, perfbench tests, reproduce, spice deck,
+#          resume drill, serve drill (the run stages)
 # With no argument both groups run, in lint-first order. The GitHub
 # workflow runs the two groups as parallel jobs.
 set -eu
@@ -72,6 +72,12 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
         t1=$(date +%s.%N)
         awk -v t0="$t0" -v t1="$t1" 'BEGIN { printf "%6.1f s\n", t1 - t0 }'
     done
+
+    echo "==> spice deck (text netlist through the transient engine)"
+    # The one end-to-end path from a parsed deck's .tran directive through
+    # TranOptions::new to a transient. Exits non-zero if the options are
+    # rejected or the transient fails.
+    cargo run --release -q --offline --example spice_deck
 
     echo "==> resume drill (kill-and-resume the persistent result store)"
     # Tears a result store mid-append with injected short writes, reopens it,

@@ -193,7 +193,7 @@ impl Analyzer {
         let vc_init = if high { 0.0 } else { op_point.vdd };
         let operation = if high { "w1 probe" } else { "w0 probe" };
         let observed = engine
-            .observe(op, vc_init, None)
+            .observe(&[op], vc_init, None)
             .map_err(|e| CoreError::at_point(operation, resistance, Some(vc_init), e.into()))?;
         stats.merge(observed.recovery());
         Ok(observed.vc_obs())
@@ -255,17 +255,16 @@ impl Analyzer {
             |vc| {
                 let seed = if warm_probes { last.as_ref() } else { None };
                 let read = engine
-                    .observe(Operation::R, vc, seed.map(Observation::tran))
+                    .observe(&[Operation::R], vc, seed.map(Observation::tran))
                     .map_err(|e| {
                         CoreError::at_point("read threshold", resistance, Some(vc), e.into())
                     })
-                    .and_then(|observed| {
+                    .map(|observed| {
                         stats.merge(observed.recovery());
-                        let high = observed.read().map(|r| r.accessed_high(defect.side()));
+                        // A single read observes exactly one outcome.
+                        let high = observed.reads()[0].accessed_high(defect.side());
                         last = Some(observed);
-                        high.ok_or_else(|| {
-                            CoreError::BadRequest("read cycle produced no outcome".into())
-                        })
+                        high
                     });
                 match read {
                     Ok(high) => {

@@ -67,7 +67,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 
+/// The generation of the request kinds, folded into every service's
+/// context key ([`EvalService::context_for`]). Bump it whenever a
+/// [`SimTask`] changes its meaning, its value or its key, so that a store
+/// written before the change drops the records no request looks up any
+/// more (compaction at open) instead of carrying them forever.
+///
+/// 1: `Run` split into `Run` and `Detection` (stores written before carry
+/// no schema in their context).
+const REQUEST_SCHEMA: u64 = 1;
+
 /// The simulation task a request asks for, together with its payload.
+///
+/// Any change to what a task computes or how it is keyed bumps
+/// `REQUEST_SCHEMA`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimTask {
     /// `n_ops` consecutive physical writes of `high` (settlement curves);
@@ -577,13 +590,15 @@ impl EvalService {
     }
 
     /// The context fingerprint a service built on `analyzer` uses: the
-    /// hash of its column design and recovery policy. This is the key a
-    /// [`ResultStore`] must be opened with for its records to survive the
-    /// stale-generation check.
+    /// hash of its column design, its recovery policy and the request
+    /// schema (`REQUEST_SCHEMA`). This is the key a [`ResultStore`] must
+    /// be opened with for its records to survive the stale-generation
+    /// check.
     pub fn context_for(analyzer: &Analyzer) -> u64 {
         let mut fp = Fingerprint::new();
         analyzer.design().fingerprint_into(&mut fp);
         analyzer.recovery().fingerprint_into(&mut fp);
+        fp.write_u64(REQUEST_SCHEMA);
         fp.finish()
     }
 
@@ -982,7 +997,7 @@ impl EvalService {
                     .analyzer
                     .engine_with(defect, *resistance, op_point, faults)?;
                 let observed = engine
-                    .observe_reads(seq, *vc_init, warm.seed.map(OpTrace::tran))
+                    .observe(seq, *vc_init, warm.seed.map(OpTrace::tran))
                     .map_err(|e| {
                         CoreError::at_point("sequence", *resistance, Some(*vc_init), e.into())
                     })?;

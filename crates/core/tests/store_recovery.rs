@@ -2,7 +2,8 @@
 //! *opening never aborts*, whatever the file holds. A store truncated at
 //! every possible byte offset of its final record, or corrupted at random
 //! positions, must still open, must keep every undamaged record
-//! bit-intact, and must count what it dropped.
+//! bit-intact, and must count what it dropped. A store written under an
+//! older request schema drops its records at open and re-simulates.
 
 use dso_core::store::{ResultStore, StoredResult};
 use dso_core::SimValue;
@@ -197,5 +198,77 @@ fn corruption_then_compaction_round_trips_the_survivors() {
         assert_eq!(clean.get(*key).as_ref(), Some(survivor));
         assert_eq!(&originals[*key as usize], survivor);
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn records_from_before_the_request_schema_compact_away_and_re_simulate() {
+    use dso_core::analysis::Analyzer;
+    use dso_core::{EvalService, SimRequest};
+    use dso_defects::{BitLineSide, Defect};
+    use dso_dram::design::{ColumnDesign, OperatingPoint};
+    use dso_num::fingerprint::Fingerprint;
+
+    let analyzer = Analyzer::new(ColumnDesign {
+        dt_fraction: 1.0 / 250.0,
+        ..ColumnDesign::default()
+    });
+    // The context stores were keyed by before the request schema was
+    // folded in: column design and recovery policy only.
+    let pre_schema = {
+        let mut fp = Fingerprint::new();
+        analyzer.design().fingerprint_into(&mut fp);
+        analyzer.recovery().fingerprint_into(&mut fp);
+        fp.finish()
+    };
+    let context = EvalService::context_for(&analyzer);
+    assert_ne!(pre_schema, context);
+
+    let request = SimRequest::write_end(
+        &Defect::cell_open(BitLineSide::True),
+        1e5,
+        &OperatingPoint::nominal(),
+        false,
+    );
+    let path = tmp_path("pre-schema");
+    // The old store holds the request under its old key, and under the
+    // key the current context looks up: a record's context, not its key,
+    // decides whether it survives.
+    {
+        let old = ResultStore::open(&path, pre_schema).expect("open old store");
+        let stale = SimValue::Scalar(-1.0);
+        old.put(
+            request.content_key(pre_schema),
+            &stale,
+            &RecoveryStats::default(),
+        );
+        old.put(
+            request.content_key(context),
+            &stale,
+            &RecoveryStats::default(),
+        );
+    }
+
+    // Opening for the current context drops both records and rewrites the
+    // file without them.
+    let store = ResultStore::open(&path, context).expect("open under the schema");
+    let stats = store.stats();
+    assert_eq!(stats.stale_skipped, 2, "{stats:?}");
+    assert_eq!(stats.records_loaded, 0, "{stats:?}");
+    assert_eq!(stats.compactions, 1, "{stats:?}");
+    assert!(store.is_empty());
+
+    // The request is simulated again, not served from the old bits.
+    let service = EvalService::with_store(analyzer, store).expect("context matches");
+    let value = service.eval(&request).expect("simulates");
+    assert_ne!(value, SimValue::Scalar(-1.0));
+    assert_eq!(service.cache_stats().misses, 1);
+    assert_eq!(service.cache_stats().disk_hits, 0);
+    drop(service);
+
+    let reopened = ResultStore::open(&path, context).expect("clean reopen");
+    let stats = reopened.stats();
+    assert_eq!(stats.stale_skipped, 0, "{stats:?}");
+    assert_eq!(stats.records_loaded, 1, "{stats:?}");
     let _ = std::fs::remove_file(&path);
 }

@@ -200,50 +200,19 @@ impl OpTrace {
     }
 }
 
-/// What one operation shows at its observation instant, from a transient
-/// stopped there ([`OperationEngine::observe`]).
+/// What an operation sequence shows at its last observation instant, from
+/// a transient stopped there ([`OperationEngine::observe`]).
 #[derive(Debug, Clone)]
 pub struct Observation {
     tran: TranResult,
-    read: Option<ReadOutcome>,
+    reads: Vec<ReadOutcome>,
     vc_obs: f64,
 }
 
 impl Observation {
     /// The transient prefix: every sample up to the first step past the
-    /// observation instant. It seeds the next observation of the same
-    /// operation.
-    pub fn tran(&self) -> &TranResult {
-        &self.tran
-    }
-
-    /// The read outcome, for [`Operation::R`].
-    pub fn read(&self) -> Option<ReadOutcome> {
-        self.read
-    }
-
-    /// Physical cell (cap-top) voltage at the observation instant.
-    pub fn vc_obs(&self) -> f64 {
-        self.vc_obs
-    }
-
-    /// Convergence-recovery actions the transient prefix needed.
-    pub fn recovery(&self) -> &RecoveryStats {
-        self.tran.recovery()
-    }
-}
-
-/// The reads of an operation sequence, from a transient stopped at its
-/// last read's observation instant ([`OperationEngine::observe_reads`]).
-#[derive(Debug, Clone)]
-pub struct ReadsObservation {
-    tran: TranResult,
-    reads: Vec<ReadOutcome>,
-}
-
-impl ReadsObservation {
-    /// The transient prefix: every sample up to the first step past the
-    /// last read's observation instant.
+    /// last observation instant. It seeds the next observation of the
+    /// same sequence.
     pub fn tran(&self) -> &TranResult {
         &self.tran
     }
@@ -256,6 +225,11 @@ impl ReadsObservation {
     /// Logic values of the reads, in order.
     pub fn read_values(&self) -> Vec<bool> {
         self.reads.iter().map(|r| r.logic).collect()
+    }
+
+    /// Physical cell (cap-top) voltage at the last observation instant.
+    pub fn vc_obs(&self) -> f64 {
+        self.vc_obs
     }
 
     /// Convergence-recovery actions the transient prefix needed.
@@ -393,81 +367,56 @@ impl OperationEngine {
         self.extract_trace(ops_seq, tran, &prepared)
     }
 
-    /// Runs the single operation `op` only up to its observation instant
-    /// `t_obs` (word-line closing) and reports what it shows there: the
-    /// read outcome for [`Operation::R`] and the victim's cap-top voltage.
-    /// `seed` warm-starts the transient like [`Self::run_seeded`]; the
-    /// prefix of a previous observation of `op` is a valid seed.
+    /// Runs `ops_seq` from `vc_init` only up to its last observation
+    /// instant (word-line closing) and reports what it shows there: every
+    /// read's outcome and the victim's cap-top voltage. The last
+    /// observation instant is the last read's, or the last operation's in
+    /// a sequence without a read. `seed` warm-starts the transient like
+    /// [`Self::run_seeded`]; the prefix of a previous observation of the
+    /// same sequence is a valid seed.
     ///
     /// The transient stops at step `k = floor(t_obs / dt) + 2` (capped at
-    /// the full cycle), at time `k as f64 * dt`: the same float the full
-    /// run reaches at step `k`. A fixed-step transient's first `k` steps
-    /// do not depend on its stop time, so the samples are a bitwise prefix
-    /// of the full-cycle run's, and the read outcome and voltage at
-    /// `t_obs` equal what [`Self::run_seeded`] reports there.
+    /// the full run), at time `k as f64 * dt`: the same float the full run
+    /// reaches at step `k`. A fixed-step transient's first `k` steps do
+    /// not depend on its stop time, so the samples are a bitwise prefix of
+    /// the full run's, and every read outcome and the voltage at `t_obs`
+    /// equal what [`Self::run_seeded`] reports there.
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::run`].
     pub fn observe(
         &self,
-        op: Operation,
-        vc_init: f64,
-        seed: Option<&TranResult>,
-    ) -> Result<Observation, DramError> {
-        let ops_seq = [op];
-        let _span = op_span(&ops_seq);
-        let mut prepared = self.prepare_run(&ops_seq, vc_init)?;
-        let t_obs = prepared.observe_at * self.op_point.tcyc;
-        prepared.stop_after(t_obs);
-        let tran = self
-            .simulator_for(&prepared.ckt)
-            .transient_seeded(&prepared.tran_opts, seed)?;
-        let read = match op {
-            Operation::R => Some(read_outcome(&tran, t_obs)?),
-            _ => None,
-        };
-        let vc_obs = tran.voltage_at(&nodes::cap_top(self.victim), t_obs)?;
-        Ok(Observation { tran, read, vc_obs })
-    }
-
-    /// Runs `ops_seq` from `vc_init` only up to the observation instant of
-    /// its last read and reports every read's outcome — all a pass/fail
-    /// detection run looks at. `seed` warm-starts the transient like
-    /// [`Self::run_seeded`]. A sequence without a read runs in full.
-    ///
-    /// The transient stops at step `k = floor(t_obs / dt) + 2` of the last
-    /// read's `t_obs`, as [`Self::observe`] does for one operation: its
-    /// samples are a bitwise prefix of the full run's, so every read
-    /// outcome equals the one [`Self::run_seeded`] reports.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::run`].
-    pub fn observe_reads(
-        &self,
         ops_seq: &[Operation],
         vc_init: f64,
         seed: Option<&TranResult>,
-    ) -> Result<ReadsObservation, DramError> {
+    ) -> Result<Observation, DramError> {
         let _span = op_span(ops_seq);
         let mut prepared = self.prepare_run(ops_seq, vc_init)?;
-        let tcyc = self.op_point.tcyc;
+        let (observe_at, tcyc) = (prepared.observe_at, self.op_point.tcyc);
+        let t_obs = |k: usize| (k as f64 + observe_at) * tcyc;
         let t_reads: Vec<f64> = (0..ops_seq.len())
             .filter(|&k| ops_seq[k] == Operation::R)
-            .map(|k| (k as f64 + prepared.observe_at) * tcyc)
+            .map(t_obs)
             .collect();
-        if let Some(&t_last) = t_reads.last() {
-            prepared.stop_after(t_last);
-        }
+        let t_last = t_reads
+            .last()
+            .copied()
+            .unwrap_or_else(|| t_obs(ops_seq.len() - 1));
+        prepared.stop_after(t_last);
         let tran = self
             .simulator_for(&prepared.ckt)
             .transient_seeded(&prepared.tran_opts, seed)?;
         let reads = t_reads
             .iter()
-            .map(|&t_obs| read_outcome(&tran, t_obs))
+            .map(|&t| read_outcome(&tran, t))
             .collect::<Result<_, _>>()?;
-        Ok(ReadsObservation { tran, reads })
+        let vc_obs = tran.voltage_at(&nodes::cap_top(self.victim), t_last)?;
+        Ok(Observation {
+            tran,
+            reads,
+            vc_obs,
+        })
     }
 
     /// Builds the waveform-installed scratch circuit and transient options
@@ -736,52 +685,31 @@ mod tests {
         assert!(!trace.tran().is_empty());
     }
 
-    /// Asserts that `obs` stopped early and that its samples, read outcome
-    /// and cap-top voltage at the observation instant equal `full`'s, bit
-    /// for bit.
-    fn assert_prefix(eng: &OperationEngine, obs: &Observation, full: &OpTrace, label: &str) {
-        let (short, long) = (obs.tran(), full.tran());
-        assert!(
-            short.len() < long.len(),
-            "{label}: observation did not stop early"
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(short.times()),
-            bits(&long.times()[..short.len()]),
-            "{label}: time grid"
-        );
-        for node in eng.column().circuit().node_names() {
-            assert_eq!(
-                bits(&short.voltage(node).unwrap()),
-                bits(&long.voltage(node).unwrap()[..short.len()]),
-                "{label}: samples of {node}"
-            );
-        }
-        let op = eng.operating_point();
-        let t_obs = CycleSchedule::new(op.duty).unwrap().observe_at() * op.tcyc;
-        let vc_full = long
-            .voltage_at(&nodes::cap_top(eng.victim()), t_obs)
-            .unwrap();
-        assert_eq!(
-            obs.vc_obs().to_bits(),
-            vc_full.to_bits(),
-            "{label}: vc at t_obs"
-        );
-        let read_bits = |r: Option<ReadOutcome>| r.map(|r| (r.logic, r.differential.to_bits()));
-        assert_eq!(
-            read_bits(obs.read()),
-            read_bits(full.cycles()[0].read),
-            "{label}: read outcome"
-        );
-    }
-
     #[test]
-    fn observation_is_a_bitwise_prefix_of_the_full_cycle() {
+    fn observation_is_a_bitwise_prefix_of_the_full_run() {
+        use Operation::{Nop, R, W0, W1};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let read_bits = |r: &ReadOutcome| (r.logic, r.differential.to_bits());
+        // (sequence, initial cell voltage, seeded from the previous row):
+        // single operations, a read seeded from the read before it (the
+        // observed chain seeds from the previous prefix, the full chain
+        // from the full run), two reads, a read after a pause, and a read
+        // before a last write.
+        let rows: [(&[Operation], f64, bool); 7] = [
+            (&[R], 0.0, false),
+            (&[R], 1.4, true),
+            (&[W0], 2.4, false),
+            (&[W1], 0.0, false),
+            (&[W1, R, W0, R], 0.0, false),
+            (&[W1, Nop, R], 0.0, false),
+            (&[W0, R, W1], 2.4, false),
+        ];
         for (duty, side) in [
             (0.5, BitLineSide::True),
             (0.5, BitLineSide::Comp),
             (0.3, BitLineSide::True),
+            (0.3, BitLineSide::Comp),
+            (0.8, BitLineSide::True),
             (0.8, BitLineSide::Comp),
         ] {
             let op_point = OperatingPoint {
@@ -791,53 +719,16 @@ mod tests {
             let eng = OperationEngine::new(test_design(), op_point)
                 .unwrap()
                 .with_victim(side);
-            let label = format!("duty {duty}, {side:?}");
-            // A read, then a read seeded from it: the observed chain seeds
-            // from the previous prefix, the full chain from the full cycle.
-            let full = eng.run_seeded(&[Operation::R], 0.0, None).unwrap();
-            let obs = eng.observe(Operation::R, 0.0, None).unwrap();
-            assert_prefix(&eng, &obs, &full, &format!("{label}, r"));
-            let full_seeded = eng.run_seeded(&[Operation::R], 1.4, Some(&full)).unwrap();
-            let obs_seeded = eng.observe(Operation::R, 1.4, Some(obs.tran())).unwrap();
-            assert_prefix(
-                &eng,
-                &obs_seeded,
-                &full_seeded,
-                &format!("{label}, seeded r"),
-            );
-            for (op, vc_init) in [(Operation::W0, 2.4), (Operation::W1, 0.0)] {
-                let full = eng.run(&[op], vc_init).unwrap();
-                let obs = eng.observe(op, vc_init, None).unwrap();
-                assert_prefix(&eng, &obs, &full, &format!("{label}, {op}"));
-            }
-        }
-    }
-
-    #[test]
-    fn read_observation_is_a_bitwise_prefix_of_multi_op_runs() {
-        use Operation::{Nop, R, W0, W1};
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (duty, side) in [
-            (0.5, BitLineSide::True),
-            (0.3, BitLineSide::Comp),
-            (0.8, BitLineSide::True),
-        ] {
-            let op_point = OperatingPoint {
-                duty,
-                ..OperatingPoint::nominal()
-            };
-            let eng = OperationEngine::new(test_design(), op_point)
-                .unwrap()
-                .with_victim(side);
-            // Two reads; a read after a pause; a read before a last write.
-            for (seq, vc_init) in [
-                (vec![W1, R, W0, R], 0.0),
-                (vec![W1, Nop, R], 0.0),
-                (vec![W0, R, W1], 2.4),
-            ] {
-                let label = format!("duty {duty}, {side:?}, {seq:?}");
-                let full = eng.run(&seq, vc_init).unwrap();
-                let obs = eng.observe_reads(&seq, vc_init, None).unwrap();
+            let mut prev: Option<(OpTrace, Observation)> = None;
+            for (seq, vc_init, seeded) in rows {
+                let label = format!("duty {duty}, {side:?}, {seq:?} from {vc_init}");
+                let seeds = prev.as_ref().filter(|_| seeded);
+                let full = eng
+                    .run_seeded(seq, vc_init, seeds.map(|(full, _)| full))
+                    .unwrap();
+                let obs = eng
+                    .observe(seq, vc_init, seeds.map(|(_, obs)| obs.tran()))
+                    .unwrap();
                 let (short, long) = (obs.tran(), full.tran());
                 assert!(short.len() < long.len(), "{label}: did not stop early");
                 assert_eq!(
@@ -852,7 +743,6 @@ mod tests {
                         "{label}: samples of {node}"
                     );
                 }
-                let read_bits = |r: &ReadOutcome| (r.logic, r.differential.to_bits());
                 let want: Vec<_> = full
                     .cycles()
                     .iter()
@@ -860,11 +750,16 @@ mod tests {
                     .collect();
                 let got: Vec<_> = obs.reads().iter().map(read_bits).collect();
                 assert_eq!(got, want, "{label}: read outcomes");
+                let last = seq.iter().rposition(|&op| op == R).unwrap_or(seq.len() - 1);
+                let t_obs =
+                    (last as f64 + CycleSchedule::new(duty).unwrap().observe_at()) * op_point.tcyc;
+                let vc_full = long.voltage_at(&nodes::cap_top(side), t_obs).unwrap();
                 assert_eq!(
-                    full.read_values(),
-                    obs.read_values().into_iter().map(Some).collect::<Vec<_>>(),
-                    "{label}: read values"
+                    obs.vc_obs().to_bits(),
+                    vc_full.to_bits(),
+                    "{label}: vc at t_obs"
                 );
+                prev = Some((full, obs));
             }
         }
     }

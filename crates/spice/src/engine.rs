@@ -35,55 +35,18 @@ pub enum StartMode {
     UseIc(Vec<(String, f64)>),
 }
 
-/// Local-truncation-error control for adaptive time stepping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOptions {
-    /// Acceptable per-step error estimate (volts). The estimate is the
-    /// infinity-norm difference between the trapezoidal and the
-    /// backward-Euler solution of the same step, which is proportional to
-    /// the local truncation error.
-    pub lte_tol: f64,
-    /// Smallest step the controller may take.
-    pub dt_min: f64,
-    /// Largest step the controller may take.
-    pub dt_max: f64,
-}
-
-impl AdaptiveOptions {
-    /// Validates the control parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::BadAnalysis`] unless
-    /// `0 < dt_min <= dt_max` and `lte_tol > 0`.
-    pub fn validate(&self) -> Result<(), SpiceError> {
-        if !(self.lte_tol > 0.0 && self.dt_min > 0.0 && self.dt_min <= self.dt_max) {
-            return Err(SpiceError::BadAnalysis(format!(
-                "adaptive options need lte_tol > 0 and 0 < dt_min <= dt_max, got {self:?}"
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Configuration of a transient analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranOptions {
     /// Stop time in seconds.
     pub t_stop: f64,
-    /// Fixed output time step in seconds (the *initial* step when
-    /// `adaptive` is set).
+    /// Fixed time step in seconds; every sample sits on its grid.
     pub dt: f64,
     /// Integration method (default trapezoidal; the first step and retry
     /// sub-steps always use backward Euler).
     pub method: Method,
     /// Initial-state policy.
     pub start: StartMode,
-    /// When set, the step size is controlled by the local truncation
-    /// error instead of being fixed: steps shrink at sharp transitions
-    /// and stretch over smooth tails. Costs one extra (backward-Euler)
-    /// solve per step for the error estimate.
-    pub adaptive: Option<AdaptiveOptions>,
 }
 
 impl TranOptions {
@@ -93,17 +56,12 @@ impl TranOptions {
     ///
     /// Returns [`SpiceError::BadAnalysis`] unless `0 < dt <= t_stop`.
     pub fn new(t_stop: f64, dt: f64) -> Result<Self, SpiceError> {
-        if !(dt > 0.0 && dt.is_finite() && t_stop >= dt && t_stop.is_finite()) {
-            return Err(SpiceError::BadAnalysis(format!(
-                "need 0 < dt <= t_stop, got dt={dt}, t_stop={t_stop}"
-            )));
-        }
+        check_grid(t_stop, dt)?;
         Ok(TranOptions {
             t_stop,
             dt,
             method: Method::default(),
             start: StartMode::DcOperatingPoint,
-            adaptive: None,
         })
     }
 
@@ -121,12 +79,18 @@ impl TranOptions {
         self.start = StartMode::UseIc(ics.into_iter().collect());
         self
     }
+}
 
-    /// Enables local-truncation-error controlled time stepping.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveOptions) -> Self {
-        self.adaptive = Some(adaptive);
-        self
+/// Checks the time grid of a transient: `0 < dt <= t_stop`, both finite.
+/// The fields of [`TranOptions`] are public, so [`Simulator::transient`]
+/// repeats the check [`TranOptions::new`] makes.
+fn check_grid(t_stop: f64, dt: f64) -> Result<(), SpiceError> {
+    if !(dt > 0.0 && dt.is_finite() && t_stop >= dt && t_stop.is_finite()) {
+        return Err(SpiceError::BadAnalysis(format!(
+            "need 0 < dt <= t_stop, got dt={dt}, t_stop={t_stop}"
+        )));
     }
+    Ok(())
 }
 
 /// A DC solution: node voltages and source branch currents.
@@ -653,6 +617,8 @@ impl<'c> Simulator<'c> {
     ///
     /// # Errors
     ///
+    /// * [`SpiceError::BadAnalysis`] unless `0 < dt <= t_stop`, both
+    ///   finite.
     /// * [`SpiceError::BadTopology`] if the circuit fails validation.
     /// * [`SpiceError::UnknownNode`] if an initial condition names a
     ///   missing node.
@@ -683,6 +649,7 @@ impl<'c> Simulator<'c> {
         options: &TranOptions,
         seed: Option<&TranResult>,
     ) -> Result<TranResult, SpiceError> {
+        check_grid(options.t_stop, options.dt)?;
         let _span = dso_obs::span("spice.transient");
         dso_obs::counter!("spice.transients").incr();
         let (mut system, mut x, mut cap_states) = self.transient_init(options)?;
@@ -700,97 +667,6 @@ impl<'c> Simulator<'c> {
         let mut trial = vec![0.0; n];
         let vsource_names = self.vsource_names();
 
-        if let Some(adaptive) = options.adaptive {
-            adaptive.validate()?;
-            // LTE-controlled stepping: each step is solved with both the
-            // trapezoidal and the backward-Euler method from the same
-            // state; their difference is proportional to the local
-            // truncation error and drives the step size.
-            let mut t = 0.0_f64;
-            let mut dt = options.dt.clamp(adaptive.dt_min, adaptive.dt_max);
-            let mut first_step = true;
-            while t < options.t_stop - 1e-18 {
-                let dt_eff = dt.min(options.t_stop - t);
-                let t_next = t + dt_eff;
-                let trial_method = if first_step {
-                    Method::BackwardEuler
-                } else {
-                    Method::Trapezoidal
-                };
-
-                let mut x_tr = x.clone();
-                let mut cs_tr = cap_states.clone();
-                self.advance(
-                    &mut system,
-                    &mut solver,
-                    &mut x_tr,
-                    &mut cs_tr,
-                    &mut trial,
-                    None,
-                    false,
-                    t,
-                    t_next,
-                    trial_method,
-                    0,
-                    &mut stats,
-                )?;
-                // The backward-Euler error-estimate solve lands within the
-                // truncation error of the trial solution it just computed,
-                // so warm-start it from `x_tr` and let it reuse the trial
-                // solve's LU factorization — on smooth stretches the
-                // estimate converges in back-substitutions alone, halving
-                // the cost of adaptive stepping.
-                let mut x_be = x.clone();
-                let mut cs_be = cap_states.clone();
-                self.advance(
-                    &mut system,
-                    &mut solver,
-                    &mut x_be,
-                    &mut cs_be,
-                    &mut trial,
-                    Some(&x_tr),
-                    true,
-                    t,
-                    t_next,
-                    Method::BackwardEuler,
-                    0,
-                    &mut stats,
-                )?;
-                let err = x_tr
-                    .iter()
-                    .zip(&x_be)
-                    .take(n_node_vars)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0_f64, f64::max);
-
-                if err > adaptive.lte_tol && dt_eff > adaptive.dt_min * 1.000_001 {
-                    dt = (0.5 * dt_eff).max(adaptive.dt_min);
-                    continue;
-                }
-                x.copy_from_slice(&x_tr);
-                cap_states = cs_tr;
-                t = t_next;
-                times.push(t);
-                samples.push(&x);
-                first_step = false;
-                if err < 0.25 * adaptive.lte_tol {
-                    dt = (2.0 * dt_eff).min(adaptive.dt_max);
-                } else {
-                    dt = dt_eff;
-                }
-            }
-            debug_assert_eq!(n_node_vars + vsource_names.len(), n);
-            system.fold_bypass_counters(&mut stats);
-            return Ok(TranResult {
-                node_names: self.circuit.node_names().to_vec(),
-                vsource_names,
-                times,
-                samples,
-                recovery: stats,
-            });
-        }
-
-        let mut first_step = true;
         // Predictor buffer for warm-started steps (reused across the run).
         let mut warm_buf = vec![0.0; n];
         for step in 1..=steps {
@@ -838,7 +714,7 @@ impl<'c> Simulator<'c> {
                 self.fault_plan.is_none(),
                 t_prev,
                 t_target,
-                if first_step {
+                if step == 1 {
                     Method::BackwardEuler
                 } else {
                     options.method
@@ -846,7 +722,6 @@ impl<'c> Simulator<'c> {
                 0,
                 &mut stats,
             )?;
-            first_step = false;
             times.push(t_target);
             samples.push(&x);
         }
@@ -1966,134 +1841,6 @@ mod tests {
             .unwrap();
         // Hot device conducts less (mobility), so out sits higher.
         assert!(v_hot > v_cold, "hot {v_hot} vs cold {v_cold}");
-    }
-
-    #[test]
-    fn adaptive_stepping_matches_analytic_with_fewer_steps() {
-        // RC discharge over 10 tau: the adaptive controller stretches the
-        // step along the smooth tail, using far fewer steps than the fixed
-        // grid while keeping the early transient accurate.
-        let build = || {
-            let mut ckt = Circuit::new();
-            let out = ckt.node("out");
-            ckt.add_resistor("R1", out, Circuit::GROUND, 1e3).unwrap();
-            ckt.add_capacitor_ic("C1", out, Circuit::GROUND, 1e-9, Some(2.0))
-                .unwrap();
-            ckt
-        };
-        let tau = 1e-6;
-        let ckt = build();
-        let fixed = Simulator::new(&ckt)
-            .transient(
-                &TranOptions::new(10.0 * tau, tau / 200.0)
-                    .unwrap()
-                    .with_ic(Vec::new()),
-            )
-            .unwrap();
-        let adaptive = Simulator::new(&ckt)
-            .transient(
-                &TranOptions::new(10.0 * tau, tau / 200.0)
-                    .unwrap()
-                    .with_ic(Vec::new())
-                    .with_adaptive(AdaptiveOptions {
-                        lte_tol: 2e-4,
-                        dt_min: tau / 1000.0,
-                        dt_max: tau,
-                    }),
-            )
-            .unwrap();
-        assert!(
-            adaptive.len() * 3 < fixed.len(),
-            "adaptive {} samples vs fixed {}",
-            adaptive.len(),
-            fixed.len()
-        );
-        for &frac in &[0.5, 1.0, 3.0, 8.0] {
-            let t = frac * tau;
-            let got = adaptive.voltage_at("out", t).unwrap();
-            let exact = 2.0 * (-frac).exp();
-            assert!(
-                (got - exact).abs() < 5e-3,
-                "at {frac} tau: {got} vs {exact}"
-            );
-        }
-        // The final time point lands exactly on t_stop.
-        assert!((adaptive.times().last().unwrap() - 10.0 * tau).abs() < 1e-18);
-    }
-
-    #[test]
-    fn adaptive_refines_sharp_edges() {
-        // A pulse through an RC: steps must be small around the edges and
-        // large on the plateaus.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.add_vsource(
-            "V1",
-            vin,
-            Circuit::GROUND,
-            Waveform::Pulse(Pulse {
-                v1: 0.0,
-                v2: 1.0,
-                delay: 2e-6,
-                rise: 1e-8,
-                fall: 1e-8,
-                width: 2e-6,
-                period: f64::INFINITY,
-            }),
-        )
-        .unwrap();
-        ckt.add_resistor("R1", vin, out, 1e3).unwrap();
-        ckt.add_capacitor("C1", out, Circuit::GROUND, 1e-10)
-            .unwrap();
-        let result = Simulator::new(&ckt)
-            .transient(
-                &TranOptions::new(6e-6, 5e-8)
-                    .unwrap()
-                    .with_adaptive(AdaptiveOptions {
-                        lte_tol: 1e-3,
-                        dt_min: 1e-9,
-                        dt_max: 5e-7,
-                    }),
-            )
-            .unwrap();
-        // Smallest accepted step near the rising edge is far below the
-        // largest step on the quiet pre-pulse plateau.
-        let times = result.times();
-        let min_step = times
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .fold(f64::INFINITY, f64::min);
-        let max_step = times
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .fold(0.0_f64, f64::max);
-        assert!(
-            max_step > 20.0 * min_step,
-            "expected strong step-size contrast: {min_step:e} .. {max_step:e}"
-        );
-        // And the waveform is still right.
-        assert!((result.voltage_at("out", 3.9e-6).unwrap() - 1.0).abs() < 0.01);
-        assert!(result.voltage_at("out", 1.9e-6).unwrap().abs() < 1e-3);
-    }
-
-    #[test]
-    fn adaptive_options_validated() {
-        let bad = AdaptiveOptions {
-            lte_tol: 0.0,
-            dt_min: 1e-9,
-            dt_max: 1e-8,
-        };
-        assert!(bad.validate().is_err());
-        let bad = AdaptiveOptions {
-            lte_tol: 1e-3,
-            dt_min: 1e-8,
-            dt_max: 1e-9,
-        };
-        assert!(bad.validate().is_err());
-        let ckt = divider();
-        let opts = TranOptions::new(1e-6, 1e-8).unwrap().with_adaptive(bad);
-        assert!(Simulator::new(&ckt).transient(&opts).is_err());
     }
 
     #[test]

@@ -764,7 +764,7 @@ fn parse_element(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Simulator, StartMode, TranOptions};
+    use crate::engine::{Simulator, TranOptions};
 
     #[test]
     fn parse_rc_deck_and_simulate() {
@@ -850,13 +850,9 @@ mod tests {
         assert_eq!(deck.temperature, Some(87.0));
         let tran = deck.tran.unwrap();
         assert!(tran.uic);
-        let opts = TranOptions {
-            t_stop: tran.stop,
-            dt: tran.step,
-            method: Default::default(),
-            start: StartMode::UseIc(deck.initial_conditions.clone()),
-            adaptive: None,
-        };
+        let opts = TranOptions::new(tran.stop, tran.step)
+            .unwrap()
+            .with_ic(deck.initial_conditions.clone());
         let result = Simulator::new(&deck.circuit)
             .with_temperature(deck.temperature.unwrap())
             .transient(&opts)

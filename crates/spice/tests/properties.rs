@@ -7,7 +7,7 @@
 
 use dso_num::testing::TestRng;
 use dso_spice::circuit::Circuit;
-use dso_spice::engine::{Simulator, TranOptions};
+use dso_spice::engine::{Simulator, TranOptions, TranResult};
 use dso_spice::mos::{evaluate, MosGeometry, MosModel};
 use dso_spice::units::parse_value;
 use dso_spice::waveform::{Pulse, Waveform};
@@ -207,46 +207,77 @@ fn parse_value_scales_correctly() {
 }
 
 #[test]
-fn adaptive_matches_fixed_step_on_random_rc() {
-    use dso_spice::engine::AdaptiveOptions;
+fn fixed_grid_runs_are_bitwise_prefixes() {
+    // Warm-start seeding finds a seed's sample at the bitwise same time,
+    // and an observation stopped at word-line closing must equal the full
+    // run up to there: both rest on this grid.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut rng = TestRng::new(0x2008);
     for _ in 0..CASES {
         let r = rng.log_range(1e2, 1e5);
         let c = rng.log_range(1e-12, 1e-10);
         let v0 = rng.range(0.5, 3.0);
         let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
         let out = ckt.node("out");
-        ckt.add_resistor("R1", out, Circuit::GROUND, r)
-            .expect("adds");
-        ckt.add_capacitor_ic("C1", out, Circuit::GROUND, c, Some(v0))
-            .expect("adds");
         let tau = r * c;
+        ckt.add_vsource(
+            "V1",
+            vin,
+            Circuit::GROUND,
+            Waveform::Pulse(Pulse {
+                v1: 0.0,
+                v2: v0,
+                delay: 0.5 * tau,
+                rise: 0.05 * tau,
+                fall: 0.05 * tau,
+                width: tau,
+                period: f64::INFINITY,
+            }),
+        )
+        .expect("adds");
+        ckt.add_resistor("R1", vin, out, r).expect("adds");
+        ckt.add_capacitor("C1", out, Circuit::GROUND, c)
+            .expect("adds");
         let sim = Simulator::new(&ckt);
-        let fixed = sim
-            .transient(
-                &TranOptions::new(3.0 * tau, tau / 100.0)
-                    .expect("valid")
-                    .with_ic(Vec::new()),
-            )
-            .expect("fixed converges");
-        let adaptive = sim
-            .transient(
-                &TranOptions::new(3.0 * tau, tau / 100.0)
-                    .expect("valid")
-                    .with_ic(Vec::new())
-                    .with_adaptive(AdaptiveOptions {
-                        lte_tol: 1e-4 * v0,
-                        dt_min: tau / 2000.0,
-                        dt_max: tau / 2.0,
-                    }),
-            )
-            .expect("adaptive converges");
-        for frac in [0.5, 1.0, 2.0, 2.9] {
-            let t = frac * tau;
-            let a = adaptive.voltage_at("out", t).expect("in range");
-            let f = fixed.voltage_at("out", t).expect("in range");
-            assert!((a - f).abs() < 0.01 * v0, "at {frac} tau: {a} vs {f}");
+        let dt = tau / rng.range(20.0, 60.0);
+        let t_stop = rng.range(2.0, 4.0) * tau;
+        let full = sim
+            .transient(&TranOptions::new(t_stop, dt).expect("valid"))
+            .expect("converges");
+        let times = full.times();
+        let steps = times.len() - 1;
+        for (k, &t) in times[..steps].iter().enumerate() {
+            assert_eq!(t.to_bits(), (k as f64 * dt).to_bits(), "sample {k}");
         }
+        assert_eq!(times[steps].to_bits(), t_stop.to_bits(), "last sample");
+
+        let k = rng.index_range(2, steps);
+        let short = sim
+            .transient(&TranOptions::new(k as f64 * dt, dt).expect("valid"))
+            .expect("converges");
+        assert_eq!(short.len(), k + 1);
+        assert_eq!(bits(short.times()), bits(&times[..=k]), "times to step {k}");
+        for node in ["in", "out"] {
+            assert_eq!(
+                bits(&short.voltage(node).expect("node")),
+                bits(&full.voltage(node).expect("node")[..=k]),
+                "{node} to step {k}"
+            );
+        }
+        // A step's solves do not depend on where the run stops, so the
+        // solve count only grows with the stop step.
+        let shorter = sim
+            .transient(&TranOptions::new((k - 1) as f64 * dt, dt).expect("valid"))
+            .expect("converges");
+        let attempts = |r: &TranResult| r.recovery().solve_attempts;
+        assert!(
+            attempts(&shorter) < attempts(&short) && attempts(&short) < attempts(&full),
+            "solve attempts {} / {} / {}",
+            attempts(&shorter),
+            attempts(&short),
+            attempts(&full)
+        );
     }
 }
 

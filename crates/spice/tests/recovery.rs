@@ -235,28 +235,6 @@ fn dc_operating_point_recovers_via_gmin_ladder() {
 }
 
 #[test]
-fn adaptive_transient_survives_injected_faults() {
-    use dso_spice::engine::AdaptiveOptions;
-    let ckt = rc_pulse();
-    let adaptive = AdaptiveOptions {
-        lte_tol: 1e-3,
-        dt_min: 1e-9,
-        dt_max: 5e-7,
-    };
-    let clean = Simulator::new(&ckt)
-        .transient(&opts().with_adaptive(adaptive))
-        .unwrap();
-    let plan = FaultPlan::new().inject_at(40, FaultKind::ForcedDivergence);
-    let result = Simulator::new(&ckt)
-        .with_fault_plan(plan)
-        .transient(&opts().with_adaptive(adaptive))
-        .unwrap();
-    assert!(!result.recovery().is_clean());
-    // The step grids differ, so compare waveform values, not samples.
-    assert_matches_clean(&clean, &result, 2e-3);
-}
-
-#[test]
 fn voltage_at_out_of_range_reports_window() {
     let ckt = rc_pulse();
     let result = Simulator::new(&ckt).transient(&opts()).unwrap();

@@ -7,7 +7,7 @@
 //! cargo run --release --example spice_deck
 //! ```
 
-use dram_stress_opt::spice::engine::{Simulator, StartMode, TranOptions};
+use dram_stress_opt::spice::engine::{Simulator, TranOptions};
 use dram_stress_opt::spice::netlist;
 
 const DECK: &str = "\
@@ -40,13 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let tran = deck.tran.ok_or("deck has no .tran directive")?;
-    let options = TranOptions {
-        t_stop: tran.stop,
-        dt: tran.step,
-        method: Default::default(),
-        start: StartMode::UseIc(deck.initial_conditions.clone()),
-        adaptive: None,
-    };
+    let options = TranOptions::new(tran.stop, tran.step)?.with_ic(deck.initial_conditions.clone());
     let sim = Simulator::new(&deck.circuit).with_temperature(deck.temperature.unwrap_or(27.0));
     let result = sim.transient(&options)?;
 

@@ -5,6 +5,7 @@ use dram_stress_opt::spice::circuit::Circuit;
 use dram_stress_opt::spice::engine::{Simulator, StartMode, TranOptions};
 use dram_stress_opt::spice::netlist;
 use dram_stress_opt::spice::waveform::Waveform;
+use dram_stress_opt::spice::SpiceError;
 
 #[test]
 fn deck_round_trip_matches_programmatic_circuit() {
@@ -45,18 +46,48 @@ fn rc_time_constant_from_deck() {
     )
     .unwrap();
     let tran = deck.tran.unwrap();
-    let opts = TranOptions {
-        t_stop: tran.stop,
-        dt: tran.step,
-        method: Default::default(),
-        start: StartMode::UseIc(vec![("out".into(), 0.0)]),
-        adaptive: None,
-    };
+    let opts = TranOptions::new(tran.stop, tran.step)
+        .unwrap()
+        .with_ic(vec![("out".into(), 0.0)]);
     let result = Simulator::new(&deck.circuit).transient(&opts).unwrap();
     // tau = 10 ns: at t = tau the output sits at 1 - 1/e.
     let v_tau = result.voltage_at("out", 10e-9).unwrap();
     let expected = 1.0 - (-1.0_f64).exp();
     assert!((v_tau - expected).abs() < 5e-3, "{v_tau} vs {expected}");
+}
+
+#[test]
+fn bad_tran_grids_are_rejected() {
+    // Each deck parses, but its grid is not `0 < step <= stop`: the
+    // options constructor refuses it, and so does the engine when the
+    // options are built as a struct literal.
+    for tran in [".tran 0 50n", ".tran -1n 50n", ".tran 1n 0.5n"] {
+        let deck = netlist::parse(&format!(
+            "rc\nV1 in 0 DC 1\nR1 in out 10k\nC1 out 0 1p\n{tran}\n.end\n"
+        ))
+        .unwrap();
+        let tran_dir = deck.tran.unwrap();
+        assert!(
+            matches!(
+                TranOptions::new(tran_dir.stop, tran_dir.step),
+                Err(SpiceError::BadAnalysis(_))
+            ),
+            "{tran}: constructor"
+        );
+        let literal = TranOptions {
+            t_stop: tran_dir.stop,
+            dt: tran_dir.step,
+            method: Default::default(),
+            start: StartMode::UseIc(Vec::new()),
+        };
+        assert!(
+            matches!(
+                Simulator::new(&deck.circuit).transient(&literal),
+                Err(SpiceError::BadAnalysis(_))
+            ),
+            "{tran}: engine"
+        );
+    }
 }
 
 #[test]
