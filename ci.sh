@@ -63,8 +63,12 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # and fig5 print Vsa values, so they gate the read threshold and
     # write-end transients stopped at word-line closing. fig2 and fig6
     # print the planes' Vsa(R) curves, so they gate the hinted threshold
-    # searches chained along each sweep. Each binary's wall time is
-    # printed for the record; it gates nothing.
+    # searches chained along each sweep. Every transient of every binary
+    # runs through its MNA system's compiled stamp plan (folded device
+    # constants, device-ordered stamps) and starts a warm step from its
+    # probed residual, so the nine byte-gated artifacts gate those bits
+    # too. Each binary's wall time is printed for the record; it gates
+    # nothing.
     for bin in table1 fig1_model fig2_result_planes fig3_timing fig4_temperature fig5_voltage fig6_sc_planes fig7_defects ablation_duty; do
         printf '    %-18s' "$bin"
         t0=$(date +%s.%N)

@@ -189,6 +189,9 @@ pub struct NewtonSolver {
     neg_f: Vec<f64>,
     jac: DMatrix,
     lu: LuFactor,
+    /// `residual` holds the last [`NewtonSolver::residual_norm`] probe,
+    /// which no solve has overwritten since.
+    holds_probe: bool,
 }
 
 impl NewtonSolver {
@@ -203,6 +206,7 @@ impl NewtonSolver {
             neg_f: Vec::new(),
             jac: DMatrix::zeros(0, 0),
             lu: LuFactor::empty(),
+            holds_probe: false,
         }
     }
 
@@ -225,6 +229,7 @@ impl NewtonSolver {
         system: &mut S,
         x: &[f64],
     ) -> Result<f64, NumError> {
+        self.holds_probe = false;
         let n = system.unknowns();
         if x.len() != n {
             return Err(NumError::ShapeMismatch {
@@ -234,6 +239,7 @@ impl NewtonSolver {
         }
         self.residual.resize(n, 0.0);
         system.residual(x, &mut self.residual)?;
+        self.holds_probe = true;
         Ok(norm_inf(&self.residual))
     }
 
@@ -250,7 +256,7 @@ impl NewtonSolver {
         system: &mut S,
         x: &mut [f64],
     ) -> Result<NewtonStats, NumError> {
-        self.solve_impl(system, x, false)
+        self.solve_impl(system, x, false, false)
     }
 
     /// Like [`NewtonSolver::solve`], but — when [`NewtonOptions::lu_reuse`]
@@ -270,7 +276,33 @@ impl NewtonSolver {
         x: &mut [f64],
     ) -> Result<NewtonStats, NumError> {
         let reuse = self.options.lu_reuse && self.lu.dim() == system.unknowns();
-        self.solve_impl(system, x, reuse)
+        self.solve_impl(system, x, reuse, false)
+    }
+
+    /// Like [`NewtonSolver::solve`] (or [`NewtonSolver::solve_reusing`]
+    /// when `reuse`), but starts from the residual that the last
+    /// [`NewtonSolver::residual_norm`] call left in the solver's scratch
+    /// instead of evaluating `F(x)` again. A caller that has just probed
+    /// `x` this way saves one residual evaluation per solve.
+    ///
+    /// The caller must pass the very `x` it last probed, with the system
+    /// unchanged since; otherwise the solve starts from a stale residual.
+    /// Without a probe since the last solve, it evaluates `F(x)` as
+    /// [`NewtonSolver::solve`] does. A system whose evaluations have side
+    /// effects that count (such as a fault-injection wrapper numbering
+    /// them) sees one evaluation fewer.
+    ///
+    /// # Errors
+    ///
+    /// As [`NewtonSolver::solve`].
+    pub fn solve_probed<S: NonlinearSystem>(
+        &mut self,
+        system: &mut S,
+        x: &mut [f64],
+        reuse: bool,
+    ) -> Result<NewtonStats, NumError> {
+        let reuse = reuse && self.options.lu_reuse && self.lu.dim() == system.unknowns();
+        self.solve_impl(system, x, reuse, true)
     }
 
     fn solve_impl<S: NonlinearSystem>(
@@ -278,12 +310,13 @@ impl NewtonSolver {
         system: &mut S,
         x: &mut [f64],
         start_reusing: bool,
+        probed: bool,
     ) -> Result<NewtonStats, NumError> {
         // Fine-level span + outcome metrics; both compile down to one
         // relaxed atomic load each while observability is off, keeping the
         // warmed solve allocation-free (see `tests/alloc_audit.rs`).
         let span = dso_obs::span_fine("newton.solve");
-        let result = self.solve_inner(system, x, start_reusing);
+        let result = self.solve_inner(system, x, start_reusing, probed);
         match &result {
             Ok(stats) => {
                 dso_obs::counter!("newton.solves").incr();
@@ -333,7 +366,10 @@ impl NewtonSolver {
         system: &mut S,
         x: &mut [f64],
         start_reusing: bool,
+        probed: bool,
     ) -> Result<NewtonStats, NumError> {
+        // Every solve consumes the probe, used or not.
+        let probed = std::mem::take(&mut self.holds_probe) && probed;
         let n = system.unknowns();
         if x.len() != n {
             return Err(NumError::ShapeMismatch {
@@ -350,7 +386,9 @@ impl NewtonSolver {
             self.jac = DMatrix::zeros(n, n);
         }
 
-        system.residual(x, &mut self.residual)?;
+        if !probed {
+            system.residual(x, &mut self.residual)?;
+        }
         let mut res_norm = norm_inf(&self.residual);
         if !res_norm.is_finite() {
             return Err(NumError::NonFinite {
@@ -611,6 +649,79 @@ mod tests {
             (x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12,
             "{x:?}"
         );
+    }
+
+    /// Counts residual evaluations of the wrapped system.
+    struct Counted<S> {
+        inner: S,
+        residuals: usize,
+    }
+    impl<S: NonlinearSystem> NonlinearSystem for Counted<S> {
+        fn unknowns(&self) -> usize {
+            self.inner.unknowns()
+        }
+        fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
+            self.residuals += 1;
+            self.inner.residual(x, out)
+        }
+        fn jacobian(&mut self, x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
+            self.inner.jacobian(x, jac)
+        }
+    }
+
+    #[test]
+    fn probed_solve_matches_a_plain_solve_bit_for_bit() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for start in [[-1.0, 2.0], [0.5, 0.5], [3.0, -4.0]] {
+            for reuse in [false, true] {
+                // Both solvers factor the same first system, so a reusing
+                // follow-up starts from the same retained LU.
+                let (mut plain, mut probed) = (
+                    NewtonSolver::new(NewtonOptions::default()),
+                    NewtonSolver::new(NewtonOptions::default()),
+                );
+                for solver in [&mut plain, &mut probed] {
+                    solver.solve(&mut TwoDim, &mut [0.9, 0.8]).unwrap();
+                }
+                let mut a = Counted {
+                    inner: TwoDim,
+                    residuals: 0,
+                };
+                let mut xa = start.to_vec();
+                let sa = if reuse {
+                    plain.solve_reusing(&mut a, &mut xa).unwrap()
+                } else {
+                    plain.solve(&mut a, &mut xa).unwrap()
+                };
+                let mut b = Counted {
+                    inner: TwoDim,
+                    residuals: 0,
+                };
+                let mut xb = start.to_vec();
+                let norm = probed.residual_norm(&mut b, &xb).unwrap();
+                assert!(norm.is_finite());
+                let sb = probed.solve_probed(&mut b, &mut xb, reuse).unwrap();
+                assert_eq!(bits(&xa), bits(&xb), "start {start:?}, reuse {reuse}");
+                assert_eq!(sa, sb, "start {start:?}, reuse {reuse}");
+                // The probe stands in for the solve's first evaluation.
+                assert_eq!(a.residuals, b.residuals, "start {start:?}, reuse {reuse}");
+            }
+        }
+    }
+
+    #[test]
+    fn probed_solve_without_a_probe_evaluates_the_residual() {
+        let mut solver = NewtonSolver::new(NewtonOptions::default());
+        let mut reference = NewtonSolver::new(NewtonOptions::default());
+        let (mut x, mut y) = (vec![-1.0, 2.0], vec![-1.0, 2.0]);
+        // The probe of `[3, 3]` is consumed by the first solve, so the
+        // second must not start from it.
+        solver.residual_norm(&mut TwoDim, &[3.0, 3.0]).unwrap();
+        solver.solve(&mut TwoDim, &mut [0.5, 0.5]).unwrap();
+        reference.solve(&mut TwoDim, &mut [0.5, 0.5]).unwrap();
+        let a = solver.solve_probed(&mut TwoDim, &mut x, false).unwrap();
+        let b = reference.solve(&mut TwoDim, &mut y).unwrap();
+        assert_eq!((a, &x), (b, &y));
     }
 
     #[test]

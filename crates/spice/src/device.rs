@@ -145,22 +145,56 @@ pub(crate) fn smoothstep(x: f64) -> (f64, f64) {
 }
 
 /// Switch conductance and its derivative with respect to the control
-/// voltage.
-pub(crate) fn switch_conductance(
+/// voltage: [`prepare_switch`] followed by [`SwitchPrepared::evaluate`].
+pub fn switch_conductance(
     vc: f64,
     ron: f64,
     roff: f64,
     threshold: f64,
     transition: f64,
 ) -> (f64, f64) {
+    prepare_switch(ron, roff, threshold, transition).evaluate(vc)
+}
+
+/// The constants of one voltage-controlled switch, folded once (see
+/// [`prepare_switch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SwitchPrepared {
+    /// `1/roff`.
+    g_off: f64,
+    /// `1/ron − 1/roff`.
+    g_span: f64,
+    /// Lower edge of the transition band, `threshold − transition/2`.
+    lo: f64,
+    /// Width of the transition band (at least 1 nV).
+    width: f64,
+}
+
+/// Folds a switch's parameters for [`SwitchPrepared::evaluate`]. Each
+/// constant is the expression [`switch_conductance`] would compute on
+/// every call, so a prepared evaluation is bit-identical to it.
+pub fn prepare_switch(ron: f64, roff: f64, threshold: f64, transition: f64) -> SwitchPrepared {
     let g_on = 1.0 / ron;
     let g_off = 1.0 / roff;
     let half = 0.5 * transition.max(1e-9);
-    let x = (vc - (threshold - half)) / (2.0 * half);
-    let (s, ds_dx) = smoothstep(x);
-    let g = g_off + (g_on - g_off) * s;
-    let dg_dvc = (g_on - g_off) * ds_dx / (2.0 * half);
-    (g, dg_dvc)
+    SwitchPrepared {
+        g_off,
+        g_span: g_on - g_off,
+        lo: threshold - half,
+        width: 2.0 * half,
+    }
+}
+
+impl SwitchPrepared {
+    /// Conductance and its derivative with respect to the control voltage
+    /// `vc`.
+    pub fn evaluate(&self, vc: f64) -> (f64, f64) {
+        let x = (vc - self.lo) / self.width;
+        let (s, ds_dx) = smoothstep(x);
+        let g = self.g_off + self.g_span * s;
+        let dg_dvc = self.g_span * ds_dx / self.width;
+        (g, dg_dvc)
+    }
 }
 
 #[cfg(test)]

@@ -78,12 +78,41 @@ impl DiodeModel {
             * ((self.eg / (self.n * vt)) * (1.0 - tn / t)).exp()
     }
 
+    /// Folds the temperature constants for [`DiodePrepared::evaluate`]:
+    /// the saturation current [`DiodeModel::is_at`] and `n·vt`. Each is the
+    /// expression [`DiodeModel::evaluate`] would compute on every call, so
+    /// a prepared evaluation is bit-identical to an unprepared one.
+    pub fn prepare(&self, temp: f64) -> DiodePrepared {
+        DiodePrepared {
+            is_t: self.is_at(temp),
+            vt: self.n * thermal_voltage(temp),
+        }
+    }
+
     /// Evaluates `(current, conductance)` at junction voltage `vd` and
-    /// `temp` °C. The exponential is linearized above `vcrit ≈ n·vt·ln(...)`
-    /// so large trial voltages during Newton iterations stay finite.
+    /// `temp` °C: [`DiodeModel::prepare`] followed by
+    /// [`DiodePrepared::evaluate`].
     pub fn evaluate(&self, vd: f64, temp: f64) -> (f64, f64) {
-        let vt = self.n * thermal_voltage(temp);
-        let is_t = self.is_at(temp);
+        self.prepare(temp).evaluate(vd)
+    }
+}
+
+/// The constants of one diode at one temperature (see
+/// [`DiodeModel::prepare`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DiodePrepared {
+    /// Saturation current at the temperature.
+    is_t: f64,
+    /// `n·vt`.
+    vt: f64,
+}
+
+impl DiodePrepared {
+    /// Evaluates `(current, conductance)` at junction voltage `vd`. The
+    /// exponential is linearized above `40·n·vt` so large trial voltages
+    /// during Newton iterations stay finite.
+    pub fn evaluate(&self, vd: f64) -> (f64, f64) {
+        let (vt, is_t) = (self.vt, self.is_t);
         // Linearize above ~40 thermal voltages.
         let vmax = 40.0 * vt;
         if vd <= vmax {

@@ -7,7 +7,8 @@
 //! (conductances).
 
 use crate::circuit::{Circuit, NodeId};
-use crate::device::{switch_conductance, Device};
+use crate::device::{prepare_switch, Device, SwitchPrepared};
+use crate::diode::DiodePrepared;
 use crate::mos;
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
 use crate::waveform::Waveform;
@@ -21,7 +22,7 @@ use dso_num::NumError;
 /// The starting state of a transient (see [`Simulator::transient_init`]):
 /// the assembled MNA system, the initial unknown vector, and the
 /// per-capacitor integration states.
-type TransientInit<'a> = (MnaSystem<'a>, Vec<f64>, Vec<Option<CapState>>);
+type TransientInit<'a> = (MnaSystem<'a>, Vec<f64>, Vec<CapState>);
 
 /// How a transient analysis obtains its initial state.
 #[derive(Debug, Clone, PartialEq)]
@@ -359,7 +360,8 @@ impl TranResult {
     }
 }
 
-/// Per-capacitor transient state.
+/// Per-capacitor transient state, indexed like the capacitors of the
+/// system's [`StampPlan`].
 #[derive(Debug, Clone, Copy)]
 struct CapState {
     /// Voltage across the capacitor at the last accepted time point.
@@ -463,7 +465,11 @@ impl<'c> Simulator<'c> {
     /// the solver's previous LU factorization instead of refactoring at
     /// iteration zero (see [`NewtonSolver::solve_reusing`]) — only pass it
     /// when the previous solve factored the *same* system a short step
-    /// away in state.
+    /// away in state. `probed` starts the solve from the residual the
+    /// solver's last [`NewtonSolver::residual_norm`] left behind, which
+    /// must have been taken at `x` (see [`NewtonSolver::solve_probed`]);
+    /// it is ignored while a fault plan is armed, because the plan numbers
+    /// residual evaluations.
     fn run_solve(
         &self,
         solver: &mut NewtonSolver,
@@ -471,6 +477,7 @@ impl<'c> Simulator<'c> {
         x: &mut [f64],
         stats: &mut RecoveryStats,
         reuse: bool,
+        probed: bool,
     ) -> Result<NewtonStats, NumError> {
         stats.solve_attempts += 1;
         dso_obs::counter!("spice.solve_attempts").incr();
@@ -483,6 +490,7 @@ impl<'c> Simulator<'c> {
                     solver.solve(&mut chaos, x)
                 }
             }
+            None if probed => solver.solve_probed(system, x, reuse),
             None if reuse => solver.solve_reusing(system, x),
             None => solver.solve(system, x),
         };
@@ -521,7 +529,7 @@ impl<'c> Simulator<'c> {
         let mut x = vec![0.0; system.unknowns()];
         let mut stats = RecoveryStats::default();
         // Direct attempt, then gmin homotopy.
-        match self.run_solve(&mut solver, &mut system, &mut x, &mut stats, false) {
+        match self.run_solve(&mut solver, &mut system, &mut x, &mut stats, false, false) {
             Ok(_) => {}
             Err(first_err) => {
                 if !self.recovery.gmin_stepping {
@@ -536,7 +544,7 @@ impl<'c> Simulator<'c> {
                 for &g in &gmin_ladder {
                     dso_obs::counter!("spice.dc_gmin_steps").incr();
                     system.set_gmin(g.max(self.gmin));
-                    self.run_solve(&mut solver, &mut system, &mut x, &mut stats, false)
+                    self.run_solve(&mut solver, &mut system, &mut x, &mut stats, false, false)
                         .map_err(|e| SpiceError::Convergence {
                             time: None,
                             attempts: stats.solve_attempts,
@@ -590,7 +598,7 @@ impl<'c> Simulator<'c> {
             let mut x = guess
                 .clone()
                 .unwrap_or_else(|| vec![0.0; system.unknowns()]);
-            self.run_solve(&mut solver, &mut system, &mut x, &mut stats, false)
+            self.run_solve(&mut solver, &mut system, &mut x, &mut stats, false, false)
                 .map_err(|e| SpiceError::Convergence {
                     time: None,
                     attempts: stats.solve_attempts,
@@ -756,18 +764,9 @@ impl<'c> Simulator<'c> {
                 // relative to the negative one (two passes so chains of
                 // caps referenced to ground settle).
                 for _ in 0..2 {
-                    for device in self.circuit.devices() {
-                        if let Device::Capacitor {
-                            p,
-                            n: neg,
-                            initial_voltage: Some(v0),
-                            ..
-                        } = device
-                        {
-                            if !p.is_ground() {
-                                let vn = if neg.is_ground() { 0.0 } else { x[neg.0 - 1] };
-                                x[p.0 - 1] = vn + v0;
-                            }
+                    for cap in &system.plan.capacitors {
+                        if let (Some(p), Some(v0)) = (cap.p, cap.initial_voltage) {
+                            x[p] = volt(&x, cap.n) + v0;
                         }
                     }
                 }
@@ -781,20 +780,13 @@ impl<'c> Simulator<'c> {
         }
 
         // Capacitor states from the initial node voltages.
-        let cap_states: Vec<Option<CapState>> = self
-            .circuit
-            .devices()
+        let cap_states = system
+            .plan
+            .capacitors
             .iter()
-            .map(|d| match d {
-                Device::Capacitor { p, n, .. } => {
-                    let vp = if p.is_ground() { 0.0 } else { x[p.0 - 1] };
-                    let vn = if n.is_ground() { 0.0 } else { x[n.0 - 1] };
-                    Some(CapState {
-                        v_prev: vp - vn,
-                        i_prev: 0.0,
-                    })
-                }
-                _ => None,
+            .map(|cap| CapState {
+                v_prev: volt(&x, cap.p) - volt(&x, cap.n),
+                i_prev: 0.0,
             })
             .collect();
         Ok((system, x, cap_states))
@@ -805,7 +797,7 @@ impl<'c> Simulator<'c> {
     fn install_companions(
         &self,
         system: &mut MnaSystem<'_>,
-        cap_states: &[Option<CapState>],
+        cap_states: &[CapState],
         t_prev: f64,
         t_target: f64,
         method: Method,
@@ -815,29 +807,30 @@ impl<'c> Simulator<'c> {
         // Source values and companion currents move every step; the
         // conductances only when the method, dt or gmin does.
         system.rhs_dirty = true;
-        for (idx, device) in self.circuit.devices().iter().enumerate() {
-            if let Device::Capacitor { capacitance, .. } = device {
-                let state = cap_states[idx].ok_or_else(|| {
-                    SpiceError::BadAnalysis("capacitor state not initialized".into())
-                })?;
-                let comp = if *capacitance > 0.0 {
-                    // A companion-model failure is a configuration error
-                    // (non-positive dt), not a convergence failure — it is
-                    // surfaced immediately and never retried.
-                    Some(
-                        method
-                            .companion(*capacitance, dt, state.v_prev, state.i_prev)
-                            .map_err(SpiceError::Numerical)?,
-                    )
-                } else {
-                    None
-                };
-                let geq_bits = |c: Option<Companion>| c.map(|c| c.geq.to_bits());
-                if geq_bits(comp) != geq_bits(system.companions[idx]) {
-                    system.jac_dirty = true;
-                }
-                system.companions[idx] = comp;
+        for ((cap, state), installed) in system
+            .plan
+            .capacitors
+            .iter()
+            .zip(cap_states)
+            .zip(&mut system.companions)
+        {
+            let comp = if cap.capacitance > 0.0 {
+                // A companion-model failure is a configuration error
+                // (non-positive dt), not a convergence failure — it is
+                // surfaced immediately and never retried.
+                Some(
+                    method
+                        .companion(cap.capacitance, dt, state.v_prev, state.i_prev)
+                        .map_err(SpiceError::Numerical)?,
+                )
+            } else {
+                None
+            };
+            let geq_bits = |c: Option<Companion>| c.map(|c| c.geq.to_bits());
+            if geq_bits(comp) != geq_bits(*installed) {
+                system.jac_dirty = true;
             }
+            *installed = comp;
         }
         Ok(())
     }
@@ -861,7 +854,7 @@ impl<'c> Simulator<'c> {
         solver: &mut NewtonSolver,
         guess: &[f64],
         alt: Option<&[f64]>,
-        cap_states: &[Option<CapState>],
+        cap_states: &[CapState],
         trial: &mut Vec<f64>,
         t_prev: f64,
         t_target: f64,
@@ -871,18 +864,26 @@ impl<'c> Simulator<'c> {
     ) -> Result<(), SpiceError> {
         self.install_companions(system, cap_states, t_prev, t_target, method)?;
         let mut start = guess;
+        // Whether the solver's residual scratch holds `R(start)`.
+        let mut probed = false;
         if let Some(alt) = alt {
             // A failed probe (non-finite residual) disqualifies only that
             // candidate; the solve itself decides whether the step fails.
             let g = solver.residual_norm(system, guess).unwrap_or(f64::INFINITY);
             let a = solver.residual_norm(system, alt).unwrap_or(f64::INFINITY);
             if a.is_finite() && a < g {
+                // The alternative was probed last, so the solve starts
+                // from its residual. Evaluating it again would find every
+                // device the probe evaluated exactly on its anchor
+                // (Δv = 0) and return the same values, up to the sign of
+                // a zero (DESIGN §10).
                 start = alt;
+                probed = true;
             }
         }
         trial.clear();
         trial.extend_from_slice(start);
-        self.run_solve(solver, system, trial, stats, reuse)
+        self.run_solve(solver, system, trial, stats, reuse, probed)
             .map_err(|e| SpiceError::Convergence {
                 time: Some(t_target),
                 attempts: stats.solve_attempts,
@@ -898,24 +899,23 @@ impl<'c> Simulator<'c> {
         &self,
         system: &MnaSystem<'_>,
         x: &mut [f64],
-        cap_states: &mut [Option<CapState>],
+        cap_states: &mut [CapState],
         trial: &[f64],
         method: Method,
     ) {
-        for (idx, device) in self.circuit.devices().iter().enumerate() {
-            if let Device::Capacitor { p, n, .. } = device {
-                let vp = if p.is_ground() { 0.0 } else { trial[p.0 - 1] };
-                let vn = if n.is_ground() { 0.0 } else { trial[n.0 - 1] };
-                let v_new = vp - vn;
-                if let Some(state) = cap_states[idx].as_mut() {
-                    if let Some(comp) = system.companions[idx] {
-                        state.i_prev = method.current(comp, v_new);
-                    } else {
-                        state.i_prev = 0.0;
-                    }
-                    state.v_prev = v_new;
-                }
-            }
+        for ((cap, state), comp) in system
+            .plan
+            .capacitors
+            .iter()
+            .zip(cap_states.iter_mut())
+            .zip(&system.companions)
+        {
+            let v_new = volt(trial, cap.p) - volt(trial, cap.n);
+            state.i_prev = match comp {
+                Some(comp) => method.current(*comp, v_new),
+                None => 0.0,
+            };
+            state.v_prev = v_new;
         }
         x.copy_from_slice(trial);
     }
@@ -931,7 +931,7 @@ impl<'c> Simulator<'c> {
         system: &mut MnaSystem<'_>,
         solver: &mut NewtonSolver,
         x: &[f64],
-        cap_states: &[Option<CapState>],
+        cap_states: &[CapState],
         trial: &mut Vec<f64>,
         t_prev: f64,
         t_target: f64,
@@ -993,7 +993,7 @@ impl<'c> Simulator<'c> {
         system: &mut MnaSystem<'_>,
         solver: &mut NewtonSolver,
         x: &mut [f64],
-        cap_states: &mut [Option<CapState>],
+        cap_states: &mut [CapState],
         trial: &mut Vec<f64>,
         warm: Option<&[f64]>,
         reuse_first: bool,
@@ -1141,8 +1141,321 @@ struct DiodeBypass {
     g: f64,
 }
 
+/// The MNA unknown of a node's voltage; `None` for ground.
+fn var(node: NodeId) -> Option<usize> {
+    (!node.is_ground()).then(|| node.0 - 1)
+}
+
+/// The voltage of unknown `v` in `x` (ground is 0 V).
+#[inline]
+fn volt(x: &[f64], v: Option<usize>) -> f64 {
+    match v {
+        Some(i) => x[i],
+        None => 0.0,
+    }
+}
+
+/// Adds `value` to residual row `row` (nothing for ground).
+#[inline]
+fn add_res(out: &mut [f64], row: Option<usize>, value: f64) {
+    if let Some(i) = row {
+        out[i] += value;
+    }
+}
+
+/// Adds `value` to Jacobian entry `(row, col)` (nothing for ground).
+#[inline]
+fn add_jac(jac: &mut DMatrix, row: Option<usize>, col: Option<usize>, value: f64) {
+    if let (Some(r), Some(c)) = (row, col) {
+        jac[(r, c)] += value;
+    }
+}
+
+/// Bypass hit and miss tallies of one stamping pass.
+#[derive(Debug, Default)]
+struct BypassTally {
+    hits: usize,
+    misses: usize,
+}
+
+/// A MOSFET of a [`StampPlan`]: terminals as unknowns, constants folded
+/// at the system's temperature, and its bypass anchor.
+#[derive(Debug)]
+struct MosStamp {
+    d: Option<usize>,
+    g: Option<usize>,
+    s: Option<usize>,
+    b: Option<usize>,
+    model: mos::MosPrepared,
+    anchor: Option<MosBypass>,
+}
+
+impl MosStamp {
+    /// The device's linearization at `x` and its drain current there.
+    /// Within [`BYPASS_TOL`] of the anchor (and unless `force_eval`), the
+    /// anchor's evaluation is reused and its current corrected to first
+    /// order along the anchored conductances, so a hit is exact to O(Δv²);
+    /// otherwise the model is evaluated and becomes the new anchor.
+    #[inline]
+    fn linearize(
+        &mut self,
+        x: &[f64],
+        force_eval: bool,
+        tally: &mut BypassTally,
+    ) -> (mos::MosEval, f64) {
+        let vs = volt(x, self.s);
+        let vgs = volt(x, self.g) - vs;
+        let vds = volt(x, self.d) - vs;
+        let vbs = volt(x, self.b) - vs;
+        if !force_eval {
+            if let Some(c) = self.anchor {
+                if (vgs - c.vgs).abs() <= BYPASS_TOL
+                    && (vds - c.vds).abs() <= BYPASS_TOL
+                    && (vbs - c.vbs).abs() <= BYPASS_TOL
+                {
+                    tally.hits += 1;
+                    let ids = c.eval.ids
+                        + c.eval.gm * (vgs - c.vgs)
+                        + c.eval.gds * (vds - c.vds)
+                        + c.eval.gmbs * (vbs - c.vbs);
+                    return (c.eval, ids);
+                }
+            }
+        }
+        tally.misses += 1;
+        let e = mos::evaluate_prepared(&self.model, vgs, vds, vbs);
+        self.anchor = Some(MosBypass {
+            vgs,
+            vds,
+            vbs,
+            eval: e,
+        });
+        (e, e.ids)
+    }
+}
+
+/// A diode of a [`StampPlan`] (see [`MosStamp`]).
+#[derive(Debug)]
+struct DiodeStamp {
+    p: Option<usize>,
+    n: Option<usize>,
+    model: DiodePrepared,
+    anchor: Option<DiodeBypass>,
+}
+
+impl DiodeStamp {
+    /// The device's `(current, conductance)` at `x`, bypassed as in
+    /// [`MosStamp::linearize`].
+    #[inline]
+    fn linearize(&mut self, x: &[f64], force_eval: bool, tally: &mut BypassTally) -> (f64, f64) {
+        let vd = volt(x, self.p) - volt(x, self.n);
+        if !force_eval {
+            if let Some(c) = self.anchor {
+                if (vd - c.vd).abs() <= BYPASS_TOL {
+                    tally.hits += 1;
+                    return (c.i + c.g * (vd - c.vd), c.g);
+                }
+            }
+        }
+        tally.misses += 1;
+        let (i, g) = self.model.evaluate(vd);
+        self.anchor = Some(DiodeBypass { vd, i, g });
+        (i, g)
+    }
+}
+
+/// A voltage-controlled switch of a [`StampPlan`]. Switches transition
+/// over tens of millivolts and sit on the circuits' critical timing
+/// paths, so they are never bypassed.
+#[derive(Debug)]
+struct SwitchStamp {
+    p: Option<usize>,
+    n: Option<usize>,
+    cp: Option<usize>,
+    cn: Option<usize>,
+    model: SwitchPrepared,
+}
+
+impl SwitchStamp {
+    /// `(g, ∂g/∂vc, v)`: conductance, its control derivative and the
+    /// switched voltage at `x`.
+    #[inline]
+    fn linearize(&self, x: &[f64]) -> (f64, f64, f64) {
+        let vc = volt(x, self.cp) - volt(x, self.cn);
+        let (g, dg_dvc) = self.model.evaluate(vc);
+        (g, dg_dvc, volt(x, self.p) - volt(x, self.n))
+    }
+}
+
+/// One nonlinear device of a [`StampPlan`].
+#[derive(Debug)]
+enum NonlinearStamp {
+    Mos(MosStamp),
+    Diode(DiodeStamp),
+    Switch(SwitchStamp),
+}
+
+/// One linear device of a [`StampPlan`], terminals as unknowns.
+#[derive(Debug)]
+enum LinearStamp<'a> {
+    /// A resistor's conductance `1/R`.
+    Conductance {
+        p: Option<usize>,
+        n: Option<usize>,
+        g: f64,
+    },
+    /// Capacitor `k` of [`StampPlan::capacitors`]: its companion model
+    /// during a transient, nothing at DC.
+    Capacitor {
+        p: Option<usize>,
+        n: Option<usize>,
+        k: usize,
+    },
+    /// A voltage source and its branch-current unknown `br`.
+    VSource {
+        p: Option<usize>,
+        n: Option<usize>,
+        br: usize,
+        waveform: &'a Waveform,
+    },
+    /// A current source.
+    ISource {
+        p: Option<usize>,
+        n: Option<usize>,
+        waveform: &'a Waveform,
+    },
+}
+
+/// A capacitor of a [`StampPlan`].
+#[derive(Debug)]
+struct CapStamp {
+    p: Option<usize>,
+    n: Option<usize>,
+    capacitance: f64,
+    initial_voltage: Option<f64>,
+}
+
+/// A circuit's devices compiled once for one [`MnaSystem`]: terminals
+/// resolved to unknowns, every temperature and geometry constant folded
+/// ([`mos::prepare`], [`DiodeModel::prepare`](crate::diode::DiodeModel::prepare),
+/// [`prepare_switch`], `1/R`), in device order within each list. Every
+/// per-step and per-evaluation loop walks these lists instead of matching
+/// on the circuit's devices. Device order is kept so that every residual
+/// row and every Jacobian entry sums its terms in the order the device
+/// list gives, which keeps every value bit-identical to stamping from the
+/// devices themselves.
+#[derive(Debug)]
+struct StampPlan<'a> {
+    /// MOSFETs, diodes and switches.
+    nonlinear: Vec<NonlinearStamp>,
+    /// Resistors, capacitors, voltage and current sources.
+    linear: Vec<LinearStamp<'a>>,
+    /// Capacitors; their companions and transient states are indexed
+    /// alike.
+    capacitors: Vec<CapStamp>,
+    /// Voltage-source branch currents, numbered after the node voltages.
+    branches: usize,
+}
+
+impl<'a> StampPlan<'a> {
+    fn compile(circuit: &'a Circuit, temp: f64) -> Self {
+        let n_nodes = circuit.node_count() - 1;
+        let mut plan = StampPlan {
+            nonlinear: Vec::new(),
+            linear: Vec::new(),
+            capacitors: Vec::new(),
+            branches: 0,
+        };
+        for device in circuit.devices() {
+            match device {
+                Device::Resistor { p, n, resistance } => {
+                    plan.linear.push(LinearStamp::Conductance {
+                        p: var(*p),
+                        n: var(*n),
+                        g: 1.0 / resistance,
+                    })
+                }
+                Device::Capacitor {
+                    p,
+                    n,
+                    capacitance,
+                    initial_voltage,
+                } => {
+                    plan.linear.push(LinearStamp::Capacitor {
+                        p: var(*p),
+                        n: var(*n),
+                        k: plan.capacitors.len(),
+                    });
+                    plan.capacitors.push(CapStamp {
+                        p: var(*p),
+                        n: var(*n),
+                        capacitance: *capacitance,
+                        initial_voltage: *initial_voltage,
+                    });
+                }
+                Device::VSource { p, n, waveform } => {
+                    plan.linear.push(LinearStamp::VSource {
+                        p: var(*p),
+                        n: var(*n),
+                        br: n_nodes + plan.branches,
+                        waveform,
+                    });
+                    plan.branches += 1;
+                }
+                Device::ISource { p, n, waveform } => plan.linear.push(LinearStamp::ISource {
+                    p: var(*p),
+                    n: var(*n),
+                    waveform,
+                }),
+                Device::Mosfet {
+                    d,
+                    g,
+                    s,
+                    b,
+                    model,
+                    geometry,
+                } => plan.nonlinear.push(NonlinearStamp::Mos(MosStamp {
+                    d: var(*d),
+                    g: var(*g),
+                    s: var(*s),
+                    b: var(*b),
+                    model: mos::prepare(model, *geometry, temp),
+                    anchor: None,
+                })),
+                Device::Diode { p, n, model } => {
+                    plan.nonlinear.push(NonlinearStamp::Diode(DiodeStamp {
+                        p: var(*p),
+                        n: var(*n),
+                        model: model.prepare(temp),
+                        anchor: None,
+                    }))
+                }
+                Device::VSwitch {
+                    p,
+                    n,
+                    cp,
+                    cn,
+                    ron,
+                    roff,
+                    threshold,
+                    transition,
+                } => plan.nonlinear.push(NonlinearStamp::Switch(SwitchStamp {
+                    p: var(*p),
+                    n: var(*n),
+                    cp: var(*cp),
+                    cn: var(*cn),
+                    model: prepare_switch(*ron, *roff, *threshold, *transition),
+                })),
+            }
+        }
+        plan
+    }
+}
+
 /// The MNA nonlinear system for one time point (or the DC operating point
-/// when no companion models are installed).
+/// when no companion models are installed), at one temperature and over
+/// one device list for its whole life: both are compiled into its
+/// [`StampPlan`] when it is built.
 ///
 /// The system assembles incrementally: everything linear in `x` (gmin
 /// leak, resistors, capacitor companions, source patterns) is stamped into
@@ -1153,14 +1466,13 @@ struct DiodeBypass {
 /// bypassed when their terminal voltages have not moved (unless `bypass`
 /// is off).
 struct MnaSystem<'a> {
-    circuit: &'a Circuit,
-    temp: f64,
+    plan: StampPlan<'a>,
+    /// Node-voltage unknowns (the first `n_nodes` of the vector).
+    n_nodes: usize,
     gmin: f64,
     time: f64,
-    /// Companion model per device index (capacitors only, transient only).
+    /// Companion model per capacitor of the plan (transient only).
     companions: Vec<Option<Companion>>,
-    /// Branch-current variable index per device index (voltage sources).
-    branch_var: Vec<Option<usize>>,
     n_unknowns: usize,
     /// Whether MOSFET and diode stamps may be bypassed within
     /// [`BYPASS_TOL`]; off, every device is evaluated on every stamp and
@@ -1180,42 +1492,30 @@ struct MnaSystem<'a> {
     lin_start: Vec<usize>,
     /// Constant (in `x`) part of the residual.
     lin_rhs: Vec<f64>,
-    /// Per-device bypass anchors (index-aligned with the device list).
-    mos_cache: Vec<Option<MosBypass>>,
-    diode_cache: Vec<Option<DiodeBypass>>,
     bypass_hits: usize,
     bypass_misses: usize,
 }
 
 impl<'a> MnaSystem<'a> {
     fn new(circuit: &'a Circuit, temp: f64, gmin: f64) -> Self {
+        let plan = StampPlan::compile(circuit, temp);
         let n_nodes = circuit.node_count() - 1;
-        let mut branch_var = vec![None; circuit.device_count()];
-        let mut next = n_nodes;
-        for (idx, device) in circuit.devices().iter().enumerate() {
-            if device.has_branch_current() {
-                branch_var[idx] = Some(next);
-                next += 1;
-            }
-        }
-        let (lin_cols, lin_start) = Self::base_pattern(circuit, &branch_var, next);
+        let n = n_nodes + plan.branches;
+        let (lin_cols, lin_start) = Self::base_pattern(&plan, n_nodes, n);
         MnaSystem {
-            circuit,
-            temp,
+            companions: vec![None; plan.capacitors.len()],
+            plan,
+            n_nodes,
             gmin,
             time: 0.0,
-            companions: vec![None; circuit.device_count()],
-            branch_var,
-            n_unknowns: next,
+            n_unknowns: n,
             bypass: true,
             jac_dirty: true,
             rhs_dirty: true,
-            lin_jac: DMatrix::zeros(next, next),
+            lin_jac: DMatrix::zeros(n, n),
             lin_cols,
             lin_start,
-            lin_rhs: vec![0.0; next],
-            mos_cache: vec![None; circuit.device_count()],
-            diode_cache: vec![None; circuit.device_count()],
+            lin_rhs: vec![0.0; n],
             bypass_hits: 0,
             bypass_misses: 0,
         }
@@ -1226,37 +1526,28 @@ impl<'a> MnaSystem<'a> {
     /// companions) and voltage-source incidences — as ascending column
     /// lists per row, `(cols, row starts)`. A fixed superset of the base's
     /// nonzeros, so it is computed once per system, never rescanned.
-    fn base_pattern(
-        circuit: &Circuit,
-        branch_var: &[Option<usize>],
-        n: usize,
-    ) -> (Vec<usize>, Vec<usize>) {
+    fn base_pattern(plan: &StampPlan<'_>, n_nodes: usize, n: usize) -> (Vec<usize>, Vec<usize>) {
         let mut stamped = vec![false; n * n];
         let mut mark = |row: usize, col: usize| stamped[row * n + col] = true;
-        for i in 0..circuit.node_count() - 1 {
+        for i in 0..n_nodes {
             mark(i, i);
         }
-        let var = |node: NodeId| (!node.is_ground()).then(|| node.0 - 1);
-        for (idx, device) in circuit.devices().iter().enumerate() {
-            match device {
-                Device::Resistor { p, n, .. } | Device::Capacitor { p, n, .. } => {
-                    for a in [var(*p), var(*n)].into_iter().flatten() {
-                        for b in [var(*p), var(*n)].into_iter().flatten() {
+        for stamp in &plan.linear {
+            match *stamp {
+                LinearStamp::Conductance { p, n, .. } | LinearStamp::Capacitor { p, n, .. } => {
+                    for a in [p, n].into_iter().flatten() {
+                        for b in [p, n].into_iter().flatten() {
                             mark(a, b);
                         }
                     }
                 }
-                Device::VSource { p, n, .. } => {
-                    let br = branch_var[idx].expect("vsource has branch");
-                    for a in [var(*p), var(*n)].into_iter().flatten() {
+                LinearStamp::VSource { p, n, br, .. } => {
+                    for a in [p, n].into_iter().flatten() {
                         mark(a, br);
                         mark(br, a);
                     }
                 }
-                Device::ISource { .. }
-                | Device::Mosfet { .. }
-                | Device::Diode { .. }
-                | Device::VSwitch { .. } => {}
+                LinearStamp::ISource { .. } => {}
             }
         }
         let mut cols = Vec::new();
@@ -1312,39 +1603,32 @@ impl<'a> MnaSystem<'a> {
     /// Stamps the conductance half of the base: gmin leak, resistors,
     /// companion conductances, voltage-source patterns.
     fn build_base_jac(&mut self) {
-        let n_nodes = self.circuit.node_count() - 1;
         self.lin_jac.clear();
-        for i in 0..n_nodes {
+        for i in 0..self.n_nodes {
             self.lin_jac[(i, i)] += self.gmin;
         }
-        for (idx, device) in self.circuit.devices().iter().enumerate() {
-            match device {
-                Device::Resistor { p, n, resistance } => {
-                    let g = 1.0 / resistance;
-                    Self::base_conductance(&mut self.lin_jac, *p, *n, g);
+        for stamp in &self.plan.linear {
+            match *stamp {
+                LinearStamp::Conductance { p, n, g } => {
+                    Self::base_conductance(&mut self.lin_jac, p, n, g);
                 }
-                Device::Capacitor { p, n, .. } => {
-                    if let Some(comp) = self.companions[idx] {
-                        Self::base_conductance(&mut self.lin_jac, *p, *n, comp.geq);
+                LinearStamp::Capacitor { p, n, k } => {
+                    if let Some(comp) = self.companions[k] {
+                        Self::base_conductance(&mut self.lin_jac, p, n, comp.geq);
                     }
                 }
-                Device::VSource { p, n, .. } => {
-                    let br = self.branch_var[idx].expect("vsource has branch");
-                    if !p.is_ground() {
-                        self.lin_jac[(p.0 - 1, br)] += 1.0;
-                        self.lin_jac[(br, p.0 - 1)] += 1.0;
+                LinearStamp::VSource { p, n, br, .. } => {
+                    if let Some(p) = p {
+                        self.lin_jac[(p, br)] += 1.0;
+                        self.lin_jac[(br, p)] += 1.0;
                     }
-                    if !n.is_ground() {
-                        self.lin_jac[(n.0 - 1, br)] -= 1.0;
-                        self.lin_jac[(br, n.0 - 1)] -= 1.0;
+                    if let Some(n) = n {
+                        self.lin_jac[(n, br)] -= 1.0;
+                        self.lin_jac[(br, n)] -= 1.0;
                     }
                 }
-                // Current sources add no conductance; nonlinear devices
-                // are stamped per evaluation.
-                Device::ISource { .. }
-                | Device::Mosfet { .. }
-                | Device::Diode { .. }
-                | Device::VSwitch { .. } => {}
+                // Current sources add no conductance.
+                LinearStamp::ISource { .. } => {}
             }
         }
         self.jac_dirty = false;
@@ -1354,206 +1638,49 @@ impl<'a> MnaSystem<'a> {
     /// source values at the step's time.
     fn build_base_rhs(&mut self) {
         self.lin_rhs.iter_mut().for_each(|r| *r = 0.0);
-        for (idx, device) in self.circuit.devices().iter().enumerate() {
-            match device {
-                Device::Capacitor { p, n, .. } => {
-                    if let Some(comp) = self.companions[idx] {
-                        if !p.is_ground() {
-                            self.lin_rhs[p.0 - 1] -= comp.ieq;
-                        }
-                        if !n.is_ground() {
-                            self.lin_rhs[n.0 - 1] += comp.ieq;
-                        }
+        for stamp in &self.plan.linear {
+            match *stamp {
+                LinearStamp::Capacitor { p, n, k } => {
+                    if let Some(comp) = self.companions[k] {
+                        add_res(&mut self.lin_rhs, p, -comp.ieq);
+                        add_res(&mut self.lin_rhs, n, comp.ieq);
                     }
                 }
-                Device::VSource { waveform, .. } => {
-                    let br = self.branch_var[idx].expect("vsource has branch");
+                LinearStamp::VSource { br, waveform, .. } => {
                     self.lin_rhs[br] -= waveform.eval(self.time);
                 }
-                Device::ISource { p, n, waveform } => {
+                LinearStamp::ISource { p, n, waveform } => {
                     let i = waveform.eval(self.time);
-                    if !p.is_ground() {
-                        self.lin_rhs[p.0 - 1] += i;
-                    }
-                    if !n.is_ground() {
-                        self.lin_rhs[n.0 - 1] -= i;
-                    }
+                    add_res(&mut self.lin_rhs, p, i);
+                    add_res(&mut self.lin_rhs, n, -i);
                 }
-                // Resistors add no source; nonlinear devices are stamped
-                // per evaluation.
-                Device::Resistor { .. }
-                | Device::Mosfet { .. }
-                | Device::Diode { .. }
-                | Device::VSwitch { .. } => {}
+                // Resistors add no source.
+                LinearStamp::Conductance { .. } => {}
             }
         }
         self.rhs_dirty = false;
     }
 
     /// Stamps a two-terminal conductance pattern into a matrix.
-    fn base_conductance(jac: &mut DMatrix, p: NodeId, n: NodeId, g: f64) {
-        if !p.is_ground() {
-            jac[(p.0 - 1, p.0 - 1)] += g;
+    fn base_conductance(jac: &mut DMatrix, p: Option<usize>, n: Option<usize>, g: f64) {
+        if let Some(p) = p {
+            jac[(p, p)] += g;
         }
-        if !n.is_ground() {
-            jac[(n.0 - 1, n.0 - 1)] += g;
+        if let Some(n) = n {
+            jac[(n, n)] += g;
         }
-        if !p.is_ground() && !n.is_ground() {
-            jac[(p.0 - 1, n.0 - 1)] -= g;
-            jac[(n.0 - 1, p.0 - 1)] -= g;
-        }
-    }
-
-    /// Stamps the nonlinear devices (MOSFETs, diodes, switches) on top of
-    /// the linear base, bypassing a device's model evaluation when every
-    /// terminal voltage sits within [`BYPASS_TOL`] of its anchor — the
-    /// cached current is then corrected to first order along the cached
-    /// conductances, so a hit is exact to O(Δv²). `force_eval` (the exact
-    /// residual), or bypass being off, evaluates everything and refreshes
-    /// the anchors.
-    fn stamp_nonlinear(
-        &mut self,
-        x: &[f64],
-        mut res: Option<&mut [f64]>,
-        mut jac: Option<&mut DMatrix>,
-        force_eval: bool,
-    ) {
-        let force_eval = force_eval || !self.bypass;
-        let temp = self.temp;
-        let add_res = |res: &mut Option<&mut [f64]>, node: NodeId, current: f64| {
-            if let Some(res) = res.as_deref_mut() {
-                if !node.is_ground() {
-                    res[node.0 - 1] += current;
-                }
-            }
-        };
-        let add_jac = |jac: &mut Option<&mut DMatrix>, row: NodeId, col: NodeId, g: f64| {
-            if let Some(jac) = jac.as_deref_mut() {
-                if !row.is_ground() && !col.is_ground() {
-                    jac[(row.0 - 1, col.0 - 1)] += g;
-                }
-            }
-        };
-        let circuit = self.circuit;
-        for (idx, device) in circuit.devices().iter().enumerate() {
-            match device {
-                Device::Mosfet {
-                    d,
-                    g,
-                    s,
-                    b,
-                    model,
-                    geometry,
-                } => {
-                    let vgs = Self::volt(x, *g) - Self::volt(x, *s);
-                    let vds = Self::volt(x, *d) - Self::volt(x, *s);
-                    let vbs = Self::volt(x, *b) - Self::volt(x, *s);
-                    let hit = if force_eval {
-                        None
-                    } else {
-                        self.mos_cache[idx].filter(|c| {
-                            (vgs - c.vgs).abs() <= BYPASS_TOL
-                                && (vds - c.vds).abs() <= BYPASS_TOL
-                                && (vbs - c.vbs).abs() <= BYPASS_TOL
-                        })
-                    };
-                    let (e, ids) = match hit {
-                        Some(c) => {
-                            self.bypass_hits += 1;
-                            let ids = c.eval.ids
-                                + c.eval.gm * (vgs - c.vgs)
-                                + c.eval.gds * (vds - c.vds)
-                                + c.eval.gmbs * (vbs - c.vbs);
-                            (c.eval, ids)
-                        }
-                        None => {
-                            self.bypass_misses += 1;
-                            let e = mos::evaluate(model, *geometry, vgs, vds, vbs, temp);
-                            self.mos_cache[idx] = Some(MosBypass {
-                                vgs,
-                                vds,
-                                vbs,
-                                eval: e,
-                            });
-                            (e, e.ids)
-                        }
-                    };
-                    add_res(&mut res, *d, ids);
-                    add_res(&mut res, *s, -ids);
-                    let gsum = e.gm + e.gds + e.gmbs;
-                    add_jac(&mut jac, *d, *d, e.gds);
-                    add_jac(&mut jac, *d, *g, e.gm);
-                    add_jac(&mut jac, *d, *b, e.gmbs);
-                    add_jac(&mut jac, *d, *s, -gsum);
-                    add_jac(&mut jac, *s, *d, -e.gds);
-                    add_jac(&mut jac, *s, *g, -e.gm);
-                    add_jac(&mut jac, *s, *b, -e.gmbs);
-                    add_jac(&mut jac, *s, *s, gsum);
-                }
-                Device::Diode { p, n, model } => {
-                    let vd = Self::volt(x, *p) - Self::volt(x, *n);
-                    let hit = if force_eval {
-                        None
-                    } else {
-                        self.diode_cache[idx].filter(|c| (vd - c.vd).abs() <= BYPASS_TOL)
-                    };
-                    let (i, g) = match hit {
-                        Some(c) => {
-                            self.bypass_hits += 1;
-                            (c.i + c.g * (vd - c.vd), c.g)
-                        }
-                        None => {
-                            self.bypass_misses += 1;
-                            let (i, g) = model.evaluate(vd, temp);
-                            self.diode_cache[idx] = Some(DiodeBypass { vd, i, g });
-                            (i, g)
-                        }
-                    };
-                    add_res(&mut res, *p, i);
-                    add_res(&mut res, *n, -i);
-                    add_jac(&mut jac, *p, *p, g);
-                    add_jac(&mut jac, *p, *n, -g);
-                    add_jac(&mut jac, *n, *p, -g);
-                    add_jac(&mut jac, *n, *n, g);
-                }
-                // Switches transition over tens of millivolts and sit on
-                // the circuits' critical timing paths — never bypassed.
-                Device::VSwitch {
-                    p,
-                    n,
-                    cp,
-                    cn,
-                    ron,
-                    roff,
-                    threshold,
-                    transition,
-                } => {
-                    let vc = Self::volt(x, *cp) - Self::volt(x, *cn);
-                    let (g, dg_dvc) = switch_conductance(vc, *ron, *roff, *threshold, *transition);
-                    let v = Self::volt(x, *p) - Self::volt(x, *n);
-                    let i = g * v;
-                    add_res(&mut res, *p, i);
-                    add_res(&mut res, *n, -i);
-                    add_jac(&mut jac, *p, *p, g);
-                    add_jac(&mut jac, *p, *n, -g);
-                    add_jac(&mut jac, *n, *p, -g);
-                    add_jac(&mut jac, *n, *n, g);
-                    let gc = dg_dvc * v;
-                    add_jac(&mut jac, *p, *cp, gc);
-                    add_jac(&mut jac, *p, *cn, -gc);
-                    add_jac(&mut jac, *n, *cp, -gc);
-                    add_jac(&mut jac, *n, *cn, gc);
-                }
-                _ => {}
-            }
+        if let (Some(p), Some(n)) = (p, n) {
+            jac[(p, n)] -= g;
+            jac[(n, p)] -= g;
         }
     }
 
-    /// The incremental residual: linear base matvec plus nonlinear stamps.
-    /// The matvec runs over the base's stamp pattern only, with the same
-    /// ascending `.sum()` as [`DMatrix::mul_vec_into`]: a skipped term is
-    /// an exact zero, so every nonzero row sum is bit-identical.
-    fn assemble_residual(&mut self, x: &[f64], out: &mut [f64], force_eval: bool) {
+    /// The linear part of the residual: the base's matvec plus its
+    /// right-hand side. The matvec runs over the base's stamp pattern
+    /// only, with the same ascending `.sum()` as [`DMatrix::mul_vec_into`]:
+    /// a skipped term is an exact zero, so every nonzero row sum is
+    /// bit-identical.
+    fn linear_residual(&mut self, x: &[f64], out: &mut [f64]) {
         self.ensure_base();
         for (i, o) in out.iter_mut().enumerate() {
             let row = self.lin_jac.row(i);
@@ -1565,16 +1692,87 @@ impl<'a> MnaSystem<'a> {
         for (o, r) in out.iter_mut().zip(&self.lin_rhs) {
             *o += *r;
         }
-        self.stamp_nonlinear(x, Some(out), None, force_eval);
     }
 
-    #[inline]
-    fn volt(x: &[f64], node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            x[node.0 - 1]
+    /// The residual: [`MnaSystem::linear_residual`] plus every nonlinear
+    /// device's current, in device order. `force_eval` (the exact
+    /// residual), or bypass being off, evaluates every device and
+    /// refreshes the anchors.
+    fn assemble_residual(&mut self, x: &[f64], out: &mut [f64], force_eval: bool) {
+        self.linear_residual(x, out);
+        let force_eval = force_eval || !self.bypass;
+        let mut tally = BypassTally::default();
+        for stamp in &mut self.plan.nonlinear {
+            match stamp {
+                NonlinearStamp::Mos(m) => {
+                    let (_, ids) = m.linearize(x, force_eval, &mut tally);
+                    add_res(out, m.d, ids);
+                    add_res(out, m.s, -ids);
+                }
+                NonlinearStamp::Diode(dio) => {
+                    let (i, _) = dio.linearize(x, force_eval, &mut tally);
+                    add_res(out, dio.p, i);
+                    add_res(out, dio.n, -i);
+                }
+                NonlinearStamp::Switch(sw) => {
+                    let (g, _, v) = sw.linearize(x);
+                    let i = g * v;
+                    add_res(out, sw.p, i);
+                    add_res(out, sw.n, -i);
+                }
+            }
         }
+        self.bypass_hits += tally.hits;
+        self.bypass_misses += tally.misses;
+    }
+
+    /// The Jacobian: the linear base plus every nonlinear device's
+    /// conductances, in device order, bypassed as in the residual.
+    fn assemble_jacobian(&mut self, x: &[f64], jac: &mut DMatrix) {
+        self.ensure_base();
+        jac.copy_from(&self.lin_jac);
+        let force_eval = !self.bypass;
+        let mut tally = BypassTally::default();
+        for stamp in &mut self.plan.nonlinear {
+            match stamp {
+                NonlinearStamp::Mos(m) => {
+                    let (e, _) = m.linearize(x, force_eval, &mut tally);
+                    let (d, g, s, b) = (m.d, m.g, m.s, m.b);
+                    let gsum = e.gm + e.gds + e.gmbs;
+                    add_jac(jac, d, d, e.gds);
+                    add_jac(jac, d, g, e.gm);
+                    add_jac(jac, d, b, e.gmbs);
+                    add_jac(jac, d, s, -gsum);
+                    add_jac(jac, s, d, -e.gds);
+                    add_jac(jac, s, g, -e.gm);
+                    add_jac(jac, s, b, -e.gmbs);
+                    add_jac(jac, s, s, gsum);
+                }
+                NonlinearStamp::Diode(dio) => {
+                    let (_, g) = dio.linearize(x, force_eval, &mut tally);
+                    let (p, n) = (dio.p, dio.n);
+                    add_jac(jac, p, p, g);
+                    add_jac(jac, p, n, -g);
+                    add_jac(jac, n, p, -g);
+                    add_jac(jac, n, n, g);
+                }
+                NonlinearStamp::Switch(sw) => {
+                    let (g, dg_dvc, v) = sw.linearize(x);
+                    let (p, n, cp, cn) = (sw.p, sw.n, sw.cp, sw.cn);
+                    add_jac(jac, p, p, g);
+                    add_jac(jac, p, n, -g);
+                    add_jac(jac, n, p, -g);
+                    add_jac(jac, n, n, g);
+                    let gc = dg_dvc * v;
+                    add_jac(jac, p, cp, gc);
+                    add_jac(jac, p, cn, -gc);
+                    add_jac(jac, n, cp, -gc);
+                    add_jac(jac, n, cn, gc);
+                }
+            }
+        }
+        self.bypass_hits += tally.hits;
+        self.bypass_misses += tally.misses;
     }
 }
 
@@ -1589,9 +1787,7 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn jacobian(&mut self, x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
-        self.ensure_base();
-        jac.copy_from(&self.lin_jac);
-        self.stamp_nonlinear(x, None, Some(jac), false);
+        self.assemble_jacobian(x, jac);
         Ok(())
     }
 
@@ -2047,16 +2243,11 @@ mod tests {
             .unwrap();
         let sim = Simulator::new(&ckt);
         let mut system = sim.make_system(&ckt);
-        let mut cap_states: Vec<Option<CapState>> = ckt
-            .devices()
-            .iter()
-            .map(|d| {
-                matches!(d, Device::Capacitor { .. }).then_some(CapState {
-                    v_prev: 0.3,
-                    i_prev: 2e-6,
-                })
-            })
-            .collect();
+        let state = CapState {
+            v_prev: 0.3,
+            i_prev: 2e-6,
+        };
+        let mut cap_states = vec![state; system.plan.capacitors.len()];
 
         // A power-of-two step keeps every `t_target - t_prev` exact, so
         // equal steps give bitwise-equal companion conductances.
@@ -2077,7 +2268,7 @@ mod tests {
             ("repeat at restored gmin", 4.0, 4.75, be, g0, false),
         ];
         for (event, t_prev, t_target, method, gmin, rebuilt) in events {
-            for state in cap_states.iter_mut().flatten() {
+            for state in cap_states.iter_mut() {
                 state.v_prev += 0.01;
                 state.i_prev *= -0.5;
             }
@@ -2163,20 +2354,324 @@ mod tests {
         ckt
     }
 
+    /// The nonlinear stamping loop the [`StampPlan`] replaced: a walk over
+    /// the circuit's devices that matches on every one and evaluates the
+    /// unprepared models, with bypass anchors indexed by device. Kept as
+    /// the reference the plan must match bit for bit.
+    struct EnumWalk {
+        temp: f64,
+        bypass: bool,
+        mos_cache: Vec<Option<MosBypass>>,
+        diode_cache: Vec<Option<DiodeBypass>>,
+        hits: usize,
+        misses: usize,
+    }
+
+    impl EnumWalk {
+        fn new(circuit: &Circuit, temp: f64, bypass: bool) -> Self {
+            EnumWalk {
+                temp,
+                bypass,
+                mos_cache: vec![None; circuit.device_count()],
+                diode_cache: vec![None; circuit.device_count()],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn stamp(
+            &mut self,
+            circuit: &Circuit,
+            x: &[f64],
+            mut res: Option<&mut [f64]>,
+            mut jac: Option<&mut DMatrix>,
+            force_eval: bool,
+        ) {
+            let force_eval = force_eval || !self.bypass;
+            let temp = self.temp;
+            let volt = |node: NodeId| if node.is_ground() { 0.0 } else { x[node.0 - 1] };
+            let add_res = |res: &mut Option<&mut [f64]>, node: NodeId, current: f64| {
+                if let Some(res) = res.as_deref_mut() {
+                    if !node.is_ground() {
+                        res[node.0 - 1] += current;
+                    }
+                }
+            };
+            let add_jac = |jac: &mut Option<&mut DMatrix>, row: NodeId, col: NodeId, g: f64| {
+                if let Some(jac) = jac.as_deref_mut() {
+                    if !row.is_ground() && !col.is_ground() {
+                        jac[(row.0 - 1, col.0 - 1)] += g;
+                    }
+                }
+            };
+            for (idx, device) in circuit.devices().iter().enumerate() {
+                match device {
+                    Device::Mosfet {
+                        d,
+                        g,
+                        s,
+                        b,
+                        model,
+                        geometry,
+                    } => {
+                        let vgs = volt(*g) - volt(*s);
+                        let vds = volt(*d) - volt(*s);
+                        let vbs = volt(*b) - volt(*s);
+                        let hit = if force_eval {
+                            None
+                        } else {
+                            self.mos_cache[idx].filter(|c| {
+                                (vgs - c.vgs).abs() <= BYPASS_TOL
+                                    && (vds - c.vds).abs() <= BYPASS_TOL
+                                    && (vbs - c.vbs).abs() <= BYPASS_TOL
+                            })
+                        };
+                        let (e, ids) = match hit {
+                            Some(c) => {
+                                self.hits += 1;
+                                let ids = c.eval.ids
+                                    + c.eval.gm * (vgs - c.vgs)
+                                    + c.eval.gds * (vds - c.vds)
+                                    + c.eval.gmbs * (vbs - c.vbs);
+                                (c.eval, ids)
+                            }
+                            None => {
+                                self.misses += 1;
+                                let e = mos::evaluate(model, *geometry, vgs, vds, vbs, temp);
+                                self.mos_cache[idx] = Some(MosBypass {
+                                    vgs,
+                                    vds,
+                                    vbs,
+                                    eval: e,
+                                });
+                                (e, e.ids)
+                            }
+                        };
+                        add_res(&mut res, *d, ids);
+                        add_res(&mut res, *s, -ids);
+                        let gsum = e.gm + e.gds + e.gmbs;
+                        add_jac(&mut jac, *d, *d, e.gds);
+                        add_jac(&mut jac, *d, *g, e.gm);
+                        add_jac(&mut jac, *d, *b, e.gmbs);
+                        add_jac(&mut jac, *d, *s, -gsum);
+                        add_jac(&mut jac, *s, *d, -e.gds);
+                        add_jac(&mut jac, *s, *g, -e.gm);
+                        add_jac(&mut jac, *s, *b, -e.gmbs);
+                        add_jac(&mut jac, *s, *s, gsum);
+                    }
+                    Device::Diode { p, n, model } => {
+                        let vd = volt(*p) - volt(*n);
+                        let hit = if force_eval {
+                            None
+                        } else {
+                            self.diode_cache[idx].filter(|c| (vd - c.vd).abs() <= BYPASS_TOL)
+                        };
+                        let (i, g) = match hit {
+                            Some(c) => {
+                                self.hits += 1;
+                                (c.i + c.g * (vd - c.vd), c.g)
+                            }
+                            None => {
+                                self.misses += 1;
+                                let (i, g) = model.evaluate(vd, temp);
+                                self.diode_cache[idx] = Some(DiodeBypass { vd, i, g });
+                                (i, g)
+                            }
+                        };
+                        add_res(&mut res, *p, i);
+                        add_res(&mut res, *n, -i);
+                        add_jac(&mut jac, *p, *p, g);
+                        add_jac(&mut jac, *p, *n, -g);
+                        add_jac(&mut jac, *n, *p, -g);
+                        add_jac(&mut jac, *n, *n, g);
+                    }
+                    Device::VSwitch {
+                        p,
+                        n,
+                        cp,
+                        cn,
+                        ron,
+                        roff,
+                        threshold,
+                        transition,
+                    } => {
+                        let vc = volt(*cp) - volt(*cn);
+                        let (g, dg_dvc) = crate::device::switch_conductance(
+                            vc,
+                            *ron,
+                            *roff,
+                            *threshold,
+                            *transition,
+                        );
+                        let v = volt(*p) - volt(*n);
+                        let i = g * v;
+                        add_res(&mut res, *p, i);
+                        add_res(&mut res, *n, -i);
+                        add_jac(&mut jac, *p, *p, g);
+                        add_jac(&mut jac, *p, *n, -g);
+                        add_jac(&mut jac, *n, *p, -g);
+                        add_jac(&mut jac, *n, *n, g);
+                        let gc = dg_dvc * v;
+                        add_jac(&mut jac, *p, *cp, gc);
+                        add_jac(&mut jac, *p, *cn, -gc);
+                        add_jac(&mut jac, *n, *cp, -gc);
+                        add_jac(&mut jac, *n, *cn, gc);
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// The anchors of the nonlinear devices in device order, as bits
+        /// (`None` for a switch or a device not yet evaluated).
+        fn anchors(&self, circuit: &Circuit) -> Vec<Option<Vec<u64>>> {
+            circuit
+                .devices()
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| d.is_nonlinear())
+                .map(|(idx, _)| {
+                    self.mos_cache[idx]
+                        .map(mos_anchor_bits)
+                        .or(self.diode_cache[idx].map(diode_anchor_bits))
+                })
+                .collect()
+        }
+    }
+
+    fn mos_anchor_bits(c: MosBypass) -> Vec<u64> {
+        [
+            c.vgs,
+            c.vds,
+            c.vbs,
+            c.eval.ids,
+            c.eval.gm,
+            c.eval.gds,
+            c.eval.gmbs,
+        ]
+        .map(f64::to_bits)
+        .to_vec()
+    }
+
+    fn diode_anchor_bits(c: DiodeBypass) -> Vec<u64> {
+        [c.vd, c.i, c.g].map(f64::to_bits).to_vec()
+    }
+
+    /// The anchors of a plan's nonlinear devices, as [`EnumWalk::anchors`].
+    fn plan_anchors(system: &MnaSystem<'_>) -> Vec<Option<Vec<u64>>> {
+        system
+            .plan
+            .nonlinear
+            .iter()
+            .map(|stamp| match stamp {
+                NonlinearStamp::Mos(m) => m.anchor.map(mos_anchor_bits),
+                NonlinearStamp::Diode(d) => d.anchor.map(diode_anchor_bits),
+                NonlinearStamp::Switch(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stamp_plan_matches_the_enum_walk_bit_for_bit() {
+        let ckt = every_device_circuit();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let state = CapState {
+            v_prev: 0.2,
+            i_prev: 1e-6,
+        };
+        // Sampling ranges per unknown, as in the finite-difference test
+        // below, with the switch control spanning both sides of its
+        // transition.
+        let ranges = [
+            (1.5, 2.5),
+            (0.0, 2.5),
+            (0.0, 2.5),
+            (0.0, 0.8),
+            (-1.0, 0.4),
+            (0.8, 1.2),
+            (-1e-3, 1e-3),
+            (-1e-3, 1e-3),
+        ];
+        let mut rng = dso_num::testing::TestRng::new(23);
+        let (mut total_hits, mut total_misses) = (0, 0);
+        for (case, temp) in [-40.0, 27.0, 87.0, 125.0].into_iter().enumerate() {
+            for bypass in [true, false] {
+                let sim = Simulator::new(&ckt).with_temperature(temp);
+                let mut system = sim.make_system(&ckt);
+                system.bypass = bypass;
+                sim.install_companions(&mut system, &[state], 0.0, 1e-10, Method::Trapezoidal)
+                    .unwrap();
+                let mut walk = EnumWalk::new(&ckt, temp, bypass);
+                let n = system.unknowns();
+                let mut x: Vec<f64> = ranges.iter().map(|&(lo, hi)| rng.range(lo, hi)).collect();
+                for step in 0..200 {
+                    // Mostly moves below the bypass window (hits), some
+                    // far beyond it (misses), some a mix per device.
+                    let scale = match rng.index(4) {
+                        0 => 0.3 * BYPASS_TOL,
+                        1 => 3.0 * BYPASS_TOL,
+                        2 => 0.0,
+                        _ => 0.05,
+                    };
+                    for (v, &(lo, hi)) in x.iter_mut().zip(&ranges) {
+                        if rng.next_bool() {
+                            *v = (*v + rng.range(-scale, scale)).clamp(lo, hi);
+                        }
+                    }
+                    let what = format!("case {case}, bypass {bypass}, step {step}");
+                    match rng.index(3) {
+                        0 | 1 => {
+                            let exact = rng.index(4) == 0;
+                            let mut plan = vec![f64::NAN; n];
+                            system.assemble_residual(&x, &mut plan, exact);
+                            let mut reference = vec![f64::NAN; n];
+                            system.linear_residual(&x, &mut reference);
+                            walk.stamp(&ckt, &x, Some(&mut reference), None, exact);
+                            assert_eq!(bits(&plan), bits(&reference), "{what}: residual");
+                        }
+                        _ => {
+                            let mut plan = DMatrix::zeros(n, n);
+                            system.jacobian(&x, &mut plan).unwrap();
+                            let mut reference = DMatrix::zeros(n, n);
+                            reference.copy_from(&system.lin_jac);
+                            walk.stamp(&ckt, &x, None, Some(&mut reference), false);
+                            assert_eq!(
+                                bits(plan.as_slice()),
+                                bits(reference.as_slice()),
+                                "{what}: Jacobian"
+                            );
+                        }
+                    }
+                    assert_eq!(plan_anchors(&system), walk.anchors(&ckt), "{what}: anchors");
+                    assert_eq!(
+                        (system.bypass_hits, system.bypass_misses),
+                        (walk.hits, walk.misses),
+                        "{what}: bypass counts"
+                    );
+                }
+                if !bypass {
+                    assert_eq!(system.bypass_hits, 0);
+                }
+                total_hits += system.bypass_hits;
+                total_misses += system.bypass_misses;
+            }
+        }
+        // The sequences mixed hits and misses.
+        assert!(
+            total_hits > 500 && total_misses > 500,
+            "{total_hits} hits, {total_misses} misses"
+        );
+    }
+
     #[test]
     fn jacobian_matches_finite_differences_of_the_exact_residual() {
         let ckt = every_device_circuit();
         let sim = Simulator::new(&ckt);
-        let cap_states: Vec<Option<CapState>> = ckt
-            .devices()
-            .iter()
-            .map(|d| {
-                matches!(d, Device::Capacitor { .. }).then_some(CapState {
-                    v_prev: 0.2,
-                    i_prev: 1e-6,
-                })
-            })
-            .collect();
+        let state = CapState {
+            v_prev: 0.2,
+            i_prev: 1e-6,
+        };
+        let cap_states = vec![state; 1];
         let nonlinear = ckt
             .devices()
             .iter()

@@ -233,12 +233,50 @@ pub struct MosEval {
     pub gmbs: f64,
 }
 
+/// The constants of one MOSFET instance at one temperature, folded once
+/// so a model evaluation recomputes nothing that only depends on the
+/// card, the geometry or the temperature (mobility's `powf` above all).
+/// Built by [`prepare`]; evaluated by [`evaluate_prepared`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosPrepared {
+    /// [`MosPolarity::sign`].
+    sign: f64,
+    /// `KP(T)·W/L`.
+    beta: f64,
+    /// [`MosModel::vth0_at`].
+    vth0: f64,
+    gamma: f64,
+    phi: f64,
+    /// `√PHI`.
+    sqrt_phi: f64,
+    /// `PHI/2`, the forward body-bias clamp.
+    half_phi: f64,
+    lambda: f64,
+    /// `2·N·vt`, the smooth-overdrive scale.
+    two_nvt: f64,
+}
+
+/// Folds the temperature and geometry constants of one device for
+/// [`evaluate_prepared`]. Each constant is the expression [`evaluate`]
+/// would compute on every call, in the same order, so a prepared
+/// evaluation is bit-identical to an unprepared one.
+pub fn prepare(model: &MosModel, geometry: MosGeometry, temp: f64) -> MosPrepared {
+    MosPrepared {
+        sign: model.polarity.sign(),
+        beta: model.kp_at(temp) * geometry.aspect(),
+        vth0: model.vth0_at(temp),
+        gamma: model.gamma,
+        phi: model.phi,
+        sqrt_phi: model.phi.sqrt(),
+        half_phi: 0.5 * model.phi,
+        lambda: model.lambda,
+        two_nvt: 2.0 * (model.n_sub * thermal_voltage(temp)),
+    }
+}
+
 /// Evaluates the level-1 drain current at terminal voltages `(vgs, vds,
-/// vbs)` measured in actual circuit polarity, at `temp` °C.
-///
-/// Handles drain/source inversion (vds < 0) by symmetry, includes channel
-/// length modulation, the body effect, and a continuous subthreshold region
-/// that meets the square-law at `vgs = vth`.
+/// vbs)` measured in actual circuit polarity, at `temp` °C: [`prepare`]
+/// followed by [`evaluate_prepared`].
 pub fn evaluate(
     model: &MosModel,
     geometry: MosGeometry,
@@ -247,20 +285,28 @@ pub fn evaluate(
     vbs: f64,
     temp: f64,
 ) -> MosEval {
-    let sign = model.polarity.sign();
+    evaluate_prepared(&prepare(model, geometry, temp), vgs, vds, vbs)
+}
+
+/// Evaluates the level-1 drain current of a prepared device at terminal
+/// voltages `(vgs, vds, vbs)` measured in actual circuit polarity.
+///
+/// Handles drain/source inversion (vds < 0) by symmetry, includes channel
+/// length modulation, the body effect, and a continuous subthreshold region
+/// that meets the square-law at `vgs = vth`.
+pub fn evaluate_prepared(p: &MosPrepared, vgs: f64, vds: f64, vbs: f64) -> MosEval {
+    let sign = p.sign;
     // Map to N-channel frame.
     let (vgs_n, vds_n, vbs_n) = (sign * vgs, sign * vds, sign * vbs);
     let eval = if vds_n >= 0.0 {
-        evaluate_nchannel(model, geometry, vgs_n, vds_n, vbs_n, temp)
+        evaluate_nchannel(p, vgs_n, vds_n, vbs_n)
     } else {
         // Source and drain swap: vgd becomes the controlling voltage.
         let swapped = evaluate_nchannel(
-            model,
-            geometry,
+            p,
             vgs_n - vds_n, // vgd
             -vds_n,
             vbs_n - vds_n, // vbd
-            temp,
         );
         // Current direction reverses; translate derivatives back to the
         // original terminal frame via the chain rule:
@@ -282,52 +328,42 @@ pub fn evaluate(
     }
 }
 
-fn evaluate_nchannel(
-    model: &MosModel,
-    geometry: MosGeometry,
-    vgs: f64,
-    vds: f64,
-    vbs: f64,
-    temp: f64,
-) -> MosEval {
+fn evaluate_nchannel(p: &MosPrepared, vgs: f64, vds: f64, vbs: f64) -> MosEval {
     debug_assert!(vds >= 0.0);
-    let kp = model.kp_at(temp);
-    let beta = kp * geometry.aspect();
-    let vt = thermal_voltage(temp);
+    let beta = p.beta;
 
     // Threshold with body effect. vbs > 0 (forward body bias) is clamped to
     // keep the square root real; dvth/dvbs from the chain rule.
-    let vbs_lim = vbs.min(0.5 * model.phi);
-    let sqrt_arg = (model.phi - vbs_lim).max(1e-12);
+    let vbs_lim = vbs.min(p.half_phi);
+    let sqrt_arg = (p.phi - vbs_lim).max(1e-12);
     let sqrt_term = sqrt_arg.sqrt();
-    let vth = model.vth0_at(temp) + model.gamma * (sqrt_term - model.phi.sqrt());
-    let dvth_dvbs = if vbs < 0.5 * model.phi {
-        -0.5 * model.gamma / sqrt_term
+    let vth = p.vth0 + p.gamma * (sqrt_term - p.sqrt_phi);
+    let dvth_dvbs = if vbs < p.half_phi {
+        -0.5 * p.gamma / sqrt_term
     } else {
         0.0
     };
 
     let vov = vgs - vth;
-    let nvt = model.n_sub * vt;
 
     // EKV-style smooth effective overdrive:
     //   veff = 2·n·vt · ln(1 + exp(vov / (2·n·vt)))
     // tends to vov in strong inversion and to an exponential in weak
     // inversion, whose square gives the correct exp(vov / n·vt)
     // subthreshold slope. `sigma = dveff/dvov` is the logistic function.
-    let u = vov / (2.0 * nvt);
+    let u = vov / p.two_nvt;
     let (veff, sigma) = if u > 40.0 {
         (vov, 1.0)
     } else if u < -40.0 {
         // Deep cutoff: keep a tiny floor to avoid a hard zero.
         let e = u.exp();
-        (2.0 * nvt * e, e / (1.0 + e))
+        (p.two_nvt * e, e / (1.0 + e))
     } else {
         let e = u.exp();
-        (2.0 * nvt * e.ln_1p(), e / (1.0 + e))
+        (p.two_nvt * e.ln_1p(), e / (1.0 + e))
     };
 
-    let clm = 1.0 + model.lambda * vds;
+    let clm = 1.0 + p.lambda * vds;
     let (ids, gm, gds) = if vds < veff {
         // Triode: ids = beta·(veff·vds − vds²/2)·clm, continuous with the
         // saturation branch at vds = veff.
@@ -335,14 +371,14 @@ fn evaluate_nchannel(
         (
             beta * core * clm,
             beta * vds * clm * sigma,
-            beta * ((veff - vds) * clm + core * model.lambda),
+            beta * ((veff - vds) * clm + core * p.lambda),
         )
     } else {
         // Saturation: ids = beta/2·veff²·clm.
         (
             0.5 * beta * veff * veff * clm,
             beta * veff * clm * sigma,
-            0.5 * beta * veff * veff * model.lambda,
+            0.5 * beta * veff * veff * p.lambda,
         )
     };
     let gm = gm.max(0.0);

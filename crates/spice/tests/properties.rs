@@ -299,3 +299,327 @@ fn netlist_numeric_round_trip() {
         assert!((got - v / 2.0).abs() < 1e-6 * v, "{got} vs {}", v / 2.0);
     }
 }
+
+/// The device models as they read before their constants were folded
+/// ([`prepare`](dso_spice::mos::prepare) and friends): every call
+/// recomputes the temperature and geometry terms. Kept here as the
+/// reference the prepared models must match bit for bit.
+mod reference {
+    use dso_spice::diode::DiodeModel;
+    use dso_spice::mos::{MosEval, MosGeometry, MosModel};
+    use dso_spice::{thermal_voltage, CELSIUS_TO_KELVIN};
+
+    /// Which branches one reference evaluation took.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct MosBranches {
+        pub swapped: bool,
+        pub strong: bool,
+        pub deep_cutoff: bool,
+        pub body_clamped: bool,
+    }
+
+    pub fn mos_evaluate(
+        model: &MosModel,
+        geometry: MosGeometry,
+        vgs: f64,
+        vds: f64,
+        vbs: f64,
+        temp: f64,
+        taken: &mut MosBranches,
+    ) -> MosEval {
+        let sign = model.polarity.sign();
+        let (vgs_n, vds_n, vbs_n) = (sign * vgs, sign * vds, sign * vbs);
+        let eval = if vds_n >= 0.0 {
+            nchannel(model, geometry, vgs_n, vds_n, vbs_n, temp, taken)
+        } else {
+            taken.swapped = true;
+            let swapped = nchannel(
+                model,
+                geometry,
+                vgs_n - vds_n,
+                -vds_n,
+                vbs_n - vds_n,
+                temp,
+                taken,
+            );
+            MosEval {
+                ids: -swapped.ids,
+                gm: -swapped.gm,
+                gds: swapped.gm + swapped.gds + swapped.gmbs,
+                gmbs: -swapped.gmbs,
+            }
+        };
+        MosEval {
+            ids: sign * eval.ids,
+            gm: eval.gm,
+            gds: eval.gds,
+            gmbs: eval.gmbs,
+        }
+    }
+
+    fn nchannel(
+        model: &MosModel,
+        geometry: MosGeometry,
+        vgs: f64,
+        vds: f64,
+        vbs: f64,
+        temp: f64,
+        taken: &mut MosBranches,
+    ) -> MosEval {
+        let t = temp + CELSIUS_TO_KELVIN;
+        let tn = model.tnom + CELSIUS_TO_KELVIN;
+        let kp = model.kp * (t / tn).powf(model.bex);
+        let beta = kp * (geometry.w / geometry.l);
+        let vt = thermal_voltage(temp);
+
+        let vbs_lim = vbs.min(0.5 * model.phi);
+        taken.body_clamped |= vbs >= 0.5 * model.phi;
+        let sqrt_arg = (model.phi - vbs_lim).max(1e-12);
+        let sqrt_term = sqrt_arg.sqrt();
+        let vth0 = model.vto.abs() - model.tcv * (temp - model.tnom);
+        let vth = vth0 + model.gamma * (sqrt_term - model.phi.sqrt());
+        let dvth_dvbs = if vbs < 0.5 * model.phi {
+            -0.5 * model.gamma / sqrt_term
+        } else {
+            0.0
+        };
+
+        let vov = vgs - vth;
+        let nvt = model.n_sub * vt;
+        let u = vov / (2.0 * nvt);
+        let (veff, sigma) = if u > 40.0 {
+            taken.strong = true;
+            (vov, 1.0)
+        } else if u < -40.0 {
+            taken.deep_cutoff = true;
+            let e = u.exp();
+            (2.0 * nvt * e, e / (1.0 + e))
+        } else {
+            let e = u.exp();
+            (2.0 * nvt * e.ln_1p(), e / (1.0 + e))
+        };
+
+        let clm = 1.0 + model.lambda * vds;
+        let (ids, gm, gds) = if vds < veff {
+            let core = veff * vds - 0.5 * vds * vds;
+            (
+                beta * core * clm,
+                beta * vds * clm * sigma,
+                beta * ((veff - vds) * clm + core * model.lambda),
+            )
+        } else {
+            (
+                0.5 * beta * veff * veff * clm,
+                beta * veff * clm * sigma,
+                0.5 * beta * veff * veff * model.lambda,
+            )
+        };
+        let gm = gm.max(0.0);
+        MosEval {
+            ids,
+            gm,
+            gds: gds.max(1e-15),
+            gmbs: gm * (-dvth_dvbs),
+        }
+    }
+
+    pub fn switch_conductance(
+        vc: f64,
+        ron: f64,
+        roff: f64,
+        threshold: f64,
+        transition: f64,
+    ) -> (f64, f64) {
+        let smoothstep = |x: f64| {
+            if x <= 0.0 {
+                (0.0, 0.0)
+            } else if x >= 1.0 {
+                (1.0, 0.0)
+            } else {
+                (x * x * (3.0 - 2.0 * x), 6.0 * x * (1.0 - x))
+            }
+        };
+        let g_on = 1.0 / ron;
+        let g_off = 1.0 / roff;
+        let half = 0.5 * transition.max(1e-9);
+        let x = (vc - (threshold - half)) / (2.0 * half);
+        let (s, ds_dx) = smoothstep(x);
+        let g = g_off + (g_on - g_off) * s;
+        let dg_dvc = (g_on - g_off) * ds_dx / (2.0 * half);
+        (g, dg_dvc)
+    }
+
+    pub fn diode_evaluate(model: &DiodeModel, vd: f64, temp: f64) -> (f64, f64) {
+        let is_at = |temp: f64| {
+            let t = temp + CELSIUS_TO_KELVIN;
+            let tn = model.tnom + CELSIUS_TO_KELVIN;
+            let vt = thermal_voltage(temp);
+            let ratio = t / tn;
+            model.is_sat
+                * ratio.powf(model.xti / model.n)
+                * ((model.eg / (model.n * vt)) * (1.0 - tn / t)).exp()
+        };
+        let vt = model.n * thermal_voltage(temp);
+        let is_t = is_at(temp);
+        let vmax = 40.0 * vt;
+        if vd <= vmax {
+            let e = (vd / vt).exp();
+            let i = is_t * (e - 1.0);
+            let g = (is_t * e / vt).max(1e-15);
+            (i, g)
+        } else {
+            let e = (vmax / vt).exp();
+            let g = is_t * e / vt;
+            let i = is_t * (e - 1.0) + g * (vd - vmax);
+            (i, g)
+        }
+    }
+}
+
+const MODEL_TEMPS: [f64; 4] = [-40.0, 27.0, 87.0, 125.0];
+
+#[test]
+fn prepared_mosfet_matches_the_reference_model_bit_for_bit() {
+    use dso_spice::mos::{evaluate_prepared, prepare};
+    let bits = |e: dso_spice::mos::MosEval| [e.ids, e.gm, e.gds, e.gmbs].map(f64::to_bits);
+    let mut rng = TestRng::new(0x2010);
+    let mut seen = [0usize; 5];
+    for case in 0..400 {
+        let base = if case % 2 == 0 {
+            MosModel::default()
+        } else {
+            MosModel::default_pmos()
+        };
+        let model = MosModel {
+            kp: base.kp * rng.range(0.5, 2.0),
+            lambda: rng.range(0.0, 0.1),
+            gamma: rng.range(0.0, 0.8),
+            phi: rng.range(0.5, 0.9),
+            n_sub: rng.range(1.0, 2.0),
+            ..base
+        };
+        let geometry = MosGeometry::new(rng.log_range(0.2e-6, 20e-6), rng.log_range(0.1e-6, 2e-6))
+            .expect("valid geometry");
+        let temp = MODEL_TEMPS[case % MODEL_TEMPS.len()];
+        let prepared = prepare(&model, geometry, temp);
+        for _ in 0..8 {
+            // Wide enough that |u| exceeds 40 both ways, vds takes both
+            // signs and forward body bias reaches the clamp.
+            let vgs = rng.range(-6.0, 6.0);
+            let vds = rng.range(-3.0, 3.0);
+            let vbs = rng.range(-2.0, 1.0);
+            let mut taken = reference::MosBranches::default();
+            let want = reference::mos_evaluate(&model, geometry, vgs, vds, vbs, temp, &mut taken);
+            let got = evaluate_prepared(&prepared, vgs, vds, vbs);
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{model:?} {geometry:?} at {temp} °C, ({vgs}, {vds}, {vbs})"
+            );
+            assert_eq!(
+                bits(evaluate(&model, geometry, vgs, vds, vbs, temp)),
+                bits(want),
+                "wrapper"
+            );
+            for (slot, hit) in seen.iter_mut().zip([
+                taken.swapped,
+                taken.strong,
+                taken.deep_cutoff,
+                taken.body_clamped,
+                !taken.strong && !taken.deep_cutoff,
+            ]) {
+                *slot += usize::from(hit);
+            }
+        }
+    }
+    // Every branch of the model was exercised: swap, |u| > 40 both ways,
+    // the body-bias clamp and the smooth region.
+    assert!(seen.iter().all(|&n| n >= 20), "branch coverage {seen:?}");
+}
+
+#[test]
+fn prepared_switch_matches_the_reference_model_bit_for_bit() {
+    use dso_spice::device::{prepare_switch, switch_conductance};
+    let mut rng = TestRng::new(0x2011);
+    let (mut inside, mut outside) = (0, 0);
+    for _ in 0..200 {
+        let ron = rng.log_range(1.0, 1e4);
+        let roff = rng.log_range(1e6, 1e13);
+        let threshold = rng.range(-1.0, 2.5);
+        // Include transitions below the 1 nV floor.
+        let transition = if rng.next_bool() {
+            rng.log_range(1e-3, 0.5)
+        } else {
+            rng.log_range(1e-12, 1e-8)
+        };
+        let prepared = prepare_switch(ron, roff, threshold, transition);
+        for _ in 0..8 {
+            let vc = if rng.next_bool() {
+                threshold + rng.range(-0.5, 0.5) * transition
+            } else {
+                rng.range(-3.0, 4.0)
+            };
+            let want = reference::switch_conductance(vc, ron, roff, threshold, transition);
+            let got = prepared.evaluate(vc);
+            let bits = |(g, dg): (f64, f64)| (g.to_bits(), dg.to_bits());
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "ron {ron} roff {roff} vt {threshold} tr {transition} vc {vc}"
+            );
+            assert_eq!(
+                bits(switch_conductance(vc, ron, roff, threshold, transition)),
+                bits(want)
+            );
+            if want.1 != 0.0 {
+                inside += 1;
+            } else {
+                outside += 1;
+            }
+        }
+    }
+    assert!(
+        inside >= 100 && outside >= 100,
+        "{inside} inside, {outside} outside"
+    );
+}
+
+#[test]
+fn prepared_diode_matches_the_reference_model_bit_for_bit() {
+    use dso_spice::diode::DiodeModel;
+    let mut rng = TestRng::new(0x2012);
+    let (mut exponential, mut linearized) = (0, 0);
+    for case in 0..200 {
+        let model = DiodeModel {
+            is_sat: rng.log_range(1e-18, 1e-12),
+            n: rng.range(1.0, 2.0),
+            xti: rng.range(2.0, 4.0),
+            eg: rng.range(0.6, 1.2),
+            ..DiodeModel::default()
+        };
+        let temp = MODEL_TEMPS[case % MODEL_TEMPS.len()];
+        let prepared = model.prepare(temp);
+        for _ in 0..8 {
+            // Past 40·n·vt (≈ 1.4–3.3 V over these cards and temperatures)
+            // the exponential is linearized.
+            let vd = rng.range(-2.0, 5.0);
+            let want = reference::diode_evaluate(&model, vd, temp);
+            let bits = |(i, g): (f64, f64)| (i.to_bits(), g.to_bits());
+            assert_eq!(
+                bits(prepared.evaluate(vd)),
+                bits(want),
+                "{model:?} at {temp} °C, vd {vd}"
+            );
+            assert_eq!(bits(model.evaluate(vd, temp)), bits(want));
+            if vd <= 40.0 * model.n * dso_spice::thermal_voltage(temp) {
+                exponential += 1;
+            } else {
+                linearized += 1;
+            }
+        }
+    }
+    assert!(
+        exponential >= 100 && linearized >= 100,
+        "{exponential} / {linearized}"
+    );
+}
