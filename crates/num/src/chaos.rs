@@ -258,7 +258,10 @@ impl FaultPlan {
 ///
 /// Create one per solve with [`ChaosSystem::arm`]; the wrapper consumes
 /// one ordinal from the plan at construction. With no fault scheduled it
-/// is a transparent pass-through.
+/// is a transparent pass-through, except that it declares no Jacobian
+/// pattern: an injected Jacobian (the forced-divergence identity) need
+/// not fit the wrapped system's, so fault-armed solves factor in natural
+/// order over the whole matrix.
 pub struct ChaosSystem<'a, S: NonlinearSystem> {
     inner: &'a mut S,
     fault: Option<FaultKind>,

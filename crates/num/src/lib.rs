@@ -5,7 +5,8 @@
 //! built on:
 //!
 //! * [`matrix::DMatrix`] — a dense, row-major matrix with the usual algebra.
-//! * [`lu::LuFactor`] — dense LU factorization with partial pivoting.
+//! * [`lu::LuFactor`] — LU factorization with partial pivoting, in a
+//!   minimum-degree order of a declared sparsity pattern.
 //! * [`newton`] — a damped Newton–Raphson driver used by the nonlinear DC and
 //!   transient solvers.
 //! * [`integrate`] — integration-method coefficients (backward Euler,

@@ -6,7 +6,7 @@
 //! step damping, iteration budget — so the simulator only supplies the
 //! residual/Jacobian evaluation.
 
-use crate::lu::LuFactor;
+use crate::lu::{LuFactor, Pattern};
 use crate::matrix::{norm_inf, DMatrix};
 use crate::NumError;
 
@@ -90,6 +90,16 @@ pub trait NonlinearSystem {
     /// Same contract as [`NonlinearSystem::residual`].
     fn residual_exact(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
         self.residual(x, out)
+    }
+
+    /// The structural pattern of [`NonlinearSystem::jacobian`]: every
+    /// position it can ever write, fixed for the system's life. The solver
+    /// hands it to its LU factorization, which eliminates in a
+    /// fill-reducing order over it (see [`LuFactor::set_pattern`]). The
+    /// default declares none, and the solver factors in natural order over
+    /// the whole matrix.
+    fn jacobian_pattern(&self) -> Option<Pattern<'_>> {
+        None
     }
 }
 
@@ -275,7 +285,7 @@ impl NewtonSolver {
         system: &mut S,
         x: &mut [f64],
     ) -> Result<NewtonStats, NumError> {
-        let reuse = self.options.lu_reuse && self.lu.dim() == system.unknowns();
+        let reuse = self.options.lu_reuse;
         self.solve_impl(system, x, reuse, false)
     }
 
@@ -301,7 +311,7 @@ impl NewtonSolver {
         x: &mut [f64],
         reuse: bool,
     ) -> Result<NewtonStats, NumError> {
-        let reuse = reuse && self.options.lu_reuse && self.lu.dim() == system.unknowns();
+        let reuse = reuse && self.options.lu_reuse;
         self.solve_impl(system, x, reuse, true)
     }
 
@@ -385,6 +395,11 @@ impl NewtonSolver {
         if self.jac.rows() != n {
             self.jac = DMatrix::zeros(n, n);
         }
+        // A no-op while the system declares the pattern already declared;
+        // another pattern drops the retained factorization.
+        self.lu.set_pattern(system.jacobian_pattern())?;
+        // Reuse needs a retained factorization of this system's size.
+        let start_reusing = start_reusing && self.lu.dim() == n;
 
         if !probed {
             system.residual(x, &mut self.residual)?;
@@ -645,6 +660,72 @@ mod tests {
             stats.lu_reuses, 0,
             "reused a failed factorization: {stats:?}"
         );
+        assert!(
+            (x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12,
+            "{x:?}"
+        );
+    }
+
+    /// [`Linear`], declaring a Jacobian pattern.
+    struct Patterned {
+        inner: Linear,
+        starts: Vec<usize>,
+        cols: Vec<usize>,
+    }
+    impl NonlinearSystem for Patterned {
+        fn unknowns(&self) -> usize {
+            self.inner.unknowns()
+        }
+        fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
+            self.inner.residual(x, out)
+        }
+        fn jacobian(&mut self, x: &[f64], jac: &mut DMatrix) -> Result<(), NumError> {
+            self.inner.jacobian(x, jac)
+        }
+        fn jacobian_pattern(&self) -> Option<Pattern<'_>> {
+            Some(Pattern {
+                starts: &self.starts,
+                cols: &self.cols,
+            })
+        }
+    }
+
+    #[test]
+    fn solve_reusing_refactors_when_the_pattern_changes() {
+        let mut solver = NewtonSolver::new(NewtonOptions::default());
+        let full = |a: &[&[f64]], b: Vec<f64>| Patterned {
+            inner: Linear {
+                a: DMatrix::from_rows(a).unwrap(),
+                b,
+            },
+            starts: vec![0, 2, 4],
+            cols: vec![0, 1, 0, 1],
+        };
+        let mut coupled = full(&[&[3.0, 1.0], &[1.0, 2.0]], vec![5.0, 5.0]);
+        solver.solve(&mut coupled, &mut [0.0, 0.0]).unwrap();
+        // Same size, another pattern: the retained factorization belongs
+        // to another structure, so the solve starts with a refactor.
+        let mut diagonal = Patterned {
+            inner: Linear {
+                a: DMatrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap(),
+                b: vec![2.0, 8.0],
+            },
+            starts: vec![0, 1, 2],
+            cols: vec![0, 1],
+        };
+        let mut x = vec![0.9, 1.9];
+        let stats = solver.solve_reusing(&mut diagonal, &mut x).unwrap();
+        assert_eq!((stats.lu_refactors, stats.lu_reuses), (1, 0), "{stats:?}");
+        assert!(
+            (x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12,
+            "{x:?}"
+        );
+        // The same pattern again: the retained factorization is reused.
+        let mut again = full(&[&[3.0, 1.0], &[1.0, 2.0]], vec![5.0, 5.0]);
+        solver.solve(&mut again, &mut [0.0, 0.0]).unwrap();
+        let mut x = vec![0.9, 1.9];
+        let stats = solver.solve_reusing(&mut again, &mut x).unwrap();
+        assert_eq!(stats.lu_refactors, 0, "{stats:?}");
         assert!(
             (x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12,
             "{x:?}"

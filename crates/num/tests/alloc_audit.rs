@@ -4,9 +4,10 @@
 //! times; the per-timestep loop must not touch the heap once its scratch
 //! buffers are warm. This test wraps the global allocator with a
 //! thread-local counter and asserts that a warmed [`NewtonSolver`] solve
-//! and a warmed [`LuFactor::refactor_into`] perform zero allocations.
+//! and a warmed [`LuFactor::refactor_into`] perform zero allocations, with
+//! or without a declared pattern.
 
-use dso_num::lu::LuFactor;
+use dso_num::lu::{LuFactor, Pattern};
 use dso_num::matrix::DMatrix;
 use dso_num::newton::{NewtonOptions, NewtonSolver, NonlinearSystem};
 use dso_num::NumError;
@@ -172,6 +173,80 @@ fn warmed_refactor_with_changing_zero_pattern_does_not_allocate() {
         }
     });
     assert_eq!(allocs, 0, "warmed refactor+solve allocated {allocs} times");
+
+    let ax = matrices[7].mul_vec(&x).unwrap();
+    for (l, r) in ax.iter().zip(&b) {
+        assert!((l - r).abs() < 1e-9, "{l} vs {r}");
+    }
+}
+
+#[test]
+fn warmed_structured_refactor_with_pivot_changes_does_not_allocate() {
+    // An MNA-shaped system under a declared pattern: a node chain with
+    // couplings that switch off and on, and zero-diagonal branch rows whose
+    // unit entries outweigh their node's diagonal in some matrices and not
+    // in others, so the pivots move and the replay falls back to the pivot
+    // search, which records a new schedule.
+    let (nodes, branches) = (30, 6);
+    let n = nodes + branches;
+    let matrix = |step: usize| {
+        let mut a = DMatrix::zeros(n, n);
+        for i in 0..nodes {
+            a[(i, i)] = 0.5 + (i % 3) as f64;
+            if i + 1 < nodes && !(i + step).is_multiple_of(4) {
+                a[(i, i + 1)] = -1.0;
+                a[(i + 1, i)] = -1.0;
+            }
+            if i + 5 < nodes && (i * step) % 3 == 1 {
+                a[(i, i + 5)] = -0.25;
+            }
+        }
+        for b in 0..branches {
+            a[(5 * b, nodes + b)] = 1.0;
+            a[(nodes + b, 5 * b)] = if (b + step).is_multiple_of(3) {
+                3.0
+            } else {
+                1.0
+            };
+        }
+        a
+    };
+    let matrices: Vec<DMatrix> = (0..8).map(matrix).collect();
+    // The pattern holds every position any of the matrices fills.
+    let mut starts = vec![0];
+    let mut cols = Vec::new();
+    for i in 0..n {
+        cols.extend((0..n).filter(|&j| matrices.iter().any(|a| a[(i, j)] != 0.0)));
+        starts.push(cols.len());
+    }
+    let b: Vec<f64> = (0..n).map(|i| i as f64 - 10.0).collect();
+    let mut x = vec![0.0; n];
+    let mut lu = LuFactor::empty();
+    lu.set_pattern(Some(Pattern {
+        starts: &starts,
+        cols: &cols,
+    }))
+    .unwrap();
+    // Warm: one pass records every pivot sequence once.
+    let mut sequences = Vec::new();
+    for a in &matrices {
+        lu.refactor_into(a).unwrap();
+        if !sequences.contains(&lu.permutation().to_vec()) {
+            sequences.push(lu.permutation().to_vec());
+        }
+    }
+    assert!(sequences.len() > 1, "the pivots never moved");
+
+    let allocs = allocations_in(|| {
+        for a in matrices.iter().cycle().take(40) {
+            lu.refactor_into(a).unwrap();
+            lu.solve_in_place(&b, &mut x);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warmed structured refactor+solve allocated {allocs} times"
+    );
 
     let ax = matrices[7].mul_vec(&x).unwrap();
     for (l, r) in ax.iter().zip(&b) {

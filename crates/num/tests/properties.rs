@@ -5,7 +5,7 @@
 //! Every case derives from a fixed seed and replays bit-for-bit.
 
 use dso_num::interp::{linspace, logspace, Curve};
-use dso_num::lu::LuFactor;
+use dso_num::lu::{LuFactor, Pattern};
 use dso_num::matrix::{norm_inf, DMatrix};
 use dso_num::newton::{NewtonOptions, NewtonSolver, NonlinearSystem};
 use dso_num::roots::{
@@ -1213,4 +1213,231 @@ fn zero_skipping_matvec_is_bit_identical_to_dense_matvec() {
             .collect();
         assert_same_up_to_zero_sign(&skipping, &want, "product");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The ordered LU under a declared pattern.
+//
+// With a pattern, `LuFactor` eliminates in a minimum-degree order and
+// replays a recorded schedule, so its rounding order is not the dense
+// reference's. It is checked against `reference_factor`/`reference_solve`
+// by backward error and verdict, and its replay against a fresh
+// factorization: the same pivots and bits (up to the sign of a zero), and
+// after a fallback to the pivot search, the same bits exactly.
+
+/// The positions of `a`'s nonzeros plus `extra` random positions (held by
+/// the pattern, exactly zero in `a`), as `(row starts, columns)`.
+fn pattern_of(rng: &mut TestRng, a: &DMatrix, extra: usize) -> (Vec<usize>, Vec<usize>) {
+    let n = a.rows();
+    let mut held: Vec<bool> = a.as_slice().iter().map(|v| *v != 0.0).collect();
+    for _ in 0..extra {
+        held[rng.index(n) * n + rng.index(n)] = true;
+    }
+    let mut starts = vec![0];
+    let mut cols = Vec::new();
+    for row in held.chunks_exact(n) {
+        cols.extend((0..n).filter(|&j| row[j]));
+        starts.push(cols.len());
+    }
+    (starts, cols)
+}
+
+/// The normwise backward error `‖A·x − b‖ / (‖A‖·‖x‖ + ‖b‖)`, infinity
+/// norms.
+fn backward_error(a: &DMatrix, x: &[f64], b: &[f64]) -> f64 {
+    let ax = a.mul_vec(x).expect("dimensions match");
+    let r: Vec<f64> = ax.iter().zip(b).map(|(l, r)| l - r).collect();
+    let scale = a.norm_inf() * norm_inf(x) + norm_inf(b);
+    if scale == 0.0 {
+        // b = 0 and x = 0: solved exactly.
+        return norm_inf(&r);
+    }
+    norm_inf(&r) / scale
+}
+
+/// The verdict kind of a failed factorization.
+fn verdict(e: &NumError) -> &'static str {
+    match e {
+        NumError::SingularMatrix { .. } => "singular",
+        NumError::NonFinite { .. } => "non-finite",
+        _ => "other",
+    }
+}
+
+#[test]
+fn ordered_lu_solves_what_the_dense_reference_solves() {
+    let mut rng = TestRng::new(0x1011);
+    let mut lu = LuFactor::empty();
+    let (mut factored, mut singular, mut non_finite) = (0, 0, 0);
+    for case in 0..(4 * CASES) {
+        let nodes = rng.index_range(2, 36);
+        let branches = rng.index_range(0, 7);
+        let mut a = mna_shaped(&mut rng, nodes, branches);
+        let extra = rng.index(nodes);
+        let (starts, cols) = pattern_of(&mut rng, &a, extra);
+        if rng.index(16) == 0 {
+            // A non-finite entry inside the pattern.
+            let e = rng.index(cols.len());
+            let row = starts.partition_point(|&s| s <= e) - 1;
+            a[(row, cols[e])] = if rng.next_bool() {
+                f64::NAN
+            } else {
+                f64::INFINITY
+            };
+        }
+        lu.set_pattern(Some(Pattern {
+            starts: &starts,
+            cols: &cols,
+        }))
+        .unwrap();
+        match (reference_factor(&a), lu.refactor_into(&a)) {
+            (Ok((want_lu, want_perm)), Ok(())) => {
+                factored += 1;
+                assert!(
+                    lu.nonzeros() <= a.rows() * a.rows(),
+                    "case {case}: more entries than the matrix"
+                );
+                for _ in 0..3 {
+                    let b = sparse_rhs(&mut rng, a.rows());
+                    let mut x = vec![f64::NAN; a.rows()];
+                    lu.solve_in_place(&b, &mut x);
+                    let want = reference_solve(&want_lu, &want_perm, &b);
+                    let (got_err, want_err) =
+                        (backward_error(&a, &x, &b), backward_error(&a, &want, &b));
+                    assert!(
+                        got_err <= 1e-12,
+                        "case {case}: backward error {got_err:e} (reference {want_err:e})"
+                    );
+                }
+            }
+            (Err(want), Err(got)) => {
+                assert_eq!(
+                    verdict(&got),
+                    verdict(&want),
+                    "case {case}: {got} vs {want}"
+                );
+                match verdict(&got) {
+                    "singular" => singular += 1,
+                    _ => non_finite += 1,
+                }
+                assert_eq!(lu.dim(), 0, "a failed refactor must leave no factorization");
+            }
+            (want, got) => panic!("case {case}: reference {want:?}, ordered {got:?}"),
+        }
+    }
+    assert!(factored > CASES, "only {factored} cases factored");
+    assert!(singular > 0, "no singular case generated");
+    assert!(non_finite > 0, "no non-finite case generated");
+}
+
+/// `a` with every entry rescaled by a random factor in `[1/spread,
+/// spread]`, with its sign flipped at probability `flip`: the same
+/// structure, with the column maxima, and so the pivots, free to move.
+fn rescaled(rng: &mut TestRng, a: &DMatrix, spread: f64, flip: f64) -> DMatrix {
+    let mut b = a.clone();
+    for i in 0..b.rows() {
+        for j in 0..b.cols() {
+            let sign = if rng.next_f64() < flip { -1.0 } else { 1.0 };
+            b[(i, j)] *= sign * rng.log_range(1.0 / spread, spread);
+        }
+    }
+    b
+}
+
+#[test]
+fn replay_falls_back_on_pivot_changes_and_matches_a_fresh_factor() {
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let mut rng = TestRng::new(0x1012);
+    let (mut replayed, mut fell_back) = (0, 0);
+    for case in 0..CASES {
+        let nodes = rng.index_range(2, 36);
+        let branches = rng.index_range(0, 7);
+        let a = mna_shaped(&mut rng, nodes, branches);
+        let extra = rng.index(nodes);
+        let (starts, cols) = pattern_of(&mut rng, &a, extra);
+        let pattern = Pattern {
+            starts: &starts,
+            cols: &cols,
+        };
+        let mut lu = LuFactor::empty();
+        lu.set_pattern(Some(pattern)).unwrap();
+        let _ = lu.refactor_into(&a);
+        let mut b = a;
+        for step in 0..6 {
+            // Two drifts of the kind a Newton iteration sees, then a
+            // shake-up that moves pivots.
+            b = if step % 3 == 2 {
+                rescaled(&mut rng, &b, 8.0, 0.25)
+            } else {
+                rescaled(&mut rng, &b, 1.01, 0.0)
+            };
+            let before = lu.permutation().to_vec();
+            let mut fresh = LuFactor::empty();
+            fresh.set_pattern(Some(pattern)).unwrap();
+            let what = format!("case {case}, step {step}");
+            match (lu.refactor_into(&b), fresh.refactor_into(&b)) {
+                (Ok(()), Ok(())) => {
+                    assert_eq!(lu.order(), fresh.order(), "{what}: order");
+                    assert_eq!(lu.permutation(), fresh.permutation(), "{what}: pivots");
+                    let rhs = sparse_rhs(&mut rng, b.rows());
+                    let (mut x, mut y) = (vec![0.0; b.rows()], vec![0.0; b.rows()]);
+                    lu.solve_in_place(&rhs, &mut x);
+                    fresh.solve_in_place(&rhs, &mut y);
+                    if lu.permutation() == before.as_slice() {
+                        // The replay kept the pivots: the pivot search's
+                        // bits, up to the sign of a zero.
+                        replayed += 1;
+                        assert_same_up_to_zero_sign(lu.factors(), fresh.factors(), &what);
+                        assert_same_up_to_zero_sign(&x, &y, &what);
+                    } else {
+                        // A replay cannot change a pivot: the check fell
+                        // back to the pivot search, which is a fresh
+                        // factorization.
+                        fell_back += 1;
+                        assert_eq!(bits(lu.factors()), bits(fresh.factors()), "{what}: factors");
+                        assert_eq!(bits(&x), bits(&y), "{what}: solution");
+                    }
+                    assert_eq!(lu.nonzeros(), fresh.nonzeros(), "{what}: fill");
+                    assert_eq!(lu.determinant().to_bits(), fresh.determinant().to_bits());
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+                    assert_eq!(lu.dim(), 0);
+                }
+                (got, want) => panic!("{what}: replayed {got:?}, fresh {want:?}"),
+            }
+        }
+    }
+    assert!(
+        replayed > CASES,
+        "only {replayed} replays kept their pivots"
+    );
+    assert!(fell_back > CASES / 2, "only {fell_back} pivot changes");
+}
+
+#[test]
+fn ordered_lu_without_a_pattern_is_the_natural_order() {
+    // Declaring a pattern and then none returns to the dense arithmetic.
+    let mut rng = TestRng::new(0x1013);
+    let a = mna_shaped(&mut rng, 20, 4);
+    let (starts, cols) = pattern_of(&mut rng, &a, 0);
+    let mut lu = LuFactor::empty();
+    lu.set_pattern(Some(Pattern {
+        starts: &starts,
+        cols: &cols,
+    }))
+    .unwrap();
+    lu.refactor_into(&a).unwrap();
+    assert_ne!(
+        lu.order(),
+        (0..a.rows()).collect::<Vec<_>>(),
+        "no reordering"
+    );
+    lu.set_pattern(None).unwrap();
+    assert_eq!(lu.dim(), 0, "a new declaration drops the factorization");
+    lu.refactor_into(&a).unwrap();
+    let (want_lu, want_perm) = reference_factor(&a).unwrap();
+    assert_eq!(lu.order(), (0..a.rows()).collect::<Vec<_>>());
+    assert_eq!(lu.permutation(), want_perm.as_slice());
+    assert_same_up_to_zero_sign(lu.factors(), &want_lu, "factors");
 }

@@ -15,6 +15,7 @@ use crate::waveform::Waveform;
 use crate::SpiceError;
 use dso_num::chaos::{ChaosSystem, FaultPlan};
 use dso_num::integrate::{Companion, Method};
+use dso_num::lu::Pattern;
 use dso_num::matrix::DMatrix;
 use dso_num::newton::{NewtonOptions, NewtonSolver, NewtonStats, NonlinearSystem};
 use dso_num::NumError;
@@ -370,6 +371,31 @@ struct CapState {
     i_prev: f64,
 }
 
+/// A circuit's MNA Jacobian at one point, with the structural pattern its
+/// Newton solves declare (see [`Simulator::jacobian`]).
+#[derive(Debug, Clone)]
+pub struct Jacobian {
+    matrix: DMatrix,
+    starts: Vec<usize>,
+    cols: Vec<usize>,
+}
+
+impl Jacobian {
+    /// The Jacobian's values, row-major over the unknowns.
+    pub fn matrix(&self) -> &DMatrix {
+        &self.matrix
+    }
+
+    /// Every position any Jacobian of the circuit can hold: the pattern
+    /// handed to the solver's [`LuFactor`](dso_num::lu::LuFactor).
+    pub fn pattern(&self) -> Pattern<'_> {
+        Pattern {
+            starts: &self.starts,
+            cols: &self.cols,
+        }
+    }
+}
+
 /// The simulator: binds a circuit to an ambient temperature and solver
 /// policy.
 #[derive(Debug, Clone)]
@@ -557,6 +583,39 @@ impl<'c> Simulator<'c> {
             node_names: self.circuit.node_names().to_vec(),
             vsource_names: self.vsource_names(),
             x,
+        })
+    }
+
+    /// The circuit's MNA Jacobian at the unknown vector `x` (node
+    /// voltages, then source branch currents, as in
+    /// [`Solution::as_slice`]): the DC system's, with no capacitor
+    /// companions and every device evaluated. It comes with the
+    /// structural pattern that every Newton solve of this circuit declares
+    /// to its LU factorization, so a caller can inspect what the solver
+    /// factors: the Jacobian's sparsity, and the fill of the solver's
+    /// elimination order on it.
+    ///
+    /// # Errors
+    ///
+    /// * [`SpiceError::BadTopology`] if the circuit fails validation.
+    /// * [`SpiceError::BadAnalysis`] if `x` has the wrong length.
+    pub fn jacobian(&self, x: &[f64]) -> Result<Jacobian, SpiceError> {
+        self.circuit.validate()?;
+        let mut system = MnaSystem::new(self.circuit, self.temp, self.gmin);
+        system.bypass = false;
+        let n = system.unknowns();
+        if x.len() != n {
+            return Err(SpiceError::BadAnalysis(format!(
+                "Jacobian point has {} unknowns, the circuit {n}",
+                x.len()
+            )));
+        }
+        let mut matrix = DMatrix::zeros(n, n);
+        system.assemble_jacobian(x, &mut matrix);
+        Ok(Jacobian {
+            matrix,
+            starts: system.jac_start,
+            cols: system.jac_cols,
         })
     }
 
@@ -1490,6 +1549,11 @@ struct MnaSystem<'a> {
     /// ascending per row; row `i` is `lin_cols[lin_start[i]..lin_start[i + 1]]`.
     lin_cols: Vec<usize>,
     lin_start: Vec<usize>,
+    /// Structural pattern of the whole Jacobian (see
+    /// [`MnaSystem::stamp_pattern`]), in the same layout; declared to the
+    /// Newton solver's LU factorization.
+    jac_cols: Vec<usize>,
+    jac_start: Vec<usize>,
     /// Constant (in `x`) part of the residual.
     lin_rhs: Vec<f64>,
     bypass_hits: usize,
@@ -1502,6 +1566,7 @@ impl<'a> MnaSystem<'a> {
         let n_nodes = circuit.node_count() - 1;
         let n = n_nodes + plan.branches;
         let (lin_cols, lin_start) = Self::base_pattern(&plan, n_nodes, n);
+        let (jac_cols, jac_start) = Self::stamp_pattern(&plan, n_nodes, n);
         MnaSystem {
             companions: vec![None; plan.capacitors.len()],
             plan,
@@ -1515,6 +1580,8 @@ impl<'a> MnaSystem<'a> {
             lin_jac: DMatrix::zeros(n, n),
             lin_cols,
             lin_start,
+            jac_cols,
+            jac_start,
             lin_rhs: vec![0.0; n],
             bypass_hits: 0,
             bypass_misses: 0,
@@ -1528,6 +1595,40 @@ impl<'a> MnaSystem<'a> {
     /// nonzeros, so it is computed once per system, never rescanned.
     fn base_pattern(plan: &StampPlan<'_>, n_nodes: usize, n: usize) -> (Vec<usize>, Vec<usize>) {
         let mut stamped = vec![false; n * n];
+        Self::mark_base(plan, n_nodes, n, &mut stamped);
+        Self::rows_of(&stamped, n)
+    }
+
+    /// Every position [`MnaSystem::assemble_jacobian`] can write: the
+    /// [`MnaSystem::base_pattern`] and each nonlinear device's stamp block
+    /// (a MOSFET's drain and source rows over its four terminals, a
+    /// diode's two terminals, a switch's two rows over its four
+    /// terminals). Fixed for the system's life, like the plan. The branch
+    /// rows' diagonals stay out: they are always zero, and as structural
+    /// entries they would fill every neighbour of a source's node (DESIGN
+    /// §10).
+    fn stamp_pattern(plan: &StampPlan<'_>, n_nodes: usize, n: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut stamped = vec![false; n * n];
+        Self::mark_base(plan, n_nodes, n, &mut stamped);
+        let mut block = |rows: &[Option<usize>], cols: &[Option<usize>]| {
+            for &r in rows.iter().flatten() {
+                for &c in cols.iter().flatten() {
+                    stamped[r * n + c] = true;
+                }
+            }
+        };
+        for stamp in &plan.nonlinear {
+            match stamp {
+                NonlinearStamp::Mos(m) => block(&[m.d, m.s], &[m.d, m.g, m.s, m.b]),
+                NonlinearStamp::Diode(d) => block(&[d.p, d.n], &[d.p, d.n]),
+                NonlinearStamp::Switch(sw) => block(&[sw.p, sw.n], &[sw.p, sw.n, sw.cp, sw.cn]),
+            }
+        }
+        Self::rows_of(&stamped, n)
+    }
+
+    /// Marks the base's reachable positions in a row-major `n × n` grid.
+    fn mark_base(plan: &StampPlan<'_>, n_nodes: usize, n: usize, stamped: &mut [bool]) {
         let mut mark = |row: usize, col: usize| stamped[row * n + col] = true;
         for i in 0..n_nodes {
             mark(i, i);
@@ -1550,10 +1651,14 @@ impl<'a> MnaSystem<'a> {
                 LinearStamp::ISource { .. } => {}
             }
         }
+    }
+
+    /// A marked `n × n` grid as ascending column lists per row,
+    /// `(cols, row starts)`.
+    fn rows_of(stamped: &[bool], n: usize) -> (Vec<usize>, Vec<usize>) {
         let mut cols = Vec::new();
         let mut starts = vec![0];
-        for i in 0..n {
-            let row = &stamped[i * n..(i + 1) * n];
+        for row in stamped.chunks_exact(n.max(1)).take(n) {
             cols.extend((0..n).filter(|&j| row[j]));
             starts.push(cols.len());
         }
@@ -1801,6 +1906,13 @@ impl NonlinearSystem for MnaSystem<'_> {
         // make the verdict the next iteration's starting point.
         self.assemble_residual(x, out, true);
         Ok(())
+    }
+
+    fn jacobian_pattern(&self) -> Option<Pattern<'_>> {
+        Some(Pattern {
+            starts: &self.jac_start,
+            cols: &self.jac_cols,
+        })
     }
 }
 
@@ -2661,6 +2773,114 @@ mod tests {
             total_hits > 500 && total_misses > 500,
             "{total_hits} hits, {total_misses} misses"
         );
+    }
+
+    /// A random netlist over 3–8 nodes and ground, with every device
+    /// kind and a quarter of all terminals grounded. Devices the builder
+    /// refuses are left out.
+    fn random_circuit(rng: &mut dso_num::testing::TestRng) -> Circuit {
+        let mut ckt = Circuit::new();
+        let nodes: Vec<NodeId> = (0..rng.index_range(3, 9))
+            .map(|i| ckt.node(&format!("n{i}")))
+            .collect();
+        let pick = |rng: &mut dso_num::testing::TestRng| {
+            if rng.index(4) == 0 {
+                Circuit::GROUND
+            } else {
+                *rng.choose(&nodes)
+            }
+        };
+        for d in 0..rng.index_range(4, 16) {
+            let name = format!("X{d}");
+            let (a, b) = (pick(rng), pick(rng));
+            let _ = match rng.index(7) {
+                0 => ckt.add_resistor(&name, a, b, rng.log_range(1e2, 1e6)),
+                1 => ckt.add_capacitor(&name, a, b, rng.log_range(1e-15, 1e-12)),
+                2 => ckt.add_vsource(&name, a, b, Waveform::Dc(rng.range(-1.0, 2.5))),
+                3 => ckt.add_isource(&name, a, b, Waveform::Dc(rng.range(-1e-5, 1e-5))),
+                4 => {
+                    let model = if rng.next_bool() {
+                        MosModel::default()
+                    } else {
+                        MosModel::default_pmos()
+                    };
+                    let (g, body) = (pick(rng), pick(rng));
+                    let geometry = MosGeometry::new(1e-6, 0.25e-6).unwrap();
+                    ckt.add_mosfet(&name, a, g, b, body, model, geometry)
+                }
+                5 => ckt.add_diode(&name, a, b, crate::diode::DiodeModel::default()),
+                _ => {
+                    let (cp, cn) = (pick(rng), pick(rng));
+                    ckt.add_vswitch(&name, a, b, cp, cn, 1e3, 1e9, 1.0)
+                }
+            };
+        }
+        ckt
+    }
+
+    #[test]
+    fn declared_pattern_covers_every_jacobian_entry() {
+        // The LU factorization reads the declared pattern only, so a stamp
+        // outside it would be dropped silently. Every phase a solve can
+        // assemble in: DC, backward Euler and trapezoidal companions, and
+        // each gmin-ladder rung.
+        let mut rng = dso_num::testing::TestRng::new(31);
+        let mut stamped = 0;
+        for case in 0..150 {
+            let ckt = random_circuit(&mut rng);
+            let sim = Simulator::new(&ckt);
+            let mut system = sim.make_system(&ckt);
+            let n = system.unknowns();
+            let pattern = system
+                .jacobian_pattern()
+                .expect("an MNA system declares one");
+            let mut held = vec![false; n * n];
+            for i in 0..n {
+                for &j in &pattern.cols[pattern.starts[i]..pattern.starts[i + 1]] {
+                    held[i * n + j] = true;
+                }
+            }
+            let states = vec![
+                CapState {
+                    v_prev: 0.3,
+                    i_prev: 1e-7,
+                };
+                system.plan.capacitors.len()
+            ];
+            let phases = [
+                (None, 1e-12),
+                (Some(Method::BackwardEuler), 1e-12),
+                (Some(Method::Trapezoidal), 1e-12),
+                (Some(Method::BackwardEuler), 1e-2),
+                (Some(Method::BackwardEuler), 1e-6),
+                (Some(Method::BackwardEuler), 1e-10),
+            ];
+            for (method, gmin) in phases {
+                if let Some(method) = method {
+                    sim.install_companions(&mut system, &states, 0.0, 1e-10, method)
+                        .unwrap();
+                }
+                system.set_gmin(gmin);
+                for _ in 0..4 {
+                    let x: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 2.5)).collect();
+                    let mut jac = DMatrix::zeros(n, n);
+                    system.jacobian(&x, &mut jac).unwrap();
+                    for (at, v) in jac.as_slice().iter().enumerate() {
+                        if *v != 0.0 {
+                            stamped += 1;
+                            assert!(
+                                held[at],
+                                "case {case}, {method:?}, gmin {gmin}: J[{}][{}] = {v:e} \
+                                 lies outside the declared pattern",
+                                at / n,
+                                at % n
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stamped > 10_000, "only {stamped} nonzero entries checked");
     }
 
     #[test]

@@ -94,6 +94,97 @@ fn fig6_stressed_border_lies_below_the_nominal_one() {
     );
 }
 
+/// The CSV block at the end of a plane figure: its header and rows.
+fn plane_csv(output: &str) -> (Vec<&str>, Vec<Vec<f64>>) {
+    let mut lines = output.lines().skip_while(|l| !l.starts_with("R_ohm,"));
+    let header: Vec<&str> = lines.next().expect("a CSV header").split(',').collect();
+    let rows = lines
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            l.split(',')
+                .map(|v| v.parse().unwrap_or_else(|e| panic!("{v:?}: {e}")))
+                .collect()
+        })
+        .collect();
+    (header, rows)
+}
+
+#[test]
+fn fig2_planes_keep_the_papers_shape() {
+    let output = read("results/fig2_result_planes.txt");
+    let (header, rows) = plane_csv(&output);
+    assert_eq!(rows.len(), 13, "13 resistance points");
+    let column = |name: &str| -> Vec<f64> {
+        let k = header
+            .iter()
+            .position(|h| *h == name)
+            .unwrap_or_else(|| panic!("no {name} column in {header:?}"));
+        rows.iter().map(|r| r[k]).collect()
+    };
+    let value = |prefix: &str| {
+        output
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line"))
+    };
+    let crossing = ohms(value(
+        "border resistance from the w0 x Vsa curve intersection: ",
+    ));
+    let bisection = ohms(
+        value("border resistance from pass/fail bisection of {... w1 w1 w0 r0 ...}: ")
+            .split(" (")
+            .next()
+            .expect("a border"),
+    );
+    let r = column("R_ohm");
+    // Fig. 2(a): an open keeps a 0 from being written, more so the larger
+    // it is, so both w0 curves rise with R, from a clean 0 at 1 kΩ up to
+    // their peak, which lies within a decade below the border.
+    for name in ["w0_1", "w0_2"] {
+        let w0 = column(name);
+        let peak = (0..w0.len()).fold(0, |best, i| if w0[i] > w0[best] { i } else { best });
+        assert!(w0[0].abs() < 0.05, "{name} at 1 kΩ is {} V", w0[0]);
+        assert!(
+            w0[..=peak].windows(2).all(|w| w[0] <= w[1]),
+            "{name} does not rise up to its peak: {w0:?}"
+        );
+        assert!(
+            (bisection / 10.0..=bisection).contains(&r[peak]),
+            "{name} peaks at {} Ω, not within a decade below the border {bisection} Ω",
+            r[peak]
+        );
+    }
+    // Vsa falls with R, to GND by 10 MΩ: large opens read 1 instead of 0.
+    let vsa = column("vsa");
+    assert!(
+        vsa.windows(2).all(|w| w[0] >= w[1]),
+        "Vsa does not fall with R: {vsa:?}"
+    );
+    assert_eq!(r.last().map(|r| r.round()), Some(1e7));
+    assert!(vsa[vsa.len() - 1].abs() < 1e-6, "Vsa at 10 MΩ is {vsa:?}");
+
+    // The healthy cell's mid-point voltage sits near Vdd/2.
+    let vdd: f64 = value("defect O3 (true), Vdd = ")
+        .split(' ')
+        .next()
+        .and_then(|v| v.parse().ok())
+        .expect("the supply voltage");
+    let vmp: f64 = value("Vmp (mid-point voltage of the healthy cell): ")
+        .trim_end_matches(" V")
+        .parse()
+        .expect("Vmp");
+    assert!(
+        (vmp - vdd / 2.0).abs() <= 0.1 * vdd / 2.0,
+        "Vmp {vmp} V is not within 10 % of Vdd/2 = {} V",
+        vdd / 2.0
+    );
+    // The two border extractions agree within 10 %.
+    assert!(
+        (crossing - bisection).abs() <= 0.1 * bisection,
+        "intersection border {crossing} Ω and bisection border {bisection} Ω differ by more than 10 %"
+    );
+}
+
 /// One row of the committed Table 1.
 #[derive(Debug)]
 struct Table1Row {
