@@ -65,10 +65,11 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # print the planes' Vsa(R) curves, so they gate the hinted threshold
     # searches chained along each sweep. Every transient of every binary
     # runs through its MNA system's compiled stamp plan (folded device
-    # constants, device-ordered stamps) and starts a warm step from its
-    # probed residual, so the nine byte-gated artifacts gate those bits
-    # too. Each binary's wall time is printed for the record; it gates
-    # nothing.
+    # constants, device-ordered stamps), with every column source pinning
+    # its grounded node out of the Newton system, and starts a warm step
+    # from its probed residual, so the nine byte-gated artifacts gate
+    # those bits too. Each binary's wall time is printed for the record;
+    # it gates nothing.
     for bin in table1 fig1_model fig2_result_planes fig3_timing fig4_temperature fig5_voltage fig6_sc_planes fig7_defects ablation_duty; do
         printf '    %-18s' "$bin"
         t0=$(date +%s.%N)
@@ -79,8 +80,10 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
 
     echo "==> spice deck (text netlist through the transient engine)"
     # The one end-to-end path from a parsed deck's .tran directive through
-    # TranOptions::new to a transient. Exits non-zero if the options are
-    # rejected or the transient fails.
+    # TranOptions::new to a transient. The deck's ammeter source floats
+    # between two non-ground nodes, so the transient also runs the
+    # branch-current path of sources that pin no node. Exits non-zero if
+    # the options are rejected or the transient fails.
     cargo run --release -q --offline --example spice_deck
 
     echo "==> resume drill (kill-and-resume the persistent result store)"

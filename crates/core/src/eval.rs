@@ -590,15 +590,18 @@ impl EvalService {
     }
 
     /// The context fingerprint a service built on `analyzer` uses: the
-    /// hash of its column design, its recovery policy and the request
-    /// schema (`REQUEST_SCHEMA`). This is the key a [`ResultStore`] must
+    /// hash of its column design, its recovery policy, the request schema
+    /// (`REQUEST_SCHEMA`) and the solver's numerics revision
+    /// ([`dso_spice::NUMERICS`]). This is the key a [`ResultStore`] must
     /// be opened with for its records to survive the stale-generation
-    /// check.
+    /// check, so a store written by a solver whose bits differ compacts
+    /// away at open instead of replaying them.
     pub fn context_for(analyzer: &Analyzer) -> u64 {
         let mut fp = Fingerprint::new();
         analyzer.design().fingerprint_into(&mut fp);
         analyzer.recovery().fingerprint_into(&mut fp);
         fp.write_u64(REQUEST_SCHEMA);
+        fp.write_u64(dso_spice::NUMERICS);
         fp.finish()
     }
 

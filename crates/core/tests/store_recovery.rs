@@ -3,7 +3,8 @@
 //! every possible byte offset of its final record, or corrupted at random
 //! positions, must still open, must keep every undamaged record
 //! bit-intact, and must count what it dropped. A store written under an
-//! older request schema drops its records at open and re-simulates.
+//! older request schema, or by a solver of another numerics revision,
+//! drops its records at open and re-simulates.
 
 use dso_core::store::{ResultStore, StoredResult};
 use dso_core::SimValue;
@@ -271,4 +272,80 @@ fn records_from_before_the_request_schema_compact_away_and_re_simulate() {
     assert_eq!(stats.stale_skipped, 0, "{stats:?}");
     assert_eq!(stats.records_loaded, 1, "{stats:?}");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn records_from_another_solver_revision_compact_away_and_re_simulate() {
+    use dso_core::analysis::Analyzer;
+    use dso_core::{EvalService, SimRequest};
+    use dso_defects::{BitLineSide, Defect};
+    use dso_dram::design::{ColumnDesign, OperatingPoint};
+    use dso_num::fingerprint::Fingerprint;
+
+    let analyzer = Analyzer::new(ColumnDesign {
+        dt_fraction: 1.0 / 250.0,
+        ..ColumnDesign::default()
+    });
+    // The context a store is keyed by, under a given numerics revision
+    // (`None`: before the revision was folded in). The request schema is
+    // 1.
+    let keyed = |revision: Option<u64>| {
+        let mut fp = Fingerprint::new();
+        analyzer.design().fingerprint_into(&mut fp);
+        analyzer.recovery().fingerprint_into(&mut fp);
+        fp.write_u64(1);
+        if let Some(revision) = revision {
+            fp.write_u64(revision);
+        }
+        fp.finish()
+    };
+    let context = EvalService::context_for(&analyzer);
+    assert_eq!(keyed(Some(dso_spice::NUMERICS)), context);
+    let older = [keyed(None), keyed(Some(dso_spice::NUMERICS - 1))];
+    assert!(older.iter().all(|&old| old != context));
+
+    let request = SimRequest::write_end(
+        &Defect::cell_open(BitLineSide::True),
+        1e5,
+        &OperatingPoint::nominal(),
+        false,
+    );
+    let stale = SimValue::Scalar(-1.0);
+    for (k, old) in older.into_iter().enumerate() {
+        let path = tmp_path(&format!("older-numerics-{k}"));
+        // The older solver's store holds the request under its own key
+        // and under the key the current context looks up.
+        {
+            let store = ResultStore::open(&path, old).expect("open old store");
+            store.put(request.content_key(old), &stale, &RecoveryStats::default());
+            store.put(
+                request.content_key(context),
+                &stale,
+                &RecoveryStats::default(),
+            );
+        }
+
+        // Opening for the current context drops both records and rewrites
+        // the file without them.
+        let store = ResultStore::open(&path, context).expect("open under this revision");
+        let stats = store.stats();
+        assert_eq!(stats.stale_skipped, 2, "{k}: {stats:?}");
+        assert_eq!(stats.records_loaded, 0, "{k}: {stats:?}");
+        assert_eq!(stats.compactions, 1, "{k}: {stats:?}");
+        assert!(store.is_empty());
+
+        // The request is simulated again, not served from the old bits.
+        let service = EvalService::with_store(analyzer.clone(), store).expect("context matches");
+        let value = service.eval(&request).expect("simulates");
+        assert_ne!(value, stale);
+        assert_eq!(service.cache_stats().misses, 1);
+        assert_eq!(service.cache_stats().disk_hits, 0);
+        drop(service);
+
+        let reopened = ResultStore::open(&path, context).expect("clean reopen");
+        let stats = reopened.stats();
+        assert_eq!(stats.stale_skipped, 0, "{k}: {stats:?}");
+        assert_eq!(stats.records_loaded, 1, "{k}: {stats:?}");
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -60,7 +60,7 @@ pub mod units;
 pub mod waveform;
 
 pub use circuit::{Circuit, NodeId};
-pub use engine::{default_newton_options, Simulator, TranOptions, TranResult};
+pub use engine::{default_newton_options, Simulator, TranOptions, TranResult, NUMERICS};
 pub use error::SpiceError;
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 

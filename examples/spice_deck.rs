@@ -1,6 +1,11 @@
 //! Using the SPICE substrate directly: parse a classic text netlist of a
 //! defective cell test bench and simulate a write-0 cycle.
 //!
+//! The word-line source runs from its node to ground, so the solver pins
+//! that node to the source's value; the bit line is driven through a 0 V
+//! ammeter source between two non-ground nodes, which pins nothing and
+//! keeps its branch current as a Newton unknown.
+//!
 //! Run with:
 //!
 //! ```text
@@ -14,13 +19,14 @@ const DECK: &str = "\
 defective cell write-0 bench
 * A storage cell (packaged as a subcircuit) behind a 200k open; the bit
 * line is driven low after 10 ns through the access transistor, as during
-* the write phase of a w0 cycle.
+* the write phase of a w0 cycle. Vmeas measures the bit-line current.
 .subckt cell1t bl wl
 Macc  bl   wl  xs  0  NACC W=0.15u L=0.5u
 Rop   xs   st 200k
 Cs    st   0  30f
 .ends
-Vbl   bl   0  PWL(0 1.2 10n 1.2 11n 0)
+Vbl   bld  0  PWL(0 1.2 10n 1.2 11n 0)
+Vmeas bl   bld DC 0
 Vwl   wl   0  EXP(0 2.8 5n 0.5n 50n 0.5n)
 Xc    bl   wl cell1t
 .model NACC NMOS (VTO=0.55 KP=120u LAMBDA=0.03 GAMMA=0.4 PHI=0.7 BEX=-2.0)
@@ -53,6 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             result.voltage_at("xc.st", t)?
         );
     }
+    let i_bl = result.current("Vmeas")?;
+    let peak = i_bl.iter().fold(0.0_f64, |m, i| m.max(i.abs()));
+    println!("peak bit-line current through Vmeas: {:.2} uA", peak * 1e6);
     let v_end = result.final_voltage("xc.st")?;
     println!();
     if v_end > 1.0 {

@@ -1,10 +1,12 @@
 //! The paper column's MNA Jacobian under the solver's LU factorization.
 //!
-//! Every Newton solve of a column declares the Jacobian's structural
-//! pattern, and its LU eliminates in a minimum-degree order of that
-//! pattern. This pins the fill and the elimination work of that order on
-//! the column itself, as counts, so a change that loses the order fails
-//! here on any host, whatever the timings say.
+//! Every one of the column's voltage sources runs from a node to ground,
+//! so each pins its node out of the Newton system, and every Newton solve
+//! of a column declares the Jacobian's structural pattern, over which its
+//! LU eliminates in a minimum-degree order. This pins the Newton dimension
+//! and the fill and elimination work of that order on the column itself,
+//! as counts, so a change that re-adds branch unknowns or loses the order
+//! fails here on any host, whatever the timings say.
 
 use dram_stress_opt::dram::column::Column;
 use dram_stress_opt::dram::design::ColumnDesign;
@@ -21,15 +23,24 @@ fn column_jacobian_factors_with_little_fill() {
     let (a, pattern) = (jacobian.matrix(), jacobian.pattern());
     assert_eq!(pattern.dim(), a.rows());
 
+    // Results keep every node voltage and every source current: 29 nodes
+    // and 13 sources. Newton solves for the 29 − 13 nodes the sources do
+    // not pin.
+    let nodes = column.circuit().node_count() - 1;
+    let sources = op.as_slice().len() - nodes;
+    assert_eq!((nodes, sources), (29, 13));
+    assert_eq!(a.rows(), nodes - sources, "Newton unknowns");
+
     let mut ordered = LuFactor::empty();
     ordered.set_pattern(Some(pattern)).unwrap();
     ordered.refactor_into(a).unwrap();
     let natural = LuFactor::new(a).unwrap();
 
     // L and U together hold at most a tenth more than the pattern, and a
-    // refactor's elimination is at most 100 multiply-subtracts. The
-    // natural order fills the same matrix about threefold (446 stored
-    // entries, 1105 updates on the operating point's Jacobian).
+    // refactor's elimination is at most 100 multiply-subtracts; today the
+    // pattern holds 50 entries, L and U 54, and a refactor performs 27
+    // updates. The natural order fills the same matrix about threefold
+    // (150 stored entries, 403 updates on the operating point's Jacobian).
     let (fill, updates) = (ordered.nonzeros(), ordered.updates());
     assert!(
         fill as f64 <= 1.1 * pattern.nonzeros() as f64,
