@@ -57,11 +57,14 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
 
     echo "==> reproduce (Table 1, Figs. 1-7 and the duty ablation against results/)"
     # Reruns the paper artifacts and fails on any drift from the committed
-    # text. table1 and ablation_duty run the stress optimizer, so they
-    # also gate its prefetched border searches, whose detection runs stop
-    # at their last read, and table1 gates its stress probes. fig3, fig4
-    # and fig5 print Vsa values, so they gate the read threshold and
-    # write-end transients stopped at word-line closing. fig2 and fig6
+    # text. Every binary runs its analyses on one Session (planes, border,
+    # detect), so table1, fig2, fig3, fig4, fig5, fig6 and ablation_duty
+    # all gate prefetched border searches, whose detection runs stop at
+    # their last read; fig2 and fig6 exit with an error if their plane
+    # campaign has an interpolated gap, and table1 gates the optimizer's
+    # stress probes. fig3, fig4 and fig5 print Vsa values, so they gate
+    # the read threshold and write-end transients stopped at word-line
+    # closing. fig2 and fig6
     # print the planes' Vsa(R) curves, so they gate the hinted threshold
     # searches chained along each sweep. Every transient of every binary
     # runs through its MNA system's compiled stamp plan (folded device
@@ -78,13 +81,22 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
         awk -v t0="$t0" -v t1="$t1" 'BEGIN { printf "%6.1f s\n", t1 - t0 }'
     done
 
-    echo "==> spice deck (text netlist through the transient engine)"
-    # The one end-to-end path from a parsed deck's .tran directive through
-    # TranOptions::new to a transient. The deck's ammeter source floats
-    # between two non-ground nodes, so the transient also runs the
-    # branch-current path of sources that pin no node. Exits non-zero if
-    # the options are rejected or the transient fails.
-    cargo run --release -q --offline --example spice_deck
+    echo "==> examples (stdout against results/example_<name>.txt)"
+    # Each example's stdout must match its committed output byte for byte.
+    # spice_deck is the one end-to-end path from a parsed deck's .tran
+    # directive through TranOptions::new to a transient; its ammeter source
+    # floats between two non-ground nodes, so the transient also runs the
+    # branch-current path of sources that pin no node. quickstart runs the
+    # optimizer on one defect, march_coverage the march-test coverage of a
+    # defect ensemble. example_shmoo.txt is not gated: its
+    # "evaluation service" line counts the prefetches Session::border
+    # issues with more than one thread, so it differs between DSO_THREADS=1
+    # and higher counts.
+    for ex in spice_deck:spice_deck quickstart:quickstart march_coverage:march; do
+        printf '    %s\n' "${ex%%:*}"
+        cargo run --release -q --offline --example "${ex%%:*}" |
+            diff -u "results/example_${ex#*:}.txt" -
+    done
 
     echo "==> resume drill (kill-and-resume the persistent result store)"
     # Tears a result store mid-append with injected short writes, reopens it,

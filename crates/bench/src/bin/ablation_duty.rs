@@ -6,15 +6,15 @@
 //! specification range at fixed `tcyc`, and by running the optimizer with
 //! the duty cycle included.
 
-use dso_bench::figure_design;
-use dso_core::analysis::{find_border, Analyzer, DetectionCondition};
-use dso_core::eval::EvalService;
+use dso_core::analysis::DetectionCondition;
 use dso_core::stress::{OperatingPoint, OptimizerConfig, StressKind, StressOptimizer};
+use dso_core::Session;
 use dso_defects::{BitLineSide, Defect};
+use dso_dram::design::ColumnDesign;
 use dso_spice::units::format_eng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let service = EvalService::new(Analyzer::new(figure_design()));
+    let session = Session::with_design(ColumnDesign::default());
     let defect = Defect::cell_open(BitLineSide::True);
     let nominal = OperatingPoint::nominal();
     let detection = DetectionCondition::default_for(&defect, 2);
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("border resistance of {defect} vs duty cycle (tcyc = 60 ns):");
     for duty in [lo, 0.45, 0.5, 0.55, hi] {
         let op = StressKind::DutyCycle.apply_to(&nominal, duty)?;
-        let border = find_border(&service, &defect, &detection, &op, 0.03)?;
+        let border = session.border(&defect, &detection, &op, 0.03)?;
         println!(
             "  duty = {duty:.2}: BR = {}",
             format_eng(border.resistance, "Ω")
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Optimizer run with all four stresses.
     println!("optimizer with all four stresses (Vdd, tcyc, duty, T):");
-    let optimizer = StressOptimizer::new(figure_design()).with_config(OptimizerConfig {
+    let optimizer = StressOptimizer::with_session(session).with_config(OptimizerConfig {
         border_tol: 0.03,
         max_settling_writes: 6,
         stresses: StressKind::ALL.to_vec(),

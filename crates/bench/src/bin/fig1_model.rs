@@ -5,12 +5,12 @@
 //! embedded in, matching the paper's Figure 1 plus the surrounding
 //! "simplified design-validation model" of Section 5.1.
 
-use dso_bench::figure_design;
 use dso_defects::{BitLineSide, Defect};
 use dso_dram::column::{Column, DefectSite};
+use dso_dram::design::ColumnDesign;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let design = figure_design();
+    let design = ColumnDesign::default();
     let mut column = Column::build(&design)?;
     let defect = Defect::cell_open(BitLineSide::True);
     defect.inject(&mut column, 200e3)?;

@@ -5,18 +5,16 @@
 //! settlement curves, the sense-threshold curve `Vsa(R)`, the mid-point
 //! voltage `Vmp`, and the border resistance from both extraction methods.
 
-use dso_bench::figure_design;
 use dso_bench::plot::{zip_points, AsciiChart};
-use dso_core::analysis::{find_border, result_planes, Analyzer, DetectionCondition};
-use dso_core::eval::EvalService;
+use dso_core::analysis::DetectionCondition;
+use dso_core::Session;
 use dso_defects::{BitLineSide, Defect};
-use dso_dram::design::OperatingPoint;
+use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_num::interp::logspace;
 use dso_spice::units::format_eng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analyzer = Analyzer::new(figure_design());
-    let service = EvalService::new(analyzer.clone());
+    let session = Session::with_design(ColumnDesign::default());
     let defect = Defect::cell_open(BitLineSide::True);
     let nominal = OperatingPoint::nominal();
 
@@ -35,43 +33,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "generating planes over {} resistance points…",
         r_values.len()
     );
-    let planes = result_planes(&analyzer, &defect, &nominal, &r_values, 2)?;
+    let campaign = session.planes(&defect, &nominal, &r_values, 2)?;
+    // A published plane holds simulated points only, never interpolated gaps.
+    if !campaign.confidence.is_full() {
+        return Err(format!("plane campaign incomplete: {}", campaign.confidence).into());
+    }
+    let planes = campaign.planes;
 
-    // (a) w0 plane.
-    let mut chart = AsciiChart::new(
-        "(a) plane of w0 — Vc after successive w0 ops",
-        "R (Ohm)",
-        "Vc (V)",
-    )
-    .with_log_x();
-    chart.add_series(
-        "(1) w0",
-        zip_points(&r_values, planes.w0.after_ops(1)?.ys()),
-    );
-    chart.add_series(
-        "(2) w0",
-        zip_points(&r_values, planes.w0.after_ops(2)?.ys()),
-    );
-    chart.add_series("Vsa(R)", zip_points(&r_values, planes.r.vsa.ys()));
-    println!("{}", chart.render());
-
-    // (b) w1 plane.
-    let mut chart = AsciiChart::new(
-        "(b) plane of w1 — Vc after successive w1 ops",
-        "R (Ohm)",
-        "Vc (V)",
-    )
-    .with_log_x();
-    chart.add_series(
-        "(1) w1",
-        zip_points(&r_values, planes.w1.after_ops(1)?.ys()),
-    );
-    chart.add_series(
-        "(2) w1",
-        zip_points(&r_values, planes.w1.after_ops(2)?.ys()),
-    );
-    chart.add_series("Vsa(R)", zip_points(&r_values, planes.r.vsa.ys()));
-    println!("{}", chart.render());
+    // (a) and (b): the write planes.
+    for (title, plane) in [("(a)", &planes.w0), ("(b)", &planes.w1)] {
+        let op = if plane.write_high { "w1" } else { "w0" };
+        let title = format!("{title} plane of {op} — Vc after successive {op} ops");
+        let mut chart = AsciiChart::new(&title, "R (Ohm)", "Vc (V)").with_log_x();
+        for (i, curve) in plane.curves.iter().enumerate() {
+            chart.add_series(
+                &format!("({}) {op}", i + 1),
+                zip_points(&r_values, curve.ys()),
+            );
+        }
+        chart.add_series("Vsa(R)", zip_points(&r_values, planes.r.vsa.ys()));
+        println!("{}", chart.render());
+    }
 
     // (c) r plane.
     let mut chart = AsciiChart::new(
@@ -104,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let detection = DetectionCondition::default_for(&defect, 2);
-    let border = find_border(&service, &defect, &detection, &nominal, 0.03)?;
+    let border = session.border(&defect, &detection, &nominal, 0.03)?;
     println!(
         "border resistance from pass/fail bisection of {}: {} ({} evaluations)",
         detection.display_for(defect.side()),

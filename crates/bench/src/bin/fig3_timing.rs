@@ -6,24 +6,25 @@
 //! below `Vsa` — the sensed value does not change with timing. Conclusion
 //! (paper Section 4.1): reducing `tcyc` is the more stressful condition.
 
-use dso_bench::figure_design;
 use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::plot::{zip_points, AsciiChart};
-use dso_core::analysis::{find_border, Analyzer, DetectionCondition};
-use dso_core::eval::EvalService;
+use dso_core::analysis::DetectionCondition;
 use dso_core::stress::StressKind;
+use dso_core::Session;
 use dso_defects::{BitLineSide, Defect};
-use dso_dram::design::OperatingPoint;
+use dso_dram::design::{ColumnDesign, OperatingPoint};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let service = EvalService::new(Analyzer::new(figure_design()));
+    let session = Session::with_design(ColumnDesign::default());
     let defect = Defect::cell_open(BitLineSide::True);
     let nominal = OperatingPoint::nominal();
     // Probe at the measured nominal border resistance — the paper probes at
     // its border (200 kOhm for its memory model); ours differs in absolute
     // value because the column parameters are documented substitutions.
     let detection_probe = DetectionCondition::default_for(&defect, 2);
-    let rop = find_border(&service, &defect, &detection_probe, &nominal, 0.05)?.resistance;
+    let rop = session
+        .border(&defect, &detection_probe, &nominal, 0.05)?
+        .resistance;
     eprintln!("probing at the measured nominal border Rop = {rop:.3e} Ohm (paper: 200 kOhm)");
 
     println!("Figure 3: simulation of reducing tcyc from 60 ns to 55 ns");
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &tcyc in &tcycs {
         let op = StressKind::CycleTime.apply_to(&nominal, tcyc)?;
         let label = format!("tcyc = {:.0} ns", tcyc * 1e9);
-        let panel = w0_panel(&service, &defect, rop, &op, &label)?;
+        let panel = w0_panel(session.service(), &defect, rop, &op, &label)?;
         endpoints.push((label.clone(), panel.vc_end));
         chart.add_series(&label, zip_points(&panel.times, &panel.vc));
     }
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // --- Bottom panel: read just below Vsa -----------------------------
-    let vsa = service.vsa(&defect, rop, &nominal)?;
+    let vsa = session.service().vsa(&defect, rop, &nominal)?;
     let vc_init = (vsa - 0.1).max(0.0);
     println!("Vsa at the border (nominal SC): {vsa:.3} V; reads start at {vc_init:.3} V");
     let mut chart = AsciiChart::new("Vc after a read operation", "t (s)", "Vc (V)");
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &tcyc in &tcycs {
         let op = StressKind::CycleTime.apply_to(&nominal, tcyc)?;
         let label = format!("tcyc = {:.0} ns", tcyc * 1e9);
-        let panel = read_panel(&service, &defect, rop, &op, vc_init, &label)?;
+        let panel = read_panel(session.service(), &defect, rop, &op, vc_init, &label)?;
         sensed.push((label.clone(), panel.sensed_high));
         chart.add_series(&label, zip_points(&panel.times, &panel.vc));
     }

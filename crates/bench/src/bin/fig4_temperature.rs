@@ -7,25 +7,26 @@
 //! highlights. The ambiguity is resolved by comparing border resistances
 //! at +27 °C and +87 °C (paper Section 4.2).
 
-use dso_bench::figure_design;
 use dso_bench::figures::{read_panel, w0_panel};
 use dso_bench::plot::{zip_points, AsciiChart};
-use dso_core::analysis::{find_border, Analyzer, DetectionCondition};
-use dso_core::eval::EvalService;
+use dso_core::analysis::DetectionCondition;
 use dso_core::stress::StressKind;
+use dso_core::Session;
 use dso_defects::{BitLineSide, Defect};
-use dso_dram::design::OperatingPoint;
+use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_spice::units::format_eng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let service = EvalService::new(Analyzer::new(figure_design()));
+    let session = Session::with_design(ColumnDesign::default());
     let defect = Defect::cell_open(BitLineSide::True);
     let nominal = OperatingPoint::nominal();
     // Probe at the measured nominal border resistance — the paper probes at
     // its border (200 kOhm for its memory model); ours differs in absolute
     // value because the column parameters are documented substitutions.
-    let detection_probe = DetectionCondition::default_for(&defect, 2);
-    let rop = find_border(&service, &defect, &detection_probe, &nominal, 0.05)?.resistance;
+    let detection = DetectionCondition::default_for(&defect, 2);
+    let rop = session
+        .border(&defect, &detection, &nominal, 0.05)?
+        .resistance;
     eprintln!("probing at the measured nominal border Rop = {rop:.3e} Ohm (paper: 200 kOhm)");
     let temps = [-33.0, 27.0, 87.0];
 
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &t in &temps {
         let op = StressKind::Temperature.apply_to(&nominal, t)?;
         let label = format!("T = {t:+.0} °C");
-        let panel = w0_panel(&service, &defect, rop, &op, &label)?;
+        let panel = w0_panel(session.service(), &defect, rop, &op, &label)?;
         endpoints.push((label.clone(), panel.vc_end));
         chart.add_series(&label, zip_points(&panel.times, &panel.vc));
     }
@@ -61,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // --- Bottom panel: read around the threshold ------------------------
-    let vsa_nom = service.vsa(&defect, rop, &nominal)?;
+    let vsa_nom = session.service().vsa(&defect, rop, &nominal)?;
     let vc_init = (vsa_nom + 0.05).min(nominal.vdd);
     println!("nominal Vsa at the border: {vsa_nom:.3} V; reads start at {vc_init:.3} V");
     let mut chart = AsciiChart::new("Vc after a read operation", "t (s)", "Vc (V)");
@@ -69,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &t in &temps {
         let op = StressKind::Temperature.apply_to(&nominal, t)?;
         let label = format!("T = {t:+.0} °C");
-        let panel = read_panel(&service, &defect, rop, &op, vc_init, &label)?;
-        let vsa_t = service.vsa(&defect, rop, &op)?;
+        let panel = read_panel(session.service(), &defect, rop, &op, vc_init, &label)?;
+        let vsa_t = session.service().vsa(&defect, rop, &op)?;
         vsas.push((t, vsa_t, panel.sensed_high));
         chart.add_series(&label, zip_points(&panel.times, &panel.vc));
     }
@@ -96,11 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // --- Resolve by border comparison -----------------------------------
-    let detection = DetectionCondition::default_for(&defect, 2);
     let mut borders = Vec::new();
     for &t in &[27.0, 87.0] {
         let op = StressKind::Temperature.apply_to(&nominal, t)?;
-        let border = find_border(&service, &defect, &detection, &op, 0.03)?;
+        let border = session.border(&defect, &detection, &op, 0.03)?;
         println!(
             "  BR at T = {t:+.0} °C: {}",
             format_eng(border.resistance, "Ω")

@@ -6,20 +6,16 @@
 //! (3) the stressed `w1` develops its own fail band, and (4) even a
 //! defect-free cell no longer settles rail-to-rail in one operation.
 
-use dso_bench::figure_design;
 use dso_bench::plot::{zip_points, AsciiChart};
-use dso_core::analysis::{
-    derive_detection, find_border, result_planes, Analyzer, DetectionCondition,
-};
-use dso_core::eval::EvalService;
+use dso_core::analysis::DetectionCondition;
+use dso_core::Session;
 use dso_defects::{BitLineSide, Defect};
-use dso_dram::design::OperatingPoint;
+use dso_dram::design::{ColumnDesign, OperatingPoint};
 use dso_num::interp::logspace;
 use dso_spice::units::format_eng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analyzer = Analyzer::new(figure_design());
-    let service = EvalService::new(analyzer.clone());
+    let session = Session::with_design(ColumnDesign::default());
     let defect = Defect::cell_open(BitLineSide::True);
     let nominal = OperatingPoint::nominal();
     let stressed = OperatingPoint {
@@ -44,7 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "generating stressed planes over {} resistance points…",
         r_values.len()
     );
-    let planes = result_planes(&analyzer, &defect, &stressed, &r_values, 3)?;
+    let campaign = session.planes(&defect, &stressed, &r_values, 3)?;
+    // A published plane holds simulated points only, never interpolated gaps.
+    if !campaign.confidence.is_full() {
+        return Err(format!("plane campaign incomplete: {}", campaign.confidence).into());
+    }
+    let planes = campaign.planes;
 
     for (title, plane) in [
         ("(a) plane of w0", &planes.w0),
@@ -64,9 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (1) Border drop.
     let detection_nom = DetectionCondition::default_for(&defect, 2);
-    let br_nominal = find_border(&service, &defect, &detection_nom, &nominal, 0.03)?;
-    let detection_sc = derive_detection(&service, &defect, br_nominal.resistance, &stressed, 6)?;
-    let br_stressed = find_border(&service, &defect, &detection_sc, &stressed, 0.03)?;
+    let br_nominal = session.border(&defect, &detection_nom, &nominal, 0.03)?;
+    let detection_sc = session.detect(&defect, br_nominal.resistance, &stressed, 6)?;
+    let br_stressed = session.border(&defect, &detection_sc, &stressed, 0.03)?;
     println!(
         "(1) border resistance: nominal {} -> stressed {}   (paper: 200 kΩ -> ~50 kΩ)",
         format_eng(br_nominal.resistance, "Ω"),
@@ -100,8 +101,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // (4) Even R = site-default no longer settles rail-to-rail in one op.
-    let healthy =
-        service.settle_sequence(&defect, defect.absent_resistance(), &stressed, false, 1)?;
+    let absent = defect.absent_resistance();
+    let healthy = session
+        .service()
+        .settle_sequence(&defect, absent, &stressed, false, 1)?;
     println!(
         "(4) defect-free single w0 under the SC ends at {:.3} V (from {} V)",
         healthy[0], stressed.vdd

@@ -12,12 +12,12 @@
 //! borders and directions with 1s and 0s interchanged in the detection
 //! conditions.
 
-use dso_bench::figure_design;
 use dso_core::stress::table::{format_table, optimize_all};
 use dso_core::stress::{OperatingPoint, StressKind, StressOptimizer};
+use dso_dram::design::ColumnDesign;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let optimizer = StressOptimizer::new(figure_design());
+    let optimizer = StressOptimizer::new(ColumnDesign::default());
     let nominal = OperatingPoint::nominal();
 
     println!("Table 1: ST optimization results for the defects of Figure 7");

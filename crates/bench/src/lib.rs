@@ -1,7 +1,10 @@
 //! Shared helpers for the figure/table regeneration binaries.
 //!
 //! Each binary in this crate regenerates one artifact of the paper's
-//! evaluation (see `DESIGN.md` for the experiment index):
+//! evaluation (see `DESIGN.md` for the experiment index) on the library's
+//! default column design, which matches the parameters documented in
+//! `DESIGN.md`. Every analysis runs through one `dso_core::Session` per
+//! binary:
 //!
 //! | binary | paper artifact |
 //! |--------|----------------|
@@ -16,11 +19,3 @@
 
 pub mod figures;
 pub mod plot;
-
-use dso_dram::design::ColumnDesign;
-
-/// The column design used by every figure binary: the library default,
-/// which matches the parameters documented in `DESIGN.md`.
-pub fn figure_design() -> ColumnDesign {
-    ColumnDesign::default()
-}

@@ -79,6 +79,13 @@ pub const HINT_CELL_LN_WIDTH: f64 = 0.3;
 /// repeating a search (or re-probing resistances another workload already
 /// simulated) costs no transient solves.
 ///
+/// When `hint` is given the bisection starts from the lattice cell around
+/// it ([`dso_num::roots::bisect_transition_hinted`] with cells at least
+/// [`HINT_CELL_LN_WIDTH`] wide). Pass/fail being monotone in R, the result
+/// is bit-identical to the unhinted search's; only
+/// [`BorderResistance::evaluations`] shrinks when the border lies near the
+/// hint.
+///
 /// # Errors
 ///
 /// * [`CoreError::NoFaultObserved`] if the memory passes everywhere in the
@@ -88,27 +95,7 @@ pub const HINT_CELL_LN_WIDTH: f64 = 0.3;
 ///   pass (pass/fail not monotone).
 /// * The first error a probe raises, unchanged (simulation failures, a
 ///   detection condition that yields no read outcome, …).
-pub fn find_border(
-    service: &EvalService,
-    defect: &Defect,
-    detection: &DetectionCondition,
-    op_point: &OperatingPoint,
-    rel_tol: f64,
-) -> Result<BorderResistance, CoreError> {
-    find_border_near(service, defect, detection, op_point, rel_tol, None)
-}
-
-/// As [`find_border`], but when `hint` is given the bisection starts from
-/// the lattice cell around it ([`dso_num::roots::bisect_transition_hinted`]
-/// with cells at least [`HINT_CELL_LN_WIDTH`] wide). Pass/fail being
-/// monotone in R, the result is bit-identical to [`find_border`]'s; only
-/// [`BorderResistance::evaluations`] shrinks when the border lies near the
-/// hint. With `hint` `None` this is [`find_border`], request for request.
-///
-/// # Errors
-///
-/// As [`find_border`].
-pub fn find_border_near(
+pub(crate) fn find_border_near(
     service: &EvalService,
     defect: &Defect,
     detection: &DetectionCondition,
@@ -136,7 +123,7 @@ pub fn find_border_near(
 ///
 /// # Errors
 ///
-/// As [`find_border`].
+/// As [`find_border_near`].
 pub(crate) fn find_border_prefetched(
     service: &EvalService,
     defect: &Defect,
@@ -296,7 +283,7 @@ fn record(
 /// * [`CoreError::BadRequest`] for a grid of fewer than two points or
 ///   `n_ops == 0`.
 /// * Simulation failures.
-pub fn refine_border_from_planes(
+pub(crate) fn refine_border_from_planes(
     service: &EvalService,
     defect: &Defect,
     op_point: &OperatingPoint,
@@ -369,12 +356,13 @@ mod tests {
         let service = fast_service();
         let defect = Defect::cell_open(BitLineSide::True);
         let detection = DetectionCondition::default_for(&defect, 2);
-        let border = find_border(
+        let border = find_border_near(
             &service,
             &defect,
             &detection,
             &OperatingPoint::nominal(),
             0.05,
+            None,
         )
         .unwrap();
         assert!(border.fails_above);
@@ -391,12 +379,13 @@ mod tests {
         let service = fast_service();
         let defect = Defect::new(DefectSite::Sg, BitLineSide::True);
         let detection = DetectionCondition::default_for(&defect, 1);
-        let border = find_border(
+        let border = find_border_near(
             &service,
             &defect,
             &detection,
             &OperatingPoint::nominal(),
             0.05,
+            None,
         )
         .unwrap();
         assert!(!border.fails_above);
@@ -416,7 +405,8 @@ mod tests {
             Defect::new(DefectSite::Sg, BitLineSide::True),
         ] {
             let detection = DetectionCondition::default_for(&defect, 1);
-            let plain = find_border(&service, &defect, &detection, &nominal, 0.03).unwrap();
+            let plain =
+                find_border_near(&service, &defect, &detection, &nominal, 0.03, None).unwrap();
             for (factor, near) in [(0.9, true), (1.1, true), (10.0, false)] {
                 let hint = Some(plain.resistance * factor);
                 let hinted =
@@ -440,12 +430,13 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_border_matches_find_border_bits() {
+    fn prefetched_border_matches_plain_search_bits() {
         let defect = Defect::cell_open(BitLineSide::True);
         let detection = DetectionCondition::default_for(&defect, 1);
         let nominal = OperatingPoint::nominal();
         let reference = fast_service();
-        let plain = find_border(&reference, &defect, &detection, &nominal, 0.03).unwrap();
+        let plain =
+            find_border_near(&reference, &defect, &detection, &nominal, 0.03, None).unwrap();
         let hint = Some(plain.resistance * 1.1);
         let near = find_border_near(&reference, &defect, &detection, &nominal, 0.03, hint).unwrap();
         for threads in [1, 2] {

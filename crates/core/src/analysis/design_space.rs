@@ -26,11 +26,11 @@
 //!
 //! [`Session::design_sweep`]: crate::session::Session::design_sweep
 
-use super::planes::plane_campaign_impl;
+use super::planes::plane_campaign_hooked;
 use super::sweep::{CampaignFaults, Confidence};
 use super::Analyzer;
 use crate::eval::{EvalService, SimRequest};
-use crate::exec::{CampaignConfig, CampaignPerfStats};
+use crate::exec::{CampaignConfig, CampaignPerfStats, ExecHooks};
 use crate::stress::table::render_text_table;
 use crate::CoreError;
 use dso_defects::Defect;
@@ -503,7 +503,7 @@ pub(crate) fn design_sweep_impl(
                     Some(_) => {}
                     None => seen_refs.push((context, ref_key, di)),
                 }
-                let campaign = plane_campaign_impl(
+                let campaign = plane_campaign_hooked(
                     service,
                     defect,
                     op_point,
@@ -511,6 +511,7 @@ pub(crate) fn design_sweep_impl(
                     request.n_ops,
                     &faults,
                     config,
+                    &ExecHooks::default(),
                 )?;
                 let border = match campaign.border_from_intersection() {
                     Ok(b) => b,

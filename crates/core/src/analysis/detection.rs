@@ -255,7 +255,7 @@ impl fmt::Display for DetectionCondition {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn derive_detection(
+pub(crate) fn derive_detection(
     service: &EvalService,
     defect: &Defect,
     r_target: f64,

@@ -88,7 +88,7 @@ impl FaultDictionary {
 ///
 /// * [`CoreError::BadRequest`] if `samples < 2`.
 /// * Simulation failures.
-pub fn build_dictionary(
+pub(crate) fn build_dictionary(
     service: &EvalService,
     defect: &Defect,
     resistance: f64,

@@ -21,14 +21,14 @@ pub mod planes;
 pub mod shmoo;
 pub mod sweep;
 
-pub use border::{find_border, find_border_near, refine_border_from_planes, BorderResistance};
+pub use border::BorderResistance;
 pub use design_space::{
     CoverageCell, DesignParam, DesignReport, DesignSpace, DesignSweepRequest, DesignSweepResult,
     TrendRow,
 };
-pub use detection::{derive_detection, DetectionCondition, PhysOp};
-pub use dictionary::{build_dictionary, DefectiveCell, FaultDictionary};
-pub use planes::{result_planes, PlaneCampaign, ReadPlane, ResultPlanes, WritePlane};
+pub use detection::{DetectionCondition, PhysOp};
+pub use dictionary::{DefectiveCell, FaultDictionary};
+pub use planes::{PlaneCampaign, ReadPlane, ResultPlanes, WritePlane};
 pub use sweep::{CampaignFaults, Confidence, PointStatus, SweepPoint, SweepReport};
 
 use crate::CoreError;

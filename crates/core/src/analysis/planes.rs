@@ -13,7 +13,6 @@
 //! settlement curve crosses `Vsa(R)`.
 
 use super::sweep::{CampaignFaults, Confidence, PointStatus, SweepReport};
-use super::Analyzer;
 use crate::eval::{EvalService, SimRequest, TaskOutcome, Warm};
 use crate::exec::{self, CampaignConfig, CampaignPerfStats};
 use crate::CoreError;
@@ -101,14 +100,14 @@ impl ResultPlanes {
     /// level (the `w0` settle sequence runs two unreported `w1` setup
     /// writes first); this makes the intersection estimate directly
     /// comparable with the pass/fail bisection of
-    /// [`super::border::find_border`].
+    /// [`crate::Session::border`].
     ///
     /// Returns `None` when the curves do not cross inside the sweep.
     ///
     /// # Errors
     ///
     /// Propagates curve-intersection failures (disjoint domains cannot
-    /// happen for planes built by [`result_planes`]).
+    /// happen for planes built by [`crate::Session::planes`]).
     pub fn border_from_intersection(&self) -> Result<Option<f64>, CoreError> {
         let curve = self.w0.after_ops(1)?;
         Ok(curve.first_intersection(&self.r.vsa)?)
@@ -498,88 +497,6 @@ fn assemble_planes(
     })
 }
 
-/// Generates the three result planes for `defect` at `op_point`, sweeping
-/// the given resistances and applying `n_ops` successive operations per
-/// trajectory.
-///
-/// This is the strict variant: the first point failure aborts the whole
-/// plane. Long campaigns should prefer [`crate::Session::planes_faulted`],
-/// which degrades gracefully.
-///
-/// # Errors
-///
-/// * [`CoreError::BadRequest`] for fewer than 2 sweep points or `n_ops == 0`.
-/// * Simulation failures, annotated with campaign context
-///   ([`CoreError::AtPoint`]).
-pub fn result_planes(
-    analyzer: &Analyzer,
-    defect: &Defect,
-    op_point: &OperatingPoint,
-    r_values: &[f64],
-    n_ops: usize,
-) -> Result<ResultPlanes, CoreError> {
-    let service = EvalService::from_env(analyzer.clone());
-    result_planes_impl(
-        &service,
-        defect,
-        op_point,
-        r_values,
-        n_ops,
-        &CampaignConfig::from_env(),
-    )
-    .map(|(planes, _)| planes)
-}
-
-/// The strict result-plane campaign on a caller-supplied service: grid
-/// points already present in the service's cache are replayed instead of
-/// re-simulated, and every computed point is stored for later workloads
-/// (border refinement, shmoo grids, repeat campaigns).
-///
-/// Results are bit-identical for every `config.threads` value (given the
-/// same chunk size and warm-start setting); see [`crate::exec`] for
-/// the determinism contract. On failure the whole grid is still evaluated,
-/// and the error of the lowest-index failed point is returned.
-pub(crate) fn result_planes_impl(
-    service: &EvalService,
-    defect: &Defect,
-    op_point: &OperatingPoint,
-    r_values: &[f64],
-    n_ops: usize,
-    config: &CampaignConfig,
-) -> Result<(ResultPlanes, CampaignPerfStats), CoreError> {
-    validate_sweep(r_values, n_ops)?;
-    let obs_env = dso_obs::init_from_env();
-    let span = dso_obs::span("campaign.result_planes");
-    span.note("points", r_values.len() as f64);
-    let clean = CampaignFaults::new();
-    let Ok(outcomes) = run_grid(
-        service,
-        defect,
-        op_point,
-        r_values,
-        n_ops,
-        &clean,
-        config,
-        &exec::ExecHooks::default(),
-    ) else {
-        unreachable!("empty hooks never abort")
-    };
-    let mut perf = CampaignPerfStats::default();
-    for outcome in &outcomes {
-        tally(&mut perf, outcome);
-    }
-    // Fold the tally into the registry before any failed point can abort
-    // the assembly below — the work was spent either way.
-    perf.record_to_metrics();
-    export_metrics(&obs_env);
-    let mut data = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        data.push(outcome.data?);
-    }
-    let planes = assemble_planes(service, defect, op_point, r_values, n_ops, &data)?;
-    Ok((planes, perf))
-}
-
 /// Writes the metrics snapshot to the path requested via `DSO_METRICS`
 /// (best effort — observability must never fail a campaign).
 fn export_metrics(env: &dso_obs::EnvConfig) {
@@ -642,12 +559,19 @@ impl PlaneCampaign {
     }
 }
 
-/// Fault-tolerant variant of [`result_planes`] (exposed as
-/// [`crate::Session::planes_faulted`]): point failures do not abort the
-/// sweep. Each attempted point is recorded in the returned
-/// [`SweepReport`] as `Converged`, `Recovered(attempts)`, or
-/// `Failed(reason)`; failed points become gaps whose curve values are
-/// interpolated from the bracketing non-failed neighbors.
+/// The plane campaign behind [`crate::Session::planes`],
+/// [`crate::Session::planes_faulted`], the design-space engine and the
+/// service daemon: generates the three result planes for `defect` at
+/// `op_point`, sweeping `r_values` and applying `n_ops` successive
+/// operations per trajectory.
+///
+/// Point failures do not abort the sweep. Each attempted point is
+/// recorded in the returned [`SweepReport`] as `Converged`,
+/// `Recovered(attempts)`, or `Failed(reason)`; failed points become gaps
+/// whose curve values are interpolated from the bracketing non-failed
+/// neighbors, and the campaign's [`Confidence`] drops from `Full`. A
+/// caller that must not publish interpolated values checks
+/// [`Confidence::is_full`].
 ///
 /// Interpolation is only legal when it cannot invent electrical behavior:
 ///
@@ -657,57 +581,30 @@ impl PlaneCampaign {
 ///   change means the border crossing itself is lost, and interpolating
 ///   across it would fabricate the paper's key result.
 ///
-/// `faults` arms the deterministic fault-injection harness at selected
-/// sweep indices (pass [`CampaignFaults::new`] for a clean campaign).
+/// Grid points already present in the service's cache are replayed —
+/// values *and* recovery accounting — so a cached re-run reproduces the
+/// cold campaign bit-for-bit (planes, report, confidence, gaps).
+/// Fault-armed points (`faults`, keyed by sweep index) bypass the cache in
+/// both directions, so failures are never stored and fault runs never
+/// consume clean cached values. The result is bit-identical for every
+/// `config.threads` value — including under injected faults — because
+/// chunk decomposition, warm-seed chains, and fault-plan resolution are
+/// all keyed on sweep index, never on scheduling (see [`crate::exec`]).
+///
+/// `hooks` may preempt between chunks (running interactive jobs on the
+/// paused worker) and abort the remaining chunks; callers without hooks
+/// pass [`exec::ExecHooks::default`].
 ///
 /// # Errors
 ///
-/// * [`CoreError::BadRequest`] for invalid sweeps (as [`result_planes`]).
+/// * [`CoreError::BadRequest`] for fewer than 2 sweep points, a sweep
+///   that is not strictly increasing, or `n_ops == 0`.
 /// * [`CoreError::SweepFailed`] when fewer than two points survive or an
 ///   edge point failed.
 /// * [`CoreError::BorderInGap`] when a gap straddles the border crossing.
-///
-/// The fault-tolerant plane campaign on a caller-supplied service: grid
-/// points already present in the service's cache are replayed — values
-/// *and* recovery accounting — so a cached re-run reproduces the cold
-/// campaign bit-for-bit (planes, report, confidence, gaps). Fault-armed
-/// points bypass the cache in both directions, so failures are never
-/// stored and fault runs never consume clean cached values.
-///
-/// The returned planes, [`SweepReport`], gaps, and border are
-/// bit-identical for every `config.threads` value — including under
-/// injected faults — because chunk decomposition, warm-seed chains,
-/// and fault-plan resolution are all keyed on sweep index,
-/// never on scheduling (see [`crate::exec`]).
-#[allow(clippy::too_many_arguments)] // campaign plumbing: faults + config
-pub(crate) fn plane_campaign_impl(
-    service: &EvalService,
-    defect: &Defect,
-    op_point: &OperatingPoint,
-    r_values: &[f64],
-    n_ops: usize,
-    faults: &CampaignFaults,
-    config: &CampaignConfig,
-) -> Result<PlaneCampaign, CoreError> {
-    plane_campaign_hooked(
-        service,
-        defect,
-        op_point,
-        r_values,
-        n_ops,
-        faults,
-        config,
-        &exec::ExecHooks::default(),
-    )
-}
-
-/// [`plane_campaign_impl`] with cooperative chunk-boundary
-/// [`exec::ExecHooks`] — the service daemon's entry point. The hooks may
-/// preempt between chunks (running interactive jobs on the paused worker)
-/// and abort the remaining chunks, in which case the campaign returns
-/// [`CoreError::Cancelled`]; the chunks that ran stay in the evaluation
-/// cache and persistent store, so a re-submitted campaign replays them.
-/// With empty hooks this is exactly [`plane_campaign_impl`].
+/// * [`CoreError::Cancelled`] when `hooks` aborted the campaign; the
+///   chunks that ran stay in the evaluation cache and persistent store, so
+///   a re-submitted campaign replays them.
 #[allow(clippy::too_many_arguments)] // campaign plumbing: faults + config + hooks
 pub(crate) fn plane_campaign_hooked(
     service: &EvalService,
@@ -860,20 +757,34 @@ pub(crate) fn plane_campaign_hooked(
 #[cfg(test)]
 mod tests {
     use super::super::test_support::fast_design;
+    use super::super::Analyzer;
     use super::*;
     use dso_defects::BitLineSide;
 
-    fn small_planes() -> ResultPlanes {
-        let analyzer = Analyzer::new(fast_design());
-        let defect = Defect::cell_open(BitLineSide::True);
-        result_planes(
-            &analyzer,
-            &defect,
+    fn campaign(
+        defect: &Defect,
+        r_values: &[f64],
+        n_ops: usize,
+    ) -> Result<PlaneCampaign, CoreError> {
+        let service = EvalService::new(Analyzer::new(fast_design()));
+        plane_campaign_hooked(
+            &service,
+            defect,
             &OperatingPoint::nominal(),
-            &[1e4, 1e5, 1e6, 1e7],
-            2,
+            r_values,
+            n_ops,
+            &CampaignFaults::new(),
+            &CampaignConfig::serial(),
+            &exec::ExecHooks::default(),
         )
-        .unwrap()
+    }
+
+    fn small_planes() -> ResultPlanes {
+        let defect = Defect::cell_open(BitLineSide::True);
+        let campaign = campaign(&defect, &[1e4, 1e5, 1e6, 1e7], 2).unwrap();
+        assert_eq!(campaign.confidence, Confidence::Full);
+        assert_eq!(campaign.report.failed(), 0);
+        campaign.planes
     }
 
     #[test]
@@ -948,11 +859,13 @@ mod tests {
 
     #[test]
     fn request_validation() {
-        let analyzer = Analyzer::new(fast_design());
         let defect = Defect::cell_open(BitLineSide::True);
-        let op = OperatingPoint::nominal();
-        assert!(result_planes(&analyzer, &defect, &op, &[1e4], 2).is_err());
-        assert!(result_planes(&analyzer, &defect, &op, &[1e5, 1e4], 2).is_err());
-        assert!(result_planes(&analyzer, &defect, &op, &[1e4, 1e5], 0).is_err());
+        for (r_values, n_ops) in [(&[1e4][..], 2), (&[1e5, 1e4], 2), (&[1e4, 1e5], 0)] {
+            let err = campaign(&defect, r_values, n_ops).unwrap_err();
+            assert!(
+                matches!(err, CoreError::BadRequest(_)),
+                "{r_values:?} × {n_ops}: {err}"
+            );
+        }
     }
 }

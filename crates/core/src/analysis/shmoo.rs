@@ -3,10 +3,11 @@
 //! The `dso-shmoo` crate is oracle-generic; these adapters supply oracles
 //! that issue [`crate::eval::SimRequest`]s through an [`EvalService`], so
 //! shmoo grids share the memo cache with every other analysis layer. In
-//! particular [`margin_shmoo`] evaluates exactly the `w0`-settle and `Vsa`
-//! requests a plane campaign over the same `(r_values, n_ops)` sweep
-//! issues: running it after a plane campaign ([`crate::Session::planes`])
-//! on the same service turns the overlapping row into pure cache hits.
+//! particular the margin shmoo ([`crate::Session::shmoo`]) evaluates
+//! exactly the `w0`-settle and `Vsa` requests a plane campaign over the
+//! same `(r_values, n_ops)` sweep issues: running it after a plane
+//! campaign ([`crate::Session::planes`]) on the same service turns the
+//! overlapping row into pure cache hits.
 
 use crate::eval::EvalService;
 use crate::CoreError;
@@ -31,7 +32,7 @@ use super::Analyzer;
 ///
 /// * [`CoreError::BadRequest`] for `n_ops == 0` or empty axes.
 /// * Simulation failures.
-pub fn margin_shmoo<F>(
+pub(crate) fn margin_shmoo<F>(
     service: &EvalService,
     defect: &Defect,
     n_ops: usize,
@@ -71,7 +72,7 @@ where
 /// * [`CoreError::BadRequest`] for empty axes.
 /// * Simulation failures.
 #[allow(clippy::too_many_arguments)] // two labelled axes plus the oracle
-pub fn detection_shmoo<F>(
+pub(crate) fn detection_shmoo<F>(
     service: &EvalService,
     defect: &Defect,
     detection: &DetectionCondition,
@@ -94,11 +95,12 @@ where
     })
 }
 
-/// Runs [`margin_shmoo`] once per design in the space, returning one plot
-/// per design labelled with its config name. Designs whose configs expand
-/// to the same plan fingerprint share one evaluation service, so every
-/// grid point after the first such design replays from the memo cache —
-/// the same cross-design dedup the campaign planner exploits.
+/// Runs [`crate::Session::shmoo`]'s margin shmoo once per design in the
+/// space, returning one plot per design labelled with its config name.
+/// Designs whose configs expand to the same plan fingerprint share one
+/// evaluation service, so every grid point after the first such design
+/// replays from the memo cache — the same cross-design dedup the campaign
+/// planner exploits.
 ///
 /// `template` supplies the recovery policy each per-design analyzer
 /// inherits (its column design is ignored).

@@ -3,11 +3,12 @@
 
 use super::protocol::{self, ErrorCode, JobKind, JobRequest, Priority, Reply};
 use super::queue::AdmissionQueue;
-use crate::analysis::detection::DetectionCondition;
+use crate::analysis::border::find_border_near;
+use crate::analysis::detection::{derive_detection, DetectionCondition};
 use crate::analysis::planes::plane_campaign_hooked;
 use crate::analysis::shmoo::margin_shmoo;
 use crate::analysis::sweep::CampaignFaults;
-use crate::analysis::{derive_detection, find_border, DesignSpace, DesignSweepRequest};
+use crate::analysis::{DesignSpace, DesignSweepRequest};
 use crate::exec::ExecHooks;
 use crate::session::Session;
 use dso_obs::json::Json;
@@ -496,7 +497,7 @@ fn run_job(inner: &Arc<Inner>, job: QueuedJob) {
             // The plain search, not `Session::border`'s prefetching one: the
             // daemon's workers already share the cores, so a prefetch helper
             // would compete with them.
-            find_border(session.service(), defect, &detection, op, *rel_tol)
+            find_border_near(session.service(), defect, &detection, op, *rel_tol, None)
                 .map(|b| protocol::border_result(&b))
         }
         JobKind::Detection {

@@ -38,14 +38,12 @@ use crate::analysis::design_space::{
 };
 use crate::analysis::detection::{derive_detection, DetectionCondition};
 use crate::analysis::dictionary::{build_dictionary, FaultDictionary};
-use crate::analysis::planes::{
-    plane_campaign_impl, result_planes_impl, PlaneCampaign, ResultPlanes,
-};
+use crate::analysis::planes::{plane_campaign_hooked, PlaneCampaign};
 use crate::analysis::shmoo::{detection_shmoo, margin_shmoo};
 use crate::analysis::sweep::CampaignFaults;
 use crate::analysis::{Analyzer, DefectiveCell};
 use crate::eval::EvalService;
-use crate::exec::{CampaignConfig, CampaignPerfStats};
+use crate::exec::{CampaignConfig, ExecHooks};
 use crate::store::ResultStore;
 use crate::CoreError;
 use dso_defects::Defect;
@@ -153,8 +151,8 @@ impl Session {
     }
 
     /// Wraps an existing service and execution policy (for callers that
-    /// already own an [`EvalService`], e.g. to share its cache with
-    /// non-session code during migration).
+    /// already own an [`EvalService`], e.g. one built on an explicit
+    /// [`Analyzer`] or one whose cache an earlier session filled).
     pub fn from_parts(service: EvalService, config: CampaignConfig) -> Self {
         Session { service, config }
     }
@@ -185,7 +183,10 @@ impl Session {
     /// Fault-tolerant result-plane campaign over a resistance sweep (the
     /// paper's Figures 2 and 6): point failures become interpolated gaps
     /// with an explicit confidence downgrade, and every attempted point is
-    /// recorded in the returned report.
+    /// recorded in the returned report. A caller that needs every point
+    /// simulated (a published figure, say) checks
+    /// [`Confidence::is_full`](crate::analysis::Confidence::is_full) on
+    /// the result.
     ///
     /// # Errors
     ///
@@ -218,7 +219,7 @@ impl Session {
         n_ops: usize,
         faults: &CampaignFaults,
     ) -> Result<PlaneCampaign, CoreError> {
-        plane_campaign_impl(
+        plane_campaign_hooked(
             &self.service,
             defect,
             op_point,
@@ -226,6 +227,7 @@ impl Session {
             n_ops,
             faults,
             &self.config,
+            &ExecHooks::default(),
         )
     }
 
@@ -233,7 +235,7 @@ impl Session {
     /// `(designs × defects × R × operating points)` through the plane
     /// pipeline, sharing one evaluation service between designs whose
     /// configs expand to the same electrical plan (counted in
-    /// [`CampaignPerfStats::cross_design_dedup`]). Each per-design
+    /// [`crate::exec::CampaignPerfStats::cross_design_dedup`]). Each per-design
     /// analyzer inherits this session's recovery policy; the session's
     /// own design and store are not used — the design axis comes entirely
     /// from `space`.
@@ -250,29 +252,6 @@ impl Session {
         design_sweep_impl(space, request, self.service.analyzer(), &self.config)
     }
 
-    /// Strict result planes: the first point failure aborts the sweep.
-    /// Returns the planes with the campaign's performance tally.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::analysis::result_planes`].
-    pub fn planes_strict(
-        &self,
-        defect: &Defect,
-        op_point: &OperatingPoint,
-        r_values: &[f64],
-        n_ops: usize,
-    ) -> Result<(ResultPlanes, CampaignPerfStats), CoreError> {
-        result_planes_impl(
-            &self.service,
-            defect,
-            op_point,
-            r_values,
-            n_ops,
-            &self.config,
-        )
-    }
-
     /// The border resistance of `defect` under `detection`, by pass/fail
     /// log-bisection within the defect's sweep range to relative tolerance
     /// `rel_tol`.
@@ -280,12 +259,17 @@ impl Session {
     /// When the session's config has more than one thread, each probe that
     /// simulates also simulates, on a second thread, the probe the
     /// bisection expects next: the result, [`BorderResistance::evaluations`]
-    /// included, is [`find_border`](crate::analysis::find_border)'s bit for
-    /// bit, in less wall time.
+    /// included, is the one-thread search's bit for bit, in less wall time.
     ///
     /// # Errors
     ///
-    /// As [`crate::analysis::find_border`].
+    /// * [`CoreError::NoFaultObserved`] if the memory passes everywhere in
+    ///   the defect's sweep range (no border).
+    /// * [`CoreError::AlwaysFaulty`] if it fails everywhere.
+    /// * [`CoreError::BadRequest`] if it fails only at the end that should
+    ///   pass (pass/fail not monotone).
+    /// * The first error a probe raises, unchanged (simulation failures, a
+    ///   detection condition that yields no read outcome, …).
     pub fn border(
         &self,
         defect: &Defect,
@@ -311,7 +295,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`refine_border_from_planes`].
+    /// * [`CoreError::BadRequest`] for a grid of fewer than two points or
+    ///   `n_ops == 0`.
+    /// * Simulation failures.
     pub fn refine_border(
         &self,
         defect: &Defect,
@@ -329,7 +315,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`margin_shmoo`].
+    /// * [`CoreError::BadRequest`] for `n_ops == 0` or empty axes.
+    /// * Simulation failures.
     pub fn shmoo<F>(
         &self,
         defect: &Defect,
@@ -359,7 +346,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`detection_shmoo`].
+    /// * [`CoreError::BadRequest`] for empty axes.
+    /// * Simulation failures.
     #[allow(clippy::too_many_arguments)] // two labelled axes plus the oracle
     pub fn shmoo_detection<F>(
         &self,
@@ -394,7 +382,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`derive_detection`].
+    /// Propagates simulation failures.
     pub fn detect(
         &self,
         defect: &Defect,
@@ -411,7 +399,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`build_dictionary`].
+    /// * [`CoreError::BadRequest`] if `samples < 2`.
+    /// * Simulation failures.
     pub fn dictionary(
         &self,
         defect: &Defect,
@@ -480,7 +469,7 @@ mod tests {
         let r_values = [1e4, 1e5, 1e6, 5e7];
         let campaign = session.planes(&defect, &op, &r_values, 2).unwrap();
         let service = crate::eval::EvalService::from_env(Analyzer::new(fast_design()));
-        let free = plane_campaign_impl(
+        let free = plane_campaign_hooked(
             &service,
             &defect,
             &op,
@@ -488,6 +477,7 @@ mod tests {
             2,
             &CampaignFaults::new(),
             &CampaignConfig::serial(),
+            &ExecHooks::default(),
         )
         .unwrap();
         assert_eq!(campaign.planes, free.planes);

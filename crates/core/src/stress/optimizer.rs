@@ -2,10 +2,8 @@
 
 use super::probe::{combine_trends, probe_stress, DecisionBasis, StressDecision};
 use super::types::{Direction, StressKind};
-use crate::analysis::border::find_border_prefetched;
-use crate::analysis::{
-    find_border_near, Analyzer, BorderResistance, Confidence, DetectionCondition,
-};
+use crate::analysis::border::{find_border_near, find_border_prefetched};
+use crate::analysis::{Analyzer, BorderResistance, Confidence, DetectionCondition};
 use crate::eval::EvalService;
 use crate::exec::{self, CampaignConfig};
 use crate::session::Session;

@@ -12,7 +12,7 @@
 //! comparisons fan candidate searches out over the executor, is pinned the
 //! same way.
 
-use dso_core::analysis::{Analyzer, CampaignFaults, PlaneCampaign};
+use dso_core::analysis::{Analyzer, CampaignFaults, Confidence, PlaneCampaign};
 use dso_core::exec::{self, CampaignConfig};
 use dso_core::stress::{DecisionBasis, OptimizerConfig, StressOptimizer, StressReport};
 use dso_core::{CacheStats, EvalService, Session};
@@ -133,11 +133,15 @@ fn result_planes_parallel_matches_serial_and_warm_start_pays() {
     let op = OperatingPoint::nominal();
     let r_values = sweep();
 
+    // Every point must be simulated: no gap, no interpolated value.
     let run = |config: &CampaignConfig| {
         let session = Session::from_parts(EvalService::new(analyzer.clone()), config.clone());
-        session
-            .planes_strict(&defect, &op, &r_values, 1)
-            .expect("planes build")
+        let campaign = session
+            .planes(&defect, &op, &r_values, 1)
+            .expect("planes build");
+        assert_eq!(campaign.confidence, Confidence::Full);
+        assert_eq!(campaign.report.failed(), 0);
+        (campaign.planes, campaign.perf)
     };
 
     // One chunk spanning the whole sweep maximizes the warm chain.

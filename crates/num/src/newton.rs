@@ -273,9 +273,11 @@ impl NewtonSolver {
     /// is on and the previous solve factored a same-sized system — starts
     /// with a back-substitution-only iteration against the retained LU
     /// instead of refactoring. Callers use this for a follow-up solve whose
-    /// Jacobian is known to be close to the previous one (e.g. the
-    /// backward-Euler error-estimate solve over the step just accepted).
-    /// Falls back to a plain solve when no compatible factorization exists.
+    /// Jacobian is known to be close to the previous one: the transient
+    /// engine's first attempt at each fixed-grid time step (`advance` →
+    /// `run_solve` in `dso-spice`), whose Jacobian drifts only slightly
+    /// from the previous step's. Falls back to a plain solve when no
+    /// compatible factorization exists.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! End-to-end reproduction checks of the paper's central claims, at
 //! test-friendly (coarse) simulation settings.
 
-use dram_stress_opt::analysis::DetectionCondition;
+use dram_stress_opt::analysis::{Confidence, DetectionCondition};
 use dram_stress_opt::defects::{BitLineSide, Defect};
 use dram_stress_opt::dram::design::ColumnDesign;
 use dram_stress_opt::stress::OperatingPoint;
@@ -31,10 +31,14 @@ fn border_extraction_methods_agree() {
         .iter()
         .map(|f| f * bisect.resistance)
         .collect();
-    let (planes, _) = session
-        .planes_strict(&defect, &nominal, &r_values, 2)
+    let campaign = session
+        .planes(&defect, &nominal, &r_values, 2)
         .expect("planes generate");
-    let intersection = planes
+    // Every point simulated: no gap, no interpolated value.
+    assert_eq!(campaign.confidence, Confidence::Full);
+    assert_eq!(campaign.report.failed(), 0);
+    let intersection = campaign
+        .planes
         .border_from_intersection()
         .expect("intersection computable")
         .expect("curves cross within the sweep");
