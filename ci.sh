@@ -88,11 +88,12 @@ if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
     # floats between two non-ground nodes, so the transient also runs the
     # branch-current path of sources that pin no node. quickstart runs the
     # optimizer on one defect, march_coverage the march-test coverage of a
-    # defect ensemble. example_shmoo.txt is not gated: its
-    # "evaluation service" line counts the prefetches Session::border
-    # issues with more than one thread, so it differs between DSO_THREADS=1
-    # and higher counts.
-    for ex in spice_deck:spice_deck quickstart:quickstart march_coverage:march; do
+    # defect ensemble, shmoo_plot a detection shmoo over Vdd x tcyc (it
+    # prints the border search's evaluation count, not cache counters,
+    # which count Session::border's multi-thread prefetches). design_sweep
+    # runs three column designs expanded from configs, two of them equal,
+    # so it gates the design fingerprints and the cross-design reuse count.
+    for ex in spice_deck:spice_deck quickstart:quickstart march_coverage:march shmoo_plot:shmoo design_sweep:design_sweep; do
         printf '    %s\n' "${ex%%:*}"
         cargo run --release -q --offline --example "${ex%%:*}" |
             diff -u "results/example_${ex#*:}.txt" -

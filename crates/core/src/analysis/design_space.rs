@@ -2,39 +2,37 @@
 //!
 //! The paper fixes one folded-bit-line column and sweeps
 //! `defects × R × operating points`; this module adds *designs* as a
-//! first-class axis. A [`DesignSpace`] holds declarative
-//! [`DesignConfig`]s; one [`Session::design_sweep`] pass expands each into a
-//! [`DesignPlan`], builds one evaluation service per **distinct** plan,
-//! and fans every `(design, defect, operating point)` campaign through
-//! the plane-campaign pipeline. The outputs are per-design Table-1-style
-//! coverage matrices and border-resistance-vs-design-parameter trend
-//! tables.
+//! first-class axis. A [`DesignSpace`] expands declarative
+//! [`DesignConfig`]s into named [`ColumnDesign`]s; one
+//! [`Session::design_sweep`] pass builds one evaluation service per
+//! **distinct** design and fans every `(design, defect, operating point)`
+//! campaign through the plane-campaign pipeline. The outputs are
+//! per-design Table-1-style coverage matrices and
+//! border-resistance-vs-design-parameter trend tables.
 //!
 //! # Cross-design dedup
 //!
-//! Two configs that expand to the same electrical plan (for example a
+//! Two configs that expand to the same column design (for example a
 //! `dummy_cell` reference scheme and the explicit `skewed` skew it
-//! resolves to) share one evaluation context, so their simulation grids
-//! are content-identical. The planner detects this through the same
-//! content keys the memo cache uses: the healthy-reference request
-//! (`Vsa` at the defect-absent resistance, the `vmp` anchor every
-//! campaign issues) of a later design that collides with an earlier
-//! design's key is counted in
+//! resolves to) have the same design fingerprint and share one
+//! evaluation service, so the later design's grids replay from the
+//! earlier one's memo cache instead of re-simulating. Each
+//! `(defect, operating point)` cell of such a design is counted in
 //! [`CampaignPerfStats::cross_design_dedup`] and the
-//! `eval.cross_design_dedup` metric, and the shared service answers the
-//! whole grid from memory instead of re-simulating it.
+//! `eval.cross_design_dedup` metric.
 //!
 //! [`Session::design_sweep`]: crate::session::Session::design_sweep
 
 use super::planes::plane_campaign_hooked;
 use super::sweep::{CampaignFaults, Confidence};
 use super::Analyzer;
-use crate::eval::{EvalService, SimRequest};
+use crate::eval::EvalService;
 use crate::exec::{CampaignConfig, CampaignPerfStats, ExecHooks};
 use crate::stress::table::render_text_table;
 use crate::CoreError;
 use dso_defects::Defect;
-use dso_dram::design::{DesignConfig, DesignPlan, OperatingPoint};
+use dso_dram::design::{ColumnDesign, DesignConfig, OperatingPoint};
+use dso_num::fingerprint::Fingerprint;
 use dso_num::interp::logspace;
 use dso_num::trend::{classify, Trend};
 use dso_spice::units::format_eng;
@@ -42,11 +40,19 @@ use dso_spice::units::format_eng;
 /// An ordered set of named designs to sweep.
 ///
 /// Construction expands every config eagerly, so a `DesignSpace` is
-/// always valid: each config passed validation and resolved to a plan.
+/// always valid: each config passed validation and resolved to a
+/// [`ColumnDesign`].
 #[derive(Debug, Clone)]
 pub struct DesignSpace {
-    configs: Vec<DesignConfig>,
-    plans: Vec<DesignPlan>,
+    designs: Vec<(String, ColumnDesign)>,
+}
+
+/// A design's fingerprint: the hash of its electrical parameters. Designs
+/// with equal fingerprints are electrically identical.
+fn fingerprint(design: &ColumnDesign) -> u64 {
+    let mut fp = Fingerprint::new();
+    design.fingerprint_into(&mut fp);
+    fp.finish()
 }
 
 impl DesignSpace {
@@ -62,20 +68,20 @@ impl DesignSpace {
                 "design space needs at least one design".to_string(),
             ));
         }
-        let mut plans = Vec::with_capacity(configs.len());
-        for cfg in &configs {
-            let plan = cfg
+        let mut designs: Vec<(String, ColumnDesign)> = Vec::with_capacity(configs.len());
+        for cfg in configs {
+            let design = cfg
                 .expand()
                 .map_err(|e| CoreError::BadRequest(format!("design {:?}: {e}", cfg.name)))?;
-            if plans.iter().any(|p: &DesignPlan| p.name() == plan.name()) {
+            if designs.iter().any(|(name, _)| *name == cfg.name) {
                 return Err(CoreError::BadRequest(format!(
                     "duplicate design name {:?}",
-                    plan.name()
+                    cfg.name
                 )));
             }
-            plans.push(plan);
+            designs.push((cfg.name, design));
         }
-        Ok(DesignSpace { configs, plans })
+        Ok(DesignSpace { designs })
     }
 
     /// Parses a design space from JSON config documents.
@@ -95,34 +101,25 @@ impl DesignSpace {
         DesignSpace::new(configs)
     }
 
-    /// The source configs, in sweep order.
-    pub fn configs(&self) -> &[DesignConfig] {
-        &self.configs
-    }
-
-    /// The expanded plans, parallel to [`DesignSpace::configs`].
-    pub fn plans(&self) -> &[DesignPlan] {
-        &self.plans
-    }
-
     /// Number of designs.
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.designs.len()
     }
 
     /// Always `false` — construction rejects empty spaces — but provided
     /// for the usual container contract.
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.designs.is_empty()
     }
 
-    /// Number of *distinct* electrical plans (designs whose configs
-    /// expand to the same plan share one evaluation service).
+    /// Number of *distinct* designs (designs whose configs expand to the
+    /// same column design share one evaluation service).
     pub fn distinct_plans(&self) -> usize {
         let mut seen: Vec<u64> = Vec::new();
-        for p in &self.plans {
-            if !seen.contains(&p.fingerprint()) {
-                seen.push(p.fingerprint());
+        for (_, design) in &self.designs {
+            let fp = fingerprint(design);
+            if !seen.contains(&fp) {
+                seen.push(fp);
             }
         }
         seen.len()
@@ -217,7 +214,7 @@ pub struct CoverageCell {
     /// for fails-below (shorts/bridges).
     pub fails_above: bool,
     /// Mid-point voltage of the defect-free cell — the healthy-reference
-    /// anchor shared across equal-plan designs.
+    /// anchor shared across equal-fingerprint designs.
     pub vmp: f64,
     /// Confidence of the underlying campaign.
     pub confidence: Confidence,
@@ -241,7 +238,7 @@ impl CoverageCell {
 pub struct DesignReport {
     /// Design name (from the config).
     pub name: String,
-    /// Fingerprint of the expanded plan.
+    /// Fingerprint of the expanded design.
     pub fingerprint: u64,
     /// Charge-transfer ratio of the resolved design.
     pub transfer_ratio: f64,
@@ -349,12 +346,15 @@ pub struct DesignSweepResult {
     /// Merged execution tally across every campaign of the sweep,
     /// including the cross-design dedup count.
     pub perf: CampaignPerfStats,
-    /// Number of distinct electrical plans the sweep actually simulated.
+    /// Number of distinct designs (fingerprints) the sweep actually
+    /// simulated.
     pub distinct_plans: usize,
 }
 
 impl DesignSweepResult {
-    /// Healthy-reference grids answered from another design's results.
+    /// `(defect, operating point)` cells answered from an earlier
+    /// design's results: every cell of a design whose fingerprint an
+    /// earlier design already had.
     pub fn cross_design_dedup(&self) -> usize {
         self.perf.cross_design_dedup
     }
@@ -434,39 +434,14 @@ impl DesignSweepResult {
 /// Runs the one-pass cross-design sweep.
 ///
 /// `template` supplies the recovery policy every per-design analyzer
-/// inherits; `config` supplies threads/chunk/warm-start
-/// for each campaign. Designs sharing an expanded plan share one
-/// evaluation service, so their grids dedup through the memo cache.
+/// inherits; `config` supplies threads/chunk/warm-start for each
+/// campaign. Designs with equal fingerprints share one evaluation
+/// service, so their grids dedup through the memo cache.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BadRequest`] for an invalid request and
 /// propagates the first campaign failure.
-/// One [`EvalService`] per distinct plan fingerprint (first-appearance
-/// order) plus a per-design index into it, so designs sharing an expanded
-/// plan share one memo cache. The `template` analyzer supplies the
-/// recovery policy every per-design analyzer inherits.
-pub(crate) fn services_for(
-    space: &DesignSpace,
-    template: &Analyzer,
-) -> (Vec<(u64, EvalService)>, Vec<usize>) {
-    let mut services: Vec<(u64, EvalService)> = Vec::new();
-    let mut service_index = Vec::with_capacity(space.len());
-    for plan in space.plans() {
-        let idx = services
-            .iter()
-            .position(|(fp, _)| *fp == plan.fingerprint())
-            .unwrap_or_else(|| {
-                let analyzer =
-                    Analyzer::new(plan.generate_design()).with_recovery(*template.recovery());
-                services.push((plan.fingerprint(), EvalService::new(analyzer)));
-                services.len() - 1
-            });
-        service_index.push(idx);
-    }
-    (services, service_index)
-}
-
 pub(crate) fn design_sweep_impl(
     space: &DesignSpace,
     request: &DesignSweepRequest,
@@ -474,35 +449,33 @@ pub(crate) fn design_sweep_impl(
     config: &CampaignConfig,
 ) -> Result<DesignSweepResult, CoreError> {
     request.validate()?;
-    let (services, service_index) = services_for(space, template);
-
-    // (context, healthy-reference content key) -> first issuing design.
-    let mut seen_refs: Vec<(u64, u64, usize)> = Vec::new();
+    let cells_per_design = request.defects.len() * request.op_points.len();
+    // One service per distinct fingerprint, in first-appearance order.
+    let mut services: Vec<(u64, EvalService)> = Vec::new();
     let mut perf = CampaignPerfStats::default();
     let mut designs = Vec::with_capacity(space.len());
     let faults = CampaignFaults::new();
 
-    for (di, plan) in space.plans().iter().enumerate() {
-        let service = &services[service_index[di]].1;
-        let context = EvalService::context_for(service.analyzer());
-        let mut cells = Vec::with_capacity(request.defects.len() * request.op_points.len());
+    for (name, design) in &space.designs {
+        let fingerprint = fingerprint(design);
+        let si = match services.iter().position(|(fp, _)| *fp == fingerprint) {
+            Some(si) => {
+                perf.cross_design_dedup += cells_per_design;
+                dso_obs::counter!("eval.cross_design_dedup").add(cells_per_design as u64);
+                si
+            }
+            None => {
+                let analyzer = Analyzer::new(design.clone()).with_recovery(*template.recovery());
+                services.push((fingerprint, EvalService::new(analyzer)));
+                services.len() - 1
+            }
+        };
+        let service = &services[si].1;
+        let mut cells = Vec::with_capacity(cells_per_design);
         for defect in &request.defects {
             let (lo, hi) = defect.sweep_range();
             let r_values = logspace(lo, hi, request.r_points)?;
             for op_point in &request.op_points {
-                let ref_key = SimRequest::vsa(defect, defect.absent_resistance(), op_point)
-                    .content_key(context);
-                match seen_refs
-                    .iter()
-                    .find(|(c, k, _)| *c == context && *k == ref_key)
-                {
-                    Some(&(_, _, first)) if first != di => {
-                        perf.cross_design_dedup += 1;
-                        dso_obs::counter!("eval.cross_design_dedup").add(1);
-                    }
-                    Some(_) => {}
-                    None => seen_refs.push((context, ref_key, di)),
-                }
                 let campaign = plane_campaign_hooked(
                     service,
                     defect,
@@ -529,11 +502,10 @@ pub(crate) fn design_sweep_impl(
                 });
             }
         }
-        let design = plan.design();
         designs.push(DesignReport {
-            name: plan.name().to_string(),
-            fingerprint: plan.fingerprint(),
-            transfer_ratio: plan.transfer_ratio(),
+            name: name.clone(),
+            fingerprint,
+            transfer_ratio: design.transfer_ratio(),
             cbl: design.cbl,
             wl_boost: design.wl_boost,
             cells,
@@ -543,7 +515,7 @@ pub(crate) fn design_sweep_impl(
     Ok(DesignSweepResult {
         designs,
         perf,
-        distinct_plans: space.distinct_plans(),
+        distinct_plans: services.len(),
     })
 }
 

@@ -13,11 +13,9 @@ use crate::eval::EvalService;
 use crate::CoreError;
 use dso_defects::Defect;
 use dso_dram::design::OperatingPoint;
-use dso_shmoo::{PlotSet, ShmooPlot};
+use dso_shmoo::ShmooPlot;
 
-use super::design_space::{services_for, DesignSpace};
 use super::detection::DetectionCondition;
-use super::Analyzer;
 
 /// Shmoos the `(1) w0` × `Vsa` write margin over a resistance × stress
 /// grid: a cell passes when the first `w0` of the settle sequence lands
@@ -95,55 +93,10 @@ where
     })
 }
 
-/// Runs [`crate::Session::shmoo`]'s margin shmoo once per design in the
-/// space, returning one plot per design labelled with its config name.
-/// Designs whose configs expand to the same plan fingerprint share one
-/// evaluation service, so every grid point after the first such design
-/// replays from the memo cache — the same cross-design dedup the campaign
-/// planner exploits.
-///
-/// `template` supplies the recovery policy each per-design analyzer
-/// inherits (its column design is ignored).
-///
-/// # Errors
-///
-/// * [`CoreError::BadRequest`] for empty axes.
-/// * Simulation failures.
-#[allow(clippy::too_many_arguments)] // a design space plus two labelled axes
-pub fn design_margin_shmoo<F>(
-    space: &DesignSpace,
-    template: &Analyzer,
-    defect: &Defect,
-    n_ops: usize,
-    r_values: &[f64],
-    stress_label: &str,
-    stress_values: &[f64],
-    op_of: F,
-) -> Result<PlotSet, CoreError>
-where
-    F: Fn(f64) -> Result<OperatingPoint, CoreError>,
-{
-    let (services, service_index) = services_for(space, template);
-    let mut set = PlotSet::new();
-    for (di, plan) in space.plans().iter().enumerate() {
-        let service = &services[service_index[di]].1;
-        let plot = margin_shmoo(
-            service,
-            defect,
-            n_ops,
-            r_values,
-            stress_label,
-            stress_values,
-            &op_of,
-        )?;
-        set.push(plan.name(), plot);
-    }
-    Ok(set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::test_support::fast_design;
+    use super::super::Analyzer;
     use super::*;
     use dso_defects::BitLineSide;
     use dso_shmoo::Outcome;
@@ -223,39 +176,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plot.pass_rate(), 1.0, "{}", plot.render_ascii());
-    }
-
-    #[test]
-    fn design_margin_shmoo_labels_one_plot_per_design() {
-        use dso_dram::design::DesignConfig;
-        let base = DesignConfig {
-            name: "a".to_string(),
-            dt_fraction: 1.0 / 250.0,
-            ..DesignConfig::paper_default()
-        };
-        let mut twin = base.clone();
-        twin.name = "b".to_string();
-        let space = DesignSpace::new(vec![base, twin]).unwrap();
-        let template = Analyzer::new(fast_design());
-        let defect = Defect::cell_open(BitLineSide::True);
-        let nominal = OperatingPoint::nominal();
-        let set = design_margin_shmoo(
-            &space,
-            &template,
-            &defect,
-            2,
-            &[1e3, 5e7],
-            "vdd",
-            &[nominal.vdd],
-            |vdd| Ok(OperatingPoint { vdd, ..nominal }),
-        )
-        .unwrap();
-        assert_eq!(set.labels(), ["a", "b"]);
-        // Same expanded plan => same plot (and the second is pure cache hits).
-        assert_eq!(set.get("a"), set.get("b"));
-        let plot = set.get("a").unwrap();
-        assert_eq!(plot.outcome(0, 0), Outcome::Pass, "{}", plot.render_ascii());
-        assert_eq!(plot.outcome(1, 0), Outcome::Fail, "{}", plot.render_ascii());
     }
 
     #[test]

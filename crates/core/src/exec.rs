@@ -12,6 +12,9 @@
 //!   from an atomic queue and write each chunk's results into its own
 //!   pre-indexed slot; the caller reassembles them in chunk order. Any
 //!   thread count therefore produces the same bytes as `threads = 1`.
+//!   The chunk size does move bits (it cuts the warm-start chains), so it
+//!   is set in code ([`CampaignConfig::with_chunk`]), never from the
+//!   environment: `DSO_THREADS` is the only environment knob here.
 //! * **Per-chunk state.** Warm-start continuation (seeding a point's
 //!   Newton iterations from its chunk predecessor) lives entirely inside a
 //!   chunk, so it is part of the deterministic chunk computation, not of
@@ -100,8 +103,8 @@ impl CampaignConfig {
     }
 
     /// Reads the thread count from the `DSO_THREADS` environment variable
-    /// (falling back to [`std::thread::available_parallelism`]), the chunk
-    /// size from `DSO_CHUNK` (falling back to [`DEFAULT_CHUNK`]).
+    /// (falling back to [`std::thread::available_parallelism`]); the chunk
+    /// size is [`DEFAULT_CHUNK`].
     ///
     /// Invalid or zero values never panic and never silently misconfigure
     /// the campaign: the offending variable falls back to its default and a
@@ -114,13 +117,7 @@ impl CampaignConfig {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
             });
-        let chunk = crate::env::positive_usize("DSO_CHUNK", "the default chunk size")
-            .unwrap_or(DEFAULT_CHUNK);
-        CampaignConfig {
-            threads,
-            chunk,
-            ..CampaignConfig::serial()
-        }
+        CampaignConfig::with_threads(threads)
     }
 
     /// Sets the chunk size (clamped to at least 1).

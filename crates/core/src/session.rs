@@ -2,7 +2,7 @@
 //!
 //! A [`Session`] bundles the three things every analysis entry point used
 //! to take separately — an [`EvalService`] (memo cache + optional
-//! persistent store), a [`CampaignConfig`] (threads, chunking,
+//! persistent store), a [`CampaignConfig`] (threads, chunk size,
 //! warm-start), and the column design behind both — into one object
 //! built once, usually from the environment:
 //!
@@ -79,8 +79,7 @@ impl SessionBuilder {
     }
 
     /// Sets the execution policy explicitly. Without this, the session
-    /// reads `DSO_THREADS` / `DSO_CHUNK` via
-    /// [`CampaignConfig::from_env`].
+    /// reads `DSO_THREADS` via [`CampaignConfig::from_env`].
     pub fn config(mut self, config: CampaignConfig) -> Self {
         self.config = Some(config);
         self
@@ -96,13 +95,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session.
+    /// Builds the session, applying `DSO_TRACE` / `DSO_METRICS` through
+    /// [`dso_obs::init_from_env`].
     ///
     /// # Errors
     ///
     /// [`CoreError::Store`] when an explicitly requested store cannot be
     /// opened or belongs to a different analyzer context.
     pub fn build(self) -> Result<Session, CoreError> {
+        dso_obs::init_from_env();
         let analyzer = Analyzer::new(self.design).with_recovery(self.recovery);
         let config = self.config.unwrap_or_else(CampaignConfig::from_env);
         let service = match self.store {
@@ -135,15 +136,17 @@ impl Session {
     }
 
     /// A session for the default column design, configured entirely from
-    /// the environment: `DSO_THREADS`, `DSO_CHUNK` (execution)
-    /// and `DSO_STORE` (persistence, degrading to in-memory with a warning
-    /// if unusable).
+    /// the environment: `DSO_THREADS` (execution), `DSO_STORE`
+    /// (persistence, degrading to in-memory with a warning if unusable),
+    /// and `DSO_TRACE` / `DSO_METRICS` (observability, applied here
+    /// through [`dso_obs::init_from_env`]).
     pub fn from_env() -> Self {
         Session::with_design(ColumnDesign::default())
     }
 
     /// [`Session::from_env`] for an explicit column design.
     pub fn with_design(design: ColumnDesign) -> Self {
+        dso_obs::init_from_env();
         Session {
             service: EvalService::from_env(Analyzer::new(design)),
             config: CampaignConfig::from_env(),
@@ -234,7 +237,7 @@ impl Session {
     /// One-pass cross-design sweep: fans
     /// `(designs × defects × R × operating points)` through the plane
     /// pipeline, sharing one evaluation service between designs whose
-    /// configs expand to the same electrical plan (counted in
+    /// configs expand to the same column design (counted in
     /// [`crate::exec::CampaignPerfStats::cross_design_dedup`]). Each per-design
     /// analyzer inherits this session's recovery policy; the session's
     /// own design and store are not used — the design axis comes entirely

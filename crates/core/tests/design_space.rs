@@ -2,7 +2,7 @@
 //! column must drive campaigns bit-identically to the directly
 //! constructed legacy [`ColumnDesign`] at every thread count, and a
 //! multi-design sweep must reuse the shared healthy-reference grid
-//! across equal-plan designs (the `cross_design_dedup` counter).
+//! across equal-fingerprint designs (the `cross_design_dedup` counter).
 
 use dso_core::analysis::Analyzer;
 use dso_core::analysis::{DesignParam, DesignSpace, DesignSweepRequest};
@@ -35,10 +35,7 @@ fn session_for(design: ColumnDesign, threads: usize) -> Session {
 fn config_generated_column_campaigns_bit_identically_to_the_legacy_design() {
     // The same electricals, reached two ways: through the declarative
     // config pipeline and by constructing the legacy struct directly.
-    let generated = fast_config("paper-fast")
-        .expand()
-        .expect("config expands")
-        .generate_design();
+    let generated = fast_config("paper-fast").expand().expect("config expands");
     let legacy = ColumnDesign {
         dt_fraction: FAST_DT,
         ..ColumnDesign::default()
@@ -66,7 +63,7 @@ fn config_generated_column_campaigns_bit_identically_to_the_legacy_design() {
 #[test]
 fn three_design_sweep_reuses_the_shared_healthy_reference() {
     // "skewed" spells out the exact skew the "dummy" scheme resolves to,
-    // so the two configs expand to one electrical plan; "tall" is a
+    // so the two configs expand to one column design; "tall" is a
     // genuinely different design (two cells per bit line doubles Cbl).
     let base = fast_config("skewed");
     let dummy_skew = ReferenceScheme::DummyCell.resolve_skew(
@@ -103,10 +100,10 @@ fn three_design_sweep_reuses_the_shared_healthy_reference() {
     assert_eq!(result.distinct_plans, 2);
     assert!(
         result.cross_design_dedup() >= 1,
-        "equal-plan designs must share the healthy-reference grid: {:?}",
+        "equal-fingerprint designs must share the healthy-reference grid: {:?}",
         result.perf
     );
-    // The shared-plan designs report identical coverage; the tall design
+    // The shared designs report identical coverage; the tall design
     // is electrically different.
     assert_eq!(result.designs[0].cells, result.designs[1].cells);
     assert_ne!(result.designs[0].fingerprint, result.designs[2].fingerprint);

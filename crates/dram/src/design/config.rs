@@ -3,10 +3,8 @@
 //! A [`DesignConfig`] describes a folded-bit-line column the way a memory
 //! designer would spec it — cells per bit line, per-cell bit-line
 //! parasitics, device sizing, the reference scheme — rather than the way
-//! the simulator consumes it. Expansion
-//! ([`DesignConfig::expand`] → [`super::DesignPlan`]) resolves the
-//! description into concrete electrical parameters; generation
-//! ([`super::DesignPlan::generate`]) emits the netlist.
+//! the simulator consumes it. Expansion ([`DesignConfig::expand`])
+//! resolves the description into the concrete [`ColumnDesign`].
 //!
 //! Configs parse from a zero-dependency JSON grammar (via
 //! [`dso_obs::json`]):
@@ -26,7 +24,7 @@
 //! Every omitted field defaults from [`DesignConfig::paper_default`], so a
 //! config only states what differs from the paper's column.
 
-use super::plan::DesignPlan;
+use super::ColumnDesign;
 use crate::DramError;
 use dso_obs::json::Json;
 use std::collections::BTreeMap;
@@ -124,9 +122,8 @@ pub struct DesignConfig {
 }
 
 impl DesignConfig {
-    /// The paper's column as a declarative config: expanding and
-    /// generating it reproduces [`super::ColumnDesign::default`]
-    /// bit-identically.
+    /// The paper's column as a declarative config: expanding it
+    /// reproduces [`ColumnDesign::default`] bit-identically.
     pub fn paper_default() -> Self {
         DesignConfig {
             name: "paper".to_string(),
@@ -202,15 +199,52 @@ impl DesignConfig {
         Ok(())
     }
 
-    /// Expands the declarative config into resolved electrical parameters
-    /// with a stable fingerprint.
+    /// Expands the declarative config into the resolved column design.
+    ///
+    /// Resolution rules:
+    ///
+    /// * total bit-line capacitance `cbl = cells_per_bitline · bl_cap_per_cell`,
+    /// * total bit-line series resistance `bl_r = cells_per_bitline · bl_res_per_cell`,
+    /// * the reference scheme resolves to a fixed skew via
+    ///   [`ReferenceScheme::resolve_skew`],
+    /// * the plain-cell count equals `cells_per_bitline`,
+    /// * model cards are the standard −2 mobility-exponent cards of the
+    ///   paper's 2.4 V generation.
+    ///
+    /// The name is not part of the result: a design's fingerprint (the
+    /// hash of [`ColumnDesign::fingerprint_into`]) keys the evaluation
+    /// service's memo cache and any `DSO_STORE` generation, so renaming a
+    /// design keeps its cached results while any electrical change moves
+    /// them.
     ///
     /// # Errors
     ///
     /// Returns [`DramError::BadDesign`] if either the config or the
-    /// resolved design fails validation.
-    pub fn expand(&self) -> Result<DesignPlan, DramError> {
-        DesignPlan::expand(self)
+    /// resolved design fails validation (e.g. a resolved skew outside
+    /// `[0, 0.5]`).
+    pub fn expand(&self) -> Result<ColumnDesign, DramError> {
+        self.validate()?;
+        let cells = self.cells_per_bitline as f64;
+        let cbl = cells * self.bl_cap_per_cell;
+        let design = ColumnDesign {
+            cs: self.cell_cap,
+            cbl,
+            bl_r: cells * self.bl_res_per_cell,
+            wl_boost: self.wl_boost,
+            ref_skew: self.reference.resolve_skew(self.cell_cap, cbl),
+            access_w: self.access_w,
+            access_l: self.access_l,
+            sa_nmos_w: self.sa_nmos_w,
+            sa_pmos_w: self.sa_pmos_w,
+            sa_l: self.sa_l,
+            pre_w: self.pre_w,
+            wd_ron: self.wd_ron,
+            plain_cells_per_bitline: self.cells_per_bitline,
+            dt_fraction: self.dt_fraction,
+            ..ColumnDesign::default()
+        };
+        design.validate()?;
+        Ok(design)
     }
 
     /// Parses a config from its JSON document form; omitted fields
@@ -343,6 +377,8 @@ fn reference_from_json(v: &Json) -> Result<ReferenceScheme, DramError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::{nodes, sources, Column};
+    use dso_num::fingerprint::Fingerprint;
 
     #[test]
     fn paper_default_is_valid() {
@@ -397,10 +433,120 @@ mod tests {
         let expect = (cs / 2.0) / (cs / 2.0 + cbl) * 1.2;
         assert_eq!(dummy, expect);
         // Config-distinct schemes can resolve to the same electrical skew:
-        // that equivalence is what the cross-design planner dedups on.
+        // that equivalence is what the cross-design sweep dedups on.
         assert_eq!(
             ReferenceScheme::SkewedRef { skew: dummy }.resolve_skew(cs, cbl),
             dummy
         );
+    }
+
+    fn fingerprint(design: &ColumnDesign) -> u64 {
+        let mut fp = Fingerprint::new();
+        design.fingerprint_into(&mut fp);
+        fp.finish()
+    }
+
+    #[test]
+    fn paper_default_expands_to_the_default_column() {
+        let design = DesignConfig::paper_default().expand().unwrap();
+        assert_eq!(design, ColumnDesign::default());
+        assert_eq!(fingerprint(&design), fingerprint(&ColumnDesign::default()));
+    }
+
+    #[test]
+    fn per_cell_parasitics_scale_with_array_height() {
+        let cfg = DesignConfig {
+            cells_per_bitline: 4,
+            bl_res_per_cell: 50.0,
+            ..DesignConfig::paper_default()
+        };
+        let design = cfg.expand().unwrap();
+        assert_eq!(design.cbl, 4.0 * 300e-15);
+        assert_eq!(design.bl_r, 200.0);
+        assert_eq!(design.plain_cells_per_bitline, 4);
+        assert!(design.transfer_ratio() < ColumnDesign::default().transfer_ratio());
+    }
+
+    #[test]
+    fn renaming_keeps_the_fingerprint_config_changes_move_it() {
+        let base = DesignConfig::paper_default().expand().unwrap();
+        let renamed = DesignConfig {
+            name: "alias".to_string(),
+            ..DesignConfig::paper_default()
+        }
+        .expand()
+        .unwrap();
+        assert_eq!(fingerprint(&base), fingerprint(&renamed));
+        let moved = DesignConfig {
+            wl_boost: 0.6,
+            ..DesignConfig::paper_default()
+        }
+        .expand()
+        .unwrap();
+        assert_ne!(fingerprint(&base), fingerprint(&moved));
+    }
+
+    #[test]
+    fn equivalent_reference_schemes_expand_to_the_same_design() {
+        let dummy = DesignConfig {
+            name: "dummy".to_string(),
+            reference: ReferenceScheme::DummyCell,
+            ..DesignConfig::paper_default()
+        }
+        .expand()
+        .unwrap();
+        let explicit = DesignConfig {
+            name: "explicit".to_string(),
+            reference: ReferenceScheme::SkewedRef {
+                skew: dummy.ref_skew,
+            },
+            ..DesignConfig::paper_default()
+        }
+        .expand()
+        .unwrap();
+        assert_eq!(fingerprint(&dummy), fingerprint(&explicit));
+        assert_eq!(dummy, explicit);
+    }
+
+    #[test]
+    fn invalid_resolved_designs_are_rejected() {
+        // A valid config whose expansion breaks the resolved design: a
+        // cell bigger than the whole resolved bit-line capacitance.
+        let cfg = DesignConfig {
+            cell_cap: 400e-15,
+            bl_cap_per_cell: 300e-15,
+            ..DesignConfig::paper_default()
+        };
+        assert!(cfg.validate().is_ok());
+        assert!(cfg.expand().is_err());
+    }
+
+    #[test]
+    fn paper_default_builds_the_default_column() {
+        let built = Column::build(&DesignConfig::paper_default().expand().unwrap()).unwrap();
+        let direct = Column::build(&ColumnDesign::default()).unwrap();
+        assert_eq!(built.design(), direct.design());
+        // Same device set in the same order — the netlists are identical.
+        for s in sources::ALL {
+            assert!(built.circuit().find_device(s).is_ok(), "{s}");
+        }
+        assert_eq!(built.circuit().node_count(), direct.circuit().node_count());
+    }
+
+    #[test]
+    fn nonzero_bitline_resistance_adds_tap_nodes() {
+        let cfg = DesignConfig {
+            bl_res_per_cell: 100.0,
+            ..DesignConfig::paper_default()
+        };
+        let column = Column::build(&cfg.expand().unwrap()).unwrap();
+        assert!(column.circuit().find_device("Rbl_true").is_ok());
+        assert!(column.circuit().find_device("Rbl_comp").is_ok());
+        assert!(column.circuit().find_node(nodes::BT_TAP).is_ok());
+        assert!(column.circuit().find_node(nodes::BC_TAP).is_ok());
+        // The zero-resistance column has neither.
+        let plain = Column::build(&DesignConfig::paper_default().expand().unwrap()).unwrap();
+        assert!(plain.circuit().find_device("Rbl_true").is_err());
+        assert!(plain.circuit().find_node(nodes::BT_TAP).is_err());
     }
 }

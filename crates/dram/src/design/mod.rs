@@ -1,28 +1,18 @@
 //! Column design parameters and the operating point (stress) definition.
 //!
-//! The module is a three-stage **config → plan → generate** pipeline:
-//!
-//! * [`config`] — [`DesignConfig`], the declarative, human-editable design
-//!   description (cells per bit line, per-cell bit-line R/C, device sizing,
-//!   reference scheme, word-line boost) with validation and a zero-dep
-//!   JSON parser,
-//! * [`plan`] — [`DesignPlan`], the expansion of a config into resolved
-//!   electrical parameters plus a stable per-design fingerprint,
-//! * [`generate`] — the generator that emits the concrete [`ColumnDesign`]
-//!   and the column netlist from a plan.
-//!
-//! [`ColumnDesign`] itself (below) stays the electrical ground truth the
-//! simulator consumes; the pipeline above it is how design-space sweeps
+//! [`ColumnDesign`] (below) is the electrical ground truth the simulator
+//! consumes. [`config`] holds [`DesignConfig`], the declarative,
+//! human-editable design description (cells per bit line, per-cell
+//! bit-line R/C, device sizing, reference scheme, word-line boost) with
+//! validation and a zero-dep JSON parser; [`DesignConfig::expand`]
+//! resolves it into a [`ColumnDesign`]. That is how design-space sweeps
 //! produce many columns from declarative descriptions. The paper's own
-//! column is [`DesignConfig::paper_default`], which expands and generates
+//! column is [`DesignConfig::paper_default`], which expands
 //! bit-identically to [`ColumnDesign::default`].
 
 pub mod config;
-pub mod generate;
-pub mod plan;
 
 pub use config::{DesignConfig, ReferenceScheme};
-pub use plan::DesignPlan;
 
 use crate::DramError;
 use dso_spice::mos::MosModel;

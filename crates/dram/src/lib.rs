@@ -8,8 +8,8 @@
 //!
 //! * [`design::ColumnDesign`] — every electrical parameter of the column
 //!   (supply, capacitances, transistor geometries, timing fractions).
-//! * [`design::DesignConfig`] → [`design::DesignPlan`] — the declarative
-//!   config → plan → generate pipeline that produces whole families of
+//! * [`design::DesignConfig`] — the declarative design description that
+//!   expands to a [`design::ColumnDesign`], producing whole families of
 //!   columns for design-space sweeps; the paper's column is
 //!   [`design::DesignConfig::paper_default`].
 //! * [`design::OperatingPoint`] — the *stress* knobs: `Vdd`, `tcyc`, duty
@@ -48,6 +48,6 @@ pub mod error;
 pub mod ops;
 pub mod timing;
 
-pub use design::{ColumnDesign, DesignConfig, DesignPlan, OperatingPoint, ReferenceScheme};
+pub use design::{ColumnDesign, DesignConfig, OperatingPoint, ReferenceScheme};
 pub use error::DramError;
 pub use ops::{Operation, OperationEngine};

@@ -1,12 +1,16 @@
-//! Property tests for the config → plan → generate pipeline: every
-//! electrical field of a [`DesignConfig`] must move the design
-//! fingerprint (and therefore invalidate the evaluation-service memo
+//! Property tests for config expansion: every electrical field of a
+//! [`DesignConfig`] must move the design fingerprint (and therefore invalidate the evaluation-service memo
 //! cache and any `DSO_STORE` generation), while pure labels must not.
 
 use dso_dram::design::{ColumnDesign, DesignConfig, ReferenceScheme};
+use dso_num::fingerprint::Fingerprint;
 
 fn fingerprint_of(cfg: &DesignConfig) -> u64 {
-    cfg.expand().expect("config should expand").fingerprint()
+    let mut fp = Fingerprint::new();
+    cfg.expand()
+        .expect("config should expand")
+        .fingerprint_into(&mut fp);
+    fp.finish()
 }
 
 /// One mutated config per electrical field, each a valid design.
@@ -166,10 +170,7 @@ fn json_round_trip_preserves_the_fingerprint() {
 }
 
 #[test]
-fn paper_default_generates_bit_identically_to_the_legacy_design() {
-    let generated = DesignConfig::paper_default()
-        .expand()
-        .unwrap()
-        .generate_design();
-    assert_eq!(generated, ColumnDesign::default());
+fn paper_default_expands_bit_identically_to_the_legacy_design() {
+    let expanded = DesignConfig::paper_default().expand().unwrap();
+    assert_eq!(expanded, ColumnDesign::default());
 }

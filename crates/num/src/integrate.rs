@@ -3,9 +3,7 @@
 //! The transient engine discretizes each capacitor with a *companion model*:
 //! at every time step the capacitor is replaced by a conductance `geq` in
 //! parallel with a current source `ieq` whose values depend on the
-//! integration method. [`Method`] provides those coefficients; [`rk4`] is an
-//! independent reference integrator used to validate the circuit engine
-//! against analytic RC answers in the test suite.
+//! integration method. [`Method`] provides those coefficients.
 
 use crate::NumError;
 
@@ -90,87 +88,6 @@ pub struct Companion {
     pub ieq: f64,
 }
 
-/// Classic fixed-step fourth-order Runge–Kutta for `dy/dt = f(t, y)`.
-///
-/// Used as an *independent* reference when validating the implicit circuit
-/// integrator — the two implementations share no code.
-///
-/// Returns the sampled `(t, y)` trajectory including both endpoints.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidArgument`] if `steps == 0` or `t1 <= t0`.
-///
-/// # Example
-///
-/// ```
-/// use dso_num::integrate::rk4;
-///
-/// # fn main() -> Result<(), dso_num::NumError> {
-/// // dy/dt = -y, y(0) = 1  =>  y(1) = e^-1.
-/// let traj = rk4(0.0, 1.0, &[1.0], 100, |_, y, dy| dy[0] = -y[0])?;
-/// let (t_end, y_end) = traj.last().expect("non-empty");
-/// assert_eq!(*t_end, 1.0);
-/// assert!((y_end[0] - (-1.0_f64).exp()).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn rk4<F>(
-    t0: f64,
-    t1: f64,
-    y0: &[f64],
-    steps: usize,
-    mut f: F,
-) -> Result<Vec<(f64, Vec<f64>)>, NumError>
-where
-    F: FnMut(f64, &[f64], &mut [f64]),
-{
-    if steps == 0 {
-        return Err(NumError::InvalidArgument("rk4: steps must be > 0".into()));
-    }
-    if t1 <= t0 {
-        return Err(NumError::InvalidArgument(format!(
-            "rk4: t1 ({t1}) must exceed t0 ({t0})"
-        )));
-    }
-    let n = y0.len();
-    let h = (t1 - t0) / steps as f64;
-    let mut out = Vec::with_capacity(steps + 1);
-    let mut y = y0.to_vec();
-    out.push((t0, y.clone()));
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    for s in 0..steps {
-        let t = t0 + s as f64 * h;
-        f(t, &y, &mut k1);
-        for i in 0..n {
-            tmp[i] = y[i] + 0.5 * h * k1[i];
-        }
-        f(t + 0.5 * h, &tmp, &mut k2);
-        for i in 0..n {
-            tmp[i] = y[i] + 0.5 * h * k2[i];
-        }
-        f(t + 0.5 * h, &tmp, &mut k3);
-        for i in 0..n {
-            tmp[i] = y[i] + h * k3[i];
-        }
-        f(t + h, &tmp, &mut k4);
-        for i in 0..n {
-            y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        let t_next = if s + 1 == steps {
-            t1
-        } else {
-            t0 + (s + 1) as f64 * h
-        };
-        out.push((t_next, y.clone()));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,32 +159,5 @@ mod tests {
         let comp = method.companion(1e-12, 1e-9, 0.5, 1e-6).unwrap();
         let i = method.current(comp, 0.7);
         assert!((i - (comp.geq * 0.7 - comp.ieq)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn rk4_exponential_decay() {
-        let traj = rk4(0.0, 2.0, &[1.0], 200, |_, y, dy| dy[0] = -y[0]).unwrap();
-        let (_, y_end) = traj.last().unwrap();
-        assert!((y_end[0] - (-2.0_f64).exp()).abs() < 1e-10);
-        assert_eq!(traj.len(), 201);
-    }
-
-    #[test]
-    fn rk4_harmonic_oscillator_conserves_energy() {
-        // y'' = -y as a system: y0' = y1, y1' = -y0.
-        let traj = rk4(0.0, 10.0, &[1.0, 0.0], 2000, |_, y, dy| {
-            dy[0] = y[1];
-            dy[1] = -y[0];
-        })
-        .unwrap();
-        let (_, y_end) = traj.last().unwrap();
-        let energy = y_end[0] * y_end[0] + y_end[1] * y_end[1];
-        assert!((energy - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn rk4_validates_arguments() {
-        assert!(rk4(0.0, 1.0, &[0.0], 0, |_, _, _| {}).is_err());
-        assert!(rk4(1.0, 0.5, &[0.0], 10, |_, _, _| {}).is_err());
     }
 }

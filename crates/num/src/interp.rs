@@ -62,16 +62,6 @@ impl Curve {
         Ok(Curve { x, y })
     }
 
-    /// Builds a curve from `(x, y)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Curve::new`].
-    pub fn from_points(points: &[(f64, f64)]) -> Result<Self, NumError> {
-        let (x, y) = points.iter().copied().unzip();
-        Curve::new(x, y)
-    }
-
     /// The sampled abscissae.
     pub fn xs(&self) -> &[f64] {
         &self.x

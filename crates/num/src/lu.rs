@@ -710,23 +710,6 @@ impl LuFactor {
         }
         det
     }
-
-    /// A cheap condition estimate: ratio of largest to smallest absolute
-    /// pivot. Large values indicate an ill-conditioned system.
-    pub fn pivot_ratio(&self) -> f64 {
-        let mut max = 0.0_f64;
-        let mut min = f64::INFINITY;
-        for i in 0..self.n {
-            let p = self.lu[i * self.n + i].abs();
-            max = max.max(p);
-            min = min.min(p);
-        }
-        if min == 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
 }
 
 /// A symmetric minimum-degree elimination order of the pattern's graph
@@ -814,15 +797,6 @@ fn push_nonzeros(values: &[f64], first: usize, cols: &mut Vec<usize>) {
     cols.truncate(len);
 }
 
-/// Convenience: factor `a` and solve `a·x = b` in one call.
-///
-/// # Errors
-///
-/// Propagates the errors of [`LuFactor::new`] and [`LuFactor::solve`].
-pub fn solve(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, NumError> {
-    LuFactor::new(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,7 +811,7 @@ mod tests {
     fn solve_2x2() {
         let a = DMatrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
         let b = [1.0, 2.0];
-        let x = solve(&a, &b).unwrap();
+        let x = LuFactor::new(&a).unwrap().solve(&b).unwrap();
         assert!(residual(&a, &x, &b) < 1e-12);
     }
 
@@ -845,7 +819,7 @@ mod tests {
     fn solve_requires_pivoting() {
         // Zero on the diagonal: succeeds only with pivoting.
         let a = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let x = solve(&a, &[2.0, 3.0]).unwrap();
+        let x = LuFactor::new(&a).unwrap().solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-14);
         assert!((x[1] - 2.0).abs() < 1e-14);
     }
@@ -933,12 +907,6 @@ mod tests {
     fn rhs_length_checked() {
         let lu = LuFactor::new(&DMatrix::identity(3)).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn pivot_ratio_of_identity() {
-        let lu = LuFactor::new(&DMatrix::identity(4)).unwrap();
-        assert_eq!(lu.pivot_ratio(), 1.0);
     }
 
     #[test]
@@ -1088,7 +1056,7 @@ mod tests {
             a[(i, i)] = row_sum + 1.0;
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let x = solve(&a, &b).unwrap();
+        let x = LuFactor::new(&a).unwrap().solve(&b).unwrap();
         assert!(residual(&a, &x, &b) < 1e-10);
     }
 }

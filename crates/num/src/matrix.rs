@@ -159,44 +159,6 @@ impl DMatrix {
         Ok(y)
     }
 
-    /// Returns the matrix product `A · B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::ShapeMismatch`] if the inner dimensions differ.
-    pub fn mul(&self, other: &DMatrix) -> Result<DMatrix, NumError> {
-        if self.cols != other.rows {
-            return Err(NumError::ShapeMismatch {
-                expected: format!("matrix with {} rows", self.cols),
-                found: format!("{}x{}", other.rows, other.cols),
-            });
-        }
-        let mut out = DMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Returns the transpose of the matrix.
-    pub fn transpose(&self) -> DMatrix {
-        let mut out = DMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Maximum absolute entry (the max norm).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -283,11 +245,6 @@ impl fmt::Display for DMatrix {
     }
 }
 
-/// Euclidean norm of a vector.
-pub fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 /// Infinity norm of a vector.
 ///
 /// NaN entries propagate: the norm of a vector containing NaN is NaN.
@@ -302,18 +259,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
         m = m.max(v.abs());
     }
     m
-}
-
-/// `y ← y + alpha * x`, the BLAS `axpy` primitive.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 #[cfg(test)]
@@ -360,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_product_against_identity() {
-        let m = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let i = DMatrix::identity(2);
-        assert_eq!(m.mul(&i).unwrap(), m);
-        assert_eq!(i.mul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = DMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
     fn clear_keeps_shape() {
         let mut m = DMatrix::identity(4);
         m.clear();
@@ -387,15 +317,7 @@ mod tests {
         let m = DMatrix::from_rows(&[&[1.0, -2.0], &[-3.0, 0.5]]).unwrap();
         assert_eq!(m.max_abs(), 3.0);
         assert_eq!(m.norm_inf(), 3.5);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[1.0, -7.0, 2.0]), 7.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 
     #[test]

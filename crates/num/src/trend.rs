@@ -109,46 +109,6 @@ pub fn classify(y: &[f64], tol: f64) -> Result<Trend, NumError> {
     })
 }
 
-/// Index of the extreme sample: the maximum for curves that rise then fall,
-/// the minimum for curves that fall then rise. Useful for locating the most
-/// stressful point of a non-monotonic response.
-///
-/// # Errors
-///
-/// Same validation as [`classify`].
-pub fn extremum_index(y: &[f64]) -> Result<usize, NumError> {
-    if y.len() < 2 {
-        return Err(NumError::InvalidArgument(
-            "extremum search needs at least two samples".into(),
-        ));
-    }
-    if y.iter().any(|v| !v.is_finite()) {
-        return Err(NumError::NonFinite {
-            context: "extremum samples".into(),
-        });
-    }
-    // Whichever of min/max lies strictly inside the range is the turning
-    // point; if both are on the boundary the curve is monotone and we return
-    // the global max.
-    let (mut imax, mut imin) = (0usize, 0usize);
-    for (i, &v) in y.iter().enumerate() {
-        if v > y[imax] {
-            imax = i;
-        }
-        if v < y[imin] {
-            imin = i;
-        }
-    }
-    let interior = |i: usize| i > 0 && i + 1 < y.len();
-    Ok(if interior(imax) {
-        imax
-    } else if interior(imin) {
-        imin
-    } else {
-        imax
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,19 +150,5 @@ mod tests {
         assert_eq!(Trend::Increasing.reversed(), Trend::Decreasing);
         assert_eq!(Trend::NonMonotonic.reversed(), Trend::NonMonotonic);
         assert_eq!(Trend::Decreasing.to_string(), "decreasing");
-    }
-
-    #[test]
-    fn extremum_of_peak() {
-        assert_eq!(extremum_index(&[0.0, 2.0, 1.0]).unwrap(), 1);
-        assert_eq!(extremum_index(&[3.0, 1.0, 2.0]).unwrap(), 1);
-        // Monotone: returns global max.
-        assert_eq!(extremum_index(&[0.0, 1.0, 2.0]).unwrap(), 2);
-    }
-
-    #[test]
-    fn extremum_validation() {
-        assert!(extremum_index(&[1.0]).is_err());
-        assert!(extremum_index(&[1.0, f64::INFINITY]).is_err());
     }
 }

@@ -306,7 +306,8 @@ pub struct EnvConfig {
 /// * `DSO_METRICS=<path>|1` — enable the metrics registry; a path value
 ///   asks the campaign layer to write the JSON snapshot there.
 ///
-/// Called by the campaign layer; safe to call repeatedly.
+/// Called when a session is built from the environment and at every
+/// plane campaign's entry; safe to call repeatedly.
 pub fn init_from_env() -> EnvConfig {
     let mut cfg = EnvConfig::default();
     if let Ok(value) = std::env::var("DSO_METRICS") {

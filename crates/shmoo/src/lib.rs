@@ -203,262 +203,10 @@ impl ShmooPlot {
     }
 }
 
-/// A labelled collection of Shmoo plots — one per design, corner, or
-/// any other sweep dimension — rendered together.
-///
-/// # Example
-///
-/// ```
-/// use dso_shmoo::{PlotSet, ShmooPlot};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut set = PlotSet::new();
-/// let plot = ShmooPlot::generate("vdd", &[2.0, 3.0], "tcyc", &[1.0], |x, _| {
-///     Ok::<_, std::convert::Infallible>(x > 2.5)
-/// })?;
-/// set.push("tall-array", plot);
-/// assert_eq!(set.labels(), ["tall-array"]);
-/// assert!(set.render_csv().starts_with("label,"));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PlotSet {
-    entries: Vec<(String, ShmooPlot)>,
-}
-
-impl PlotSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        PlotSet::default()
-    }
-
-    /// Appends a labelled plot. Labels need not be unique; [`PlotSet::get`]
-    /// returns the first match.
-    pub fn push(&mut self, label: &str, plot: ShmooPlot) {
-        self.entries.push((label.to_string(), plot));
-    }
-
-    /// Number of plots in the set.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the set holds no plots.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The labels, in insertion order.
-    pub fn labels(&self) -> Vec<&str> {
-        self.entries.iter().map(|(l, _)| l.as_str()).collect()
-    }
-
-    /// The first plot stored under `label`.
-    pub fn get(&self, label: &str) -> Option<&ShmooPlot> {
-        self.entries
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, p)| p)
-    }
-
-    /// Iterates `(label, plot)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &ShmooPlot)> {
-        self.entries.iter().map(|(l, p)| (l.as_str(), p))
-    }
-
-    /// Renders every plot, each under a `== label ==` banner.
-    pub fn render_ascii(&self) -> String {
-        let mut out = String::new();
-        for (label, plot) in &self.entries {
-            out.push_str(&format!("== {label} ==\n"));
-            out.push_str(&plot.render_ascii());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Long-form CSV: one row per grid point across all plots, with the
-    /// plot label and both axis names carried on every row so sets whose
-    /// plots use different axes stay self-describing.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from("label,x_axis,x,y_axis,y,outcome\n");
-        for (label, plot) in &self.entries {
-            for (yi, &y) in plot.y_values().iter().enumerate() {
-                for (xi, &x) in plot.x_values().iter().enumerate() {
-                    out.push_str(&format!(
-                        "{label},{},{x:e},{},{y:e},{}\n",
-                        plot.x_label(),
-                        plot.y_label(),
-                        match plot.outcome(xi, yi) {
-                            Outcome::Pass => "pass",
-                            Outcome::Fail => "fail",
-                        }
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// A one-dimensional shmoo: the pass/fail outcome along a single stress
-/// axis, with the boundary located.
-///
-/// # Example
-///
-/// ```
-/// use dso_shmoo::margin_sweep;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let sweep = margin_sweep("vdd", &[2.1, 2.2, 2.3, 2.4, 2.5], |v| {
-///     Ok::<_, std::convert::Infallible>(v >= 2.25)
-/// })?;
-/// assert_eq!(sweep.first_pass, Some(2.3));
-/// assert_eq!(sweep.last_fail, Some(2.2));
-/// assert!(sweep.render_csv().starts_with("vdd,outcome"));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarginSweep {
-    /// The swept stress axis, e.g. `"vdd"` — used as the value column
-    /// header in [`MarginSweep::render_csv`].
-    pub label: String,
-    /// The swept stress values, in the order given.
-    pub values: Vec<f64>,
-    /// Outcomes parallel to `values`.
-    pub outcomes: Vec<Outcome>,
-    /// First value (in sweep order) at which the test passes.
-    pub first_pass: Option<f64>,
-    /// Last value (in sweep order) at which the test fails.
-    pub last_fail: Option<f64>,
-}
-
-impl MarginSweep {
-    /// CSV rendering: header `<label>,outcome`, one row per swept value.
-    pub fn render_csv(&self) -> String {
-        let mut out = format!("{},outcome\n", self.label);
-        for (v, o) in self.values.iter().zip(&self.outcomes) {
-            out.push_str(&format!(
-                "{v:e},{}\n",
-                match o {
-                    Outcome::Pass => "pass",
-                    Outcome::Fail => "fail",
-                }
-            ));
-        }
-        out
-    }
-
-    /// Fraction of passing points.
-    pub fn pass_rate(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.outcomes
-            .iter()
-            .filter(|o| **o == Outcome::Pass)
-            .count() as f64
-            / self.values.len() as f64
-    }
-
-    /// `true` when the outcomes change at most once along the sweep — a
-    /// well-behaved margin with a single boundary.
-    pub fn is_monotone(&self) -> bool {
-        self.outcomes.windows(2).filter(|w| w[0] != w[1]).count() <= 1
-    }
-}
-
-/// Sweeps one stress axis and locates the pass/fail boundary (the classic
-/// one-dimensional shmoo used for margin characterization). `label` names
-/// the axis in the sweep's CSV rendering.
-///
-/// # Errors
-///
-/// Propagates the first oracle error.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-pub fn margin_sweep<E, F>(label: &str, values: &[f64], mut oracle: F) -> Result<MarginSweep, E>
-where
-    F: FnMut(f64) -> Result<bool, E>,
-{
-    assert!(!values.is_empty(), "margin sweep needs values");
-    let mut outcomes = Vec::with_capacity(values.len());
-    let mut first_pass = None;
-    let mut last_fail = None;
-    for &v in values {
-        if oracle(v)? {
-            outcomes.push(Outcome::Pass);
-            if first_pass.is_none() {
-                first_pass = Some(v);
-            }
-        } else {
-            outcomes.push(Outcome::Fail);
-            last_fail = Some(v);
-        }
-    }
-    Ok(MarginSweep {
-        label: label.to_string(),
-        values: values.to_vec(),
-        outcomes,
-        first_pass,
-        last_fail,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::convert::Infallible;
-
-    #[test]
-    fn margin_sweep_locates_boundary() {
-        let sweep = margin_sweep("tcyc", &[55.0, 57.0, 59.0, 61.0, 63.0], |t| {
-            Ok::<_, Infallible>(t > 58.0)
-        })
-        .unwrap();
-        assert_eq!(sweep.first_pass, Some(59.0));
-        assert_eq!(sweep.last_fail, Some(57.0));
-        assert!(sweep.is_monotone());
-        assert!((sweep.pass_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(sweep.label, "tcyc");
-        let csv = sweep.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "tcyc,outcome");
-        assert_eq!(lines.len(), 6);
-        assert!(lines[1].ends_with(",fail"), "{csv}");
-        assert!(lines[3].ends_with(",pass"), "{csv}");
-    }
-
-    #[test]
-    fn margin_sweep_all_pass_or_fail() {
-        let all_pass = margin_sweep("x", &[1.0, 2.0], |_| Ok::<_, Infallible>(true)).unwrap();
-        assert_eq!(all_pass.first_pass, Some(1.0));
-        assert_eq!(all_pass.last_fail, None);
-        assert!(all_pass.is_monotone());
-
-        let all_fail = margin_sweep("x", &[1.0, 2.0], |_| Ok::<_, Infallible>(false)).unwrap();
-        assert_eq!(all_fail.first_pass, None);
-        assert_eq!(all_fail.last_fail, Some(2.0));
-    }
-
-    #[test]
-    fn margin_sweep_detects_non_monotone() {
-        let sweep = margin_sweep("x", &[1.0, 2.0, 3.0, 4.0], |x| {
-            Ok::<_, Infallible>(x as i64 % 2 == 0)
-        })
-        .unwrap();
-        assert!(!sweep.is_monotone());
-    }
-
-    #[test]
-    fn margin_sweep_propagates_errors() {
-        let r = margin_sweep("x", &[1.0], |_| Err("nope"));
-        assert_eq!(r.unwrap_err(), "nope");
-    }
 
     fn diagonal_plot() -> ShmooPlot {
         ShmooPlot::generate("x", &[0.0, 1.0, 2.0], "y", &[0.0, 1.0, 2.0], |x, y| {
@@ -522,42 +270,5 @@ mod tests {
     fn outcome_glyphs() {
         assert_eq!(Outcome::Pass.to_string(), "+");
         assert_eq!(Outcome::Fail.glyph(), '.');
-    }
-
-    #[test]
-    fn plot_set_lookup_and_order() {
-        let mut set = PlotSet::new();
-        assert!(set.is_empty());
-        set.push("a", diagonal_plot());
-        set.push("b", diagonal_plot());
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.labels(), ["a", "b"]);
-        assert_eq!(set.get("b"), Some(&diagonal_plot()));
-        assert_eq!(set.get("missing"), None);
-        let labels: Vec<&str> = set.iter().map(|(l, _)| l).collect();
-        assert_eq!(labels, ["a", "b"]);
-    }
-
-    #[test]
-    fn plot_set_ascii_banners() {
-        let mut set = PlotSet::new();
-        set.push("tall-array", diagonal_plot());
-        let text = set.render_ascii();
-        assert!(text.starts_with("== tall-array ==\n"), "{text}");
-        assert!(text.contains("shmoo: x (x) vs y (y)"), "{text}");
-    }
-
-    #[test]
-    fn plot_set_long_form_csv() {
-        let mut set = PlotSet::new();
-        set.push("d0", diagonal_plot());
-        set.push("d1", diagonal_plot());
-        let csv = set.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        // Header plus 9 grid points per plot.
-        assert_eq!(lines.len(), 1 + 2 * 9);
-        assert_eq!(lines[0], "label,x_axis,x,y_axis,y,outcome");
-        assert_eq!(lines[1], "d0,x,0e0,y,0e0,pass");
-        assert!(lines[10].starts_with("d1,"), "{csv}");
     }
 }

@@ -4,12 +4,11 @@
 //! The paper (Table 1) fixes a single folded-bit-line column; this
 //! example treats the *design* as a swept axis. Three [`DesignConfig`]s —
 //! the paper column, the same electricals under a dummy-cell reference
-//! scheme, and a taller two-cells-per-bit-line array — expand through the
-//! config → plan → generate pipeline and run one cross-design campaign.
-//! Designs whose configs expand to the same electrical plan share one
-//! evaluation service, so the dummy-cell design's healthy-reference grid
-//! is answered from the paper column's results (the `cross_design_dedup`
-//! counter printed at the end).
+//! scheme, and a taller two-cells-per-bit-line array — expand to column
+//! designs and run one cross-design campaign. Designs whose configs
+//! expand to the same column design share one evaluation service, so the
+//! dummy-cell design's grids are answered from the paper column's results
+//! (the `cross_design_dedup` counter printed at the end).
 //!
 //! Outputs, under `results/`:
 //!
@@ -37,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Three declarative designs. The coarser-than-production time base
     //    keeps the example affordable; drop `dt_fraction` to run the
     //    production step. "dummy" resolves its reference skew from the
-    //    cell/bit-line divider at expansion time — to the same plan as
-    //    "paper", which spells the skew out.
+    //    cell/bit-line divider at expansion time — to the same column
+    //    design as "paper", which spells the skew out.
     let paper = DesignConfig {
         name: "paper".into(),
         dt_fraction: 1.0 / 250.0,
@@ -71,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. One pass over designs x defects x R. The session's own column
     //    only serves as the analyzer template (recovery/tuning); each
-    //    design generates its own column.
+    //    design expands to its own column.
     let defects = vec![
         Defect::cell_open(BitLineSide::True),
         Defect::cell_open(BitLineSide::Comp),

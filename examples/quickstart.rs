@@ -17,7 +17,7 @@ use dso_spice::units::format_eng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The memory model: one folded bit-line DRAM column. A session
     //    bundles the memoizing evaluation service with the execution
-    //    policy (threads and chunking, both DSO_* tunable).
+    //    policy (threads, DSO_THREADS tunable).
     let design = ColumnDesign::default();
     let session = Session::with_design(design.clone());
     let nominal = OperatingPoint::nominal();

@@ -61,10 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("{}", plot.render_ascii());
     println!("pass rate over the grid: {:.0}%", plot.pass_rate() * 100.0);
-    let stats = session.service().cache_stats();
     println!(
-        "evaluation service: {} simulated, {} replayed from cache",
-        stats.misses, stats.hits
+        "border search: {} evaluation(s); shmoo grid: {} point(s)",
+        border.evaluations,
+        vdds.len() * tcycs.len()
     );
     println!();
     println!("the failing corner (low Vdd, short tcyc) is exactly the stress");
