@@ -92,6 +92,26 @@ pub trait NonlinearSystem {
         self.residual(x, out)
     }
 
+    /// Evaluates two residuals, `F(a)` into `ra` and then `F(b)` into
+    /// `rb`, with the same values and side effects as those two
+    /// [`NonlinearSystem::residual`] calls in that order. The default makes
+    /// exactly those calls; a system whose evaluations share work between
+    /// points (one walk over its devices for both) overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`NonlinearSystem::residual`].
+    fn residual_pair(
+        &mut self,
+        a: &[f64],
+        b: &[f64],
+        ra: &mut [f64],
+        rb: &mut [f64],
+    ) -> Result<(), NumError> {
+        self.residual(a, ra)?;
+        self.residual(b, rb)
+    }
+
     /// The structural pattern of [`NonlinearSystem::jacobian`]: every
     /// position it can ever write, fixed for the system's life. The solver
     /// hands it to its LU factorization, which eliminates in a
@@ -199,7 +219,7 @@ pub struct NewtonSolver {
     neg_f: Vec<f64>,
     jac: DMatrix,
     lu: LuFactor,
-    /// `residual` holds the last [`NewtonSolver::residual_norm`] probe,
+    /// `residual` holds the last [`NewtonSolver::probe_pair`] probe,
     /// which no solve has overwritten since.
     holds_probe: bool,
 }
@@ -225,32 +245,37 @@ impl NewtonSolver {
         &self.options
     }
 
-    /// Evaluates `‖F(x)‖∞` without solving, reusing the solver's residual
-    /// scratch (no allocation once warmed). Callers use this to rank
-    /// candidate initial guesses — e.g. a warm-start seed against the
-    /// previous committed state — before committing to one.
+    /// Evaluates `(‖F(guess)‖∞, ‖F(alt)‖∞)` without solving, in one
+    /// [`NonlinearSystem::residual_pair`] call that reuses the solver's
+    /// residual scratch (no allocation once warmed). Callers use this to
+    /// rank two candidate initial guesses — e.g. the previous committed
+    /// state against a warm-start seed — before committing to one.
+    /// `F(alt)` stays in the scratch as the probe
+    /// [`NewtonSolver::solve_probed`] starts from.
     ///
     /// # Errors
     ///
-    /// * [`NumError::ShapeMismatch`] if `x` has the wrong length.
+    /// * [`NumError::ShapeMismatch`] if either point has the wrong length.
     /// * Any error surfaced by the system's residual evaluation.
-    pub fn residual_norm<S: NonlinearSystem>(
+    pub fn probe_pair<S: NonlinearSystem>(
         &mut self,
         system: &mut S,
-        x: &[f64],
-    ) -> Result<f64, NumError> {
+        guess: &[f64],
+        alt: &[f64],
+    ) -> Result<(f64, f64), NumError> {
         self.holds_probe = false;
         let n = system.unknowns();
-        if x.len() != n {
+        if let Some(bad) = [guess, alt].into_iter().find(|x| x.len() != n) {
             return Err(NumError::ShapeMismatch {
                 expected: format!("point of length {n}"),
-                found: format!("length {}", x.len()),
+                found: format!("length {}", bad.len()),
             });
         }
         self.residual.resize(n, 0.0);
-        system.residual(x, &mut self.residual)?;
+        self.trial_residual.resize(n, 0.0);
+        system.residual_pair(guess, alt, &mut self.trial_residual, &mut self.residual)?;
         self.holds_probe = true;
-        Ok(norm_inf(&self.residual))
+        Ok((norm_inf(&self.trial_residual), norm_inf(&self.residual)))
     }
 
     /// Solves `F(x) = 0` starting from the initial guess in `x`, leaving the
@@ -292,12 +317,12 @@ impl NewtonSolver {
     }
 
     /// Like [`NewtonSolver::solve`] (or [`NewtonSolver::solve_reusing`]
-    /// when `reuse`), but starts from the residual that the last
-    /// [`NewtonSolver::residual_norm`] call left in the solver's scratch
+    /// when `reuse`), but starts from the residual `F(alt)` that the last
+    /// [`NewtonSolver::probe_pair`] call left in the solver's scratch
     /// instead of evaluating `F(x)` again. A caller that has just probed
-    /// `x` this way saves one residual evaluation per solve.
+    /// `x` as the alternative saves one residual evaluation per solve.
     ///
-    /// The caller must pass the very `x` it last probed, with the system
+    /// The caller must pass the very `alt` it last probed, with the system
     /// unchanged since; otherwise the solve starts from a stale residual.
     /// Without a probe since the last solve, it evaluates `F(x)` as
     /// [`NewtonSolver::solve`] does. A system whose evaluations have side
@@ -781,13 +806,24 @@ mod tests {
                     residuals: 0,
                 };
                 let mut xb = start.to_vec();
-                let norm = probed.residual_norm(&mut b, &xb).unwrap();
-                assert!(norm.is_finite());
+                let other = [start[0] + 0.25, start[1] - 0.5];
+                let (g, n) = probed.probe_pair(&mut b, &other, &xb).unwrap();
+                let norm = |x: &[f64]| {
+                    let mut r = [0.0; 2];
+                    TwoDim.residual(x, &mut r).unwrap();
+                    norm_inf(&r)
+                };
+                assert_eq!((g, n), (norm(&other), norm(&xb)));
                 let sb = probed.solve_probed(&mut b, &mut xb, reuse).unwrap();
                 assert_eq!(bits(&xa), bits(&xb), "start {start:?}, reuse {reuse}");
                 assert_eq!(sa, sb, "start {start:?}, reuse {reuse}");
-                // The probe stands in for the solve's first evaluation.
-                assert_eq!(a.residuals, b.residuals, "start {start:?}, reuse {reuse}");
+                // The alternative's probe stands in for the solve's first
+                // evaluation; the guess's is the one extra.
+                assert_eq!(
+                    a.residuals + 1,
+                    b.residuals,
+                    "start {start:?}, reuse {reuse}"
+                );
             }
         }
     }
@@ -799,11 +835,29 @@ mod tests {
         let (mut x, mut y) = (vec![-1.0, 2.0], vec![-1.0, 2.0]);
         // The probe of `[3, 3]` is consumed by the first solve, so the
         // second must not start from it.
-        solver.residual_norm(&mut TwoDim, &[3.0, 3.0]).unwrap();
+        solver
+            .probe_pair(&mut TwoDim, &[0.5, 0.5], &[3.0, 3.0])
+            .unwrap();
         solver.solve(&mut TwoDim, &mut [0.5, 0.5]).unwrap();
         reference.solve(&mut TwoDim, &mut [0.5, 0.5]).unwrap();
         let a = solver.solve_probed(&mut TwoDim, &mut x, false).unwrap();
         let b = reference.solve(&mut TwoDim, &mut y).unwrap();
+        assert_eq!((a, &x), (b, &y));
+    }
+
+    #[test]
+    fn probe_pair_checks_both_lengths() {
+        let mut solver = NewtonSolver::new(NewtonOptions::default());
+        for (guess, alt) in [(&[1.0][..], &[1.0, 2.0][..]), (&[1.0, 2.0], &[1.0])] {
+            let err = solver.probe_pair(&mut TwoDim, guess, alt).unwrap_err();
+            assert!(matches!(err, NumError::ShapeMismatch { .. }), "{err:?}");
+        }
+        // A failed probe leaves nothing for a probed solve to start from.
+        let (mut x, mut y) = (vec![-1.0, 2.0], vec![-1.0, 2.0]);
+        let a = solver.solve_probed(&mut TwoDim, &mut x, false).unwrap();
+        let b = NewtonSolver::new(NewtonOptions::default())
+            .solve(&mut TwoDim, &mut y)
+            .unwrap();
         assert_eq!((a, &x), (b, &y));
     }
 

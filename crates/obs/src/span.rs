@@ -19,6 +19,9 @@
 //! `t_wall_ms` is wall-clock milliseconds since the Unix epoch;
 //! `t_mono_us` is monotonic microseconds since the tracer was opened, so
 //! exit minus enter is a real duration even across clock adjustments.
+//! Lines are buffered, and closing a root span (one without a parent)
+//! flushes them, so a program that exits without [`trace_shutdown`] keeps
+//! every root span it closed, with everything inside it.
 //!
 //! Two verbosity levels keep hot-loop spans from flooding the stream:
 //! [`Level::Coarse`] (campaign, sweep point, operation, transient) is the
@@ -72,6 +75,14 @@ impl Tracer {
     fn mono_us(&self) -> u128 {
         self.epoch.elapsed().as_micros()
     }
+
+    /// Hands what is buffered to the file, so a program that exits
+    /// without [`trace_shutdown`] still leaves every closed root span.
+    fn flush(&self) {
+        if let Ok(mut out) = self.out.lock() {
+            let _ = out.flush();
+        }
+    }
 }
 
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
@@ -113,9 +124,7 @@ pub fn trace_to_file(path: &Path, level: Level) -> std::io::Result<()> {
     });
     let mut slot = tracer_slot().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(old) = slot.take() {
-        if let Ok(mut out) = old.out.lock() {
-            let _ = out.flush();
-        }
+        old.flush();
     }
     *slot = Some(tracer);
     TRACE_ON.store(true, Ordering::Relaxed);
@@ -131,9 +140,7 @@ pub fn trace_shutdown() {
         .unwrap_or_else(|e| e.into_inner())
         .take();
     if let Some(tracer) = old {
-        if let Ok(mut out) = tracer.out.lock() {
-            let _ = out.flush();
-        }
+        tracer.flush();
     }
 }
 
@@ -167,6 +174,8 @@ struct ActiveSpan {
     id: u64,
     enter_us: u128,
     on_stack: bool,
+    /// No parent: closing it flushes the sink.
+    root: bool,
 }
 
 impl SpanGuard {
@@ -207,6 +216,7 @@ impl SpanGuard {
                 id,
                 enter_us,
                 on_stack,
+                root: parent.is_none(),
             }),
         }
     }
@@ -257,6 +267,9 @@ impl Drop for SpanGuard {
                 exit_us.saturating_sub(a.enter_us),
                 a.id,
             ));
+            if a.root {
+                a.tracer.flush();
+            }
         }
     }
 }

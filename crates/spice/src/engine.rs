@@ -105,6 +105,16 @@ fn check_grid(t_stop: f64, dt: f64) -> Result<(), SpiceError> {
     Ok(())
 }
 
+/// The time of step `step` of a fixed-step run of `steps` steps: `step·dt`,
+/// except that the last step lands on `t_stop`.
+fn grid_time(options: &TranOptions, step: usize, steps: usize) -> f64 {
+    if step == steps {
+        options.t_stop
+    } else {
+        step as f64 * options.dt
+    }
+}
+
 /// A DC solution: node voltages and source branch currents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
@@ -355,6 +365,18 @@ impl TranResult {
         (self.samples.stride == n).then(|| self.samples.get(idx))
     }
 
+    /// [`TranResult::guess_at`], read at index `idx` when the sample there
+    /// sits at `t` bitwise (as a run on the same fixed grid has it at the
+    /// same step), without a search.
+    fn sample_at(&self, idx: usize, t: f64, n: usize) -> Option<&[f64]> {
+        match self.times.get(idx) {
+            Some(tv) if tv.to_bits() == t.to_bits() => {
+                (self.samples.stride == n).then(|| self.samples.get(idx))
+            }
+            _ => self.guess_at(t, n),
+        }
+    }
+
     /// The branch-current waveform of a named voltage source.
     ///
     /// # Errors
@@ -513,7 +535,7 @@ impl<'c> Simulator<'c> {
     /// iteration zero (see [`NewtonSolver::solve_reusing`]) — only pass it
     /// when the previous solve factored the *same* system a short step
     /// away in state. `probed` starts the solve from the residual the
-    /// solver's last [`NewtonSolver::residual_norm`] left behind, which
+    /// solver's last [`NewtonSolver::probe_pair`] left behind, which
     /// must have been taken at `x` (see [`NewtonSolver::solve_probed`]);
     /// it is ignored while a fault plan is armed, because the plan numbers
     /// residual evaluations.
@@ -763,11 +785,7 @@ impl<'c> Simulator<'c> {
         // Predictor buffer for warm-started steps (reused across the run).
         let mut warm_buf = vec![0.0; n];
         for step in 1..=steps {
-            let t_target = if step == steps {
-                options.t_stop
-            } else {
-                step as f64 * options.dt
-            };
+            let t_target = grid_time(options, step, steps);
             let t_prev = times[times.len() - 1];
             // Warm-start predictor: add the seed trajectory's step
             // increment to our own committed state. On smooth stretches
@@ -777,9 +795,10 @@ impl<'c> Simulator<'c> {
             // the same (bitwise) time grid or the seed is ignored.
             let mut have_warm = false;
             if let Some(s) = seed {
-                if let (Some(cur), Some(prev)) =
-                    (s.guess_at(t_target, full), s.guess_at(t_prev, full))
-                {
+                if let (Some(cur), Some(prev)) = (
+                    s.sample_at(step, t_target, full),
+                    s.sample_at(step - 1, t_prev, full),
+                ) {
                     for ((b, yi), &at) in warm_buf.iter_mut().zip(&state.y).zip(&system.plan.free) {
                         *b = yi + (cur[at] - prev[at]);
                     }
@@ -894,8 +913,10 @@ impl<'c> Simulator<'c> {
         let dt = t_target - t_prev;
         system.time = t_target;
         // Source values and companion currents move every step; the
-        // conductances only when the method, dt or gmin does.
+        // conductances only when the method, dt or gmin does, and each
+        // configuration's are stamped once (see `MnaSystem::ensure_base`).
         system.rhs_dirty = true;
+        system.key.step = Some((method, dt.to_bits()));
         for ((cap, state), installed) in system
             .plan
             .capacitors
@@ -915,10 +936,6 @@ impl<'c> Simulator<'c> {
             } else {
                 None
             };
-            let geq_bits = |c: Option<Companion>| c.map(|c| c.geq.to_bits());
-            if geq_bits(comp) != geq_bits(*installed) {
-                system.jac_dirty = true;
-            }
             *installed = comp;
         }
         Ok(())
@@ -933,10 +950,11 @@ impl<'c> Simulator<'c> {
     ///
     /// `alt`, when present, is a competing initial guess (a warm-start
     /// seed): after the step's companions are installed, both candidates'
-    /// residual norms are probed and the iteration starts from the better
-    /// one. Continuation from the previous state usually wins on smooth
-    /// stretches; the neighbor's sample wins across switching edges, where
-    /// the continuation guess is far from the post-edge solution.
+    /// residual norms are probed in one pass
+    /// ([`NewtonSolver::probe_pair`]) and the iteration starts from the
+    /// better one. Continuation from the previous state usually wins on
+    /// smooth stretches; the neighbor's sample wins across switching edges,
+    /// where the continuation guess is far from the post-edge solution.
     #[allow(clippy::too_many_arguments)]
     fn try_step(
         &self,
@@ -957,10 +975,11 @@ impl<'c> Simulator<'c> {
         // Whether the solver's residual scratch holds `R(start)`.
         let mut probed = false;
         if let Some(alt) = alt {
-            // A failed probe (non-finite residual) disqualifies only that
-            // candidate; the solve itself decides whether the step fails.
-            let g = solver.residual_norm(system, guess).unwrap_or(f64::INFINITY);
-            let a = solver.residual_norm(system, alt).unwrap_or(f64::INFINITY);
+            // A non-finite probe of the alternative disqualifies it; the
+            // solve itself decides whether the step fails.
+            let (g, a) = solver
+                .probe_pair(system, guess, alt)
+                .unwrap_or((f64::INFINITY, f64::INFINITY));
             if a.is_finite() && a < g {
                 // The alternative was probed last, so the solve starts
                 // from its residual. Evaluating it again would find every
@@ -1232,7 +1251,8 @@ fn var(node: NodeId) -> Option<usize> {
     (!node.is_ground()).then(|| node.0 - 1)
 }
 
-/// The voltage at position `v` of `x` (ground is 0 V).
+/// The voltage at position `v` of the full unknown vector `x` (ground is
+/// 0 V).
 #[inline]
 fn volt(x: &[f64], v: Option<usize>) -> f64 {
     match v {
@@ -1267,12 +1287,13 @@ struct BypassTally {
 
 /// A device terminal of a [`StampPlan`]. `at` is its node's position in
 /// the system's extended point and residual (see [`MnaSystem`]), where a
-/// stamp reads the terminal's voltage and sums its current; `var` is the
-/// node's Newton unknown. Both are `None` on ground, and only `var` is on
-/// a pinned node.
+/// stamp reads the terminal's voltage and sums its current; on ground it
+/// is the ground slot after every node, which reads 0 V and sinks what is
+/// summed into it. `var` is the node's Newton unknown, `None` on ground
+/// and on a pinned node.
 #[derive(Debug, Clone, Copy)]
 struct Terminal {
-    at: Option<usize>,
+    at: usize,
     var: Option<usize>,
 }
 
@@ -1294,7 +1315,10 @@ impl MosStamp {
     /// `force_eval`), the anchor's evaluation is reused and its current
     /// corrected to first order along the anchored conductances, so a hit
     /// is exact to O(Δv²); otherwise the model is evaluated and becomes
-    /// the new anchor.
+    /// the new anchor. A forced evaluation at the anchor's own voltages
+    /// (bitwise) returns the anchor's evaluation, which is what
+    /// [`mos::evaluate_prepared`], a pure function, would return; it is
+    /// still counted as a miss.
     #[inline]
     fn linearize(
         &mut self,
@@ -1302,23 +1326,27 @@ impl MosStamp {
         force_eval: bool,
         tally: &mut BypassTally,
     ) -> (mos::MosEval, f64) {
-        let vs = volt(x, self.s.at);
-        let vgs = volt(x, self.g.at) - vs;
-        let vds = volt(x, self.d.at) - vs;
-        let vbs = volt(x, self.b.at) - vs;
-        if !force_eval {
-            if let Some(c) = self.anchor {
-                if (vgs - c.vgs).abs() <= BYPASS_TOL
-                    && (vds - c.vds).abs() <= BYPASS_TOL
-                    && (vbs - c.vbs).abs() <= BYPASS_TOL
-                {
-                    tally.hits += 1;
-                    let ids = c.eval.ids
-                        + c.eval.gm * (vgs - c.vgs)
-                        + c.eval.gds * (vds - c.vds)
-                        + c.eval.gmbs * (vbs - c.vbs);
-                    return (c.eval, ids);
+        let vs = x[self.s.at];
+        let vgs = x[self.g.at] - vs;
+        let vds = x[self.d.at] - vs;
+        let vbs = x[self.b.at] - vs;
+        if let Some(c) = self.anchor {
+            if force_eval {
+                let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+                if same(vgs, c.vgs) && same(vds, c.vds) && same(vbs, c.vbs) {
+                    tally.misses += 1;
+                    return (c.eval, c.eval.ids);
                 }
+            } else if (vgs - c.vgs).abs() <= BYPASS_TOL
+                && (vds - c.vds).abs() <= BYPASS_TOL
+                && (vbs - c.vbs).abs() <= BYPASS_TOL
+            {
+                tally.hits += 1;
+                let ids = c.eval.ids
+                    + c.eval.gm * (vgs - c.vgs)
+                    + c.eval.gds * (vds - c.vds)
+                    + c.eval.gmbs * (vbs - c.vbs);
+                return (c.eval, ids);
             }
         }
         tally.misses += 1;
@@ -1344,16 +1372,19 @@ struct DiodeStamp {
 
 impl DiodeStamp {
     /// The device's `(current, conductance)` at the extended point `x`,
-    /// bypassed as in [`MosStamp::linearize`].
+    /// bypassed and anchored as in [`MosStamp::linearize`].
     #[inline]
     fn linearize(&mut self, x: &[f64], force_eval: bool, tally: &mut BypassTally) -> (f64, f64) {
-        let vd = volt(x, self.p.at) - volt(x, self.n.at);
-        if !force_eval {
-            if let Some(c) = self.anchor {
-                if (vd - c.vd).abs() <= BYPASS_TOL {
-                    tally.hits += 1;
-                    return (c.i + c.g * (vd - c.vd), c.g);
+        let vd = x[self.p.at] - x[self.n.at];
+        if let Some(c) = self.anchor {
+            if force_eval {
+                if vd.to_bits() == c.vd.to_bits() {
+                    tally.misses += 1;
+                    return (c.i, c.g);
                 }
+            } else if (vd - c.vd).abs() <= BYPASS_TOL {
+                tally.hits += 1;
+                return (c.i + c.g * (vd - c.vd), c.g);
             }
         }
         tally.misses += 1;
@@ -1380,9 +1411,9 @@ impl SwitchStamp {
     /// switched voltage at the extended point `x`.
     #[inline]
     fn linearize(&self, x: &[f64]) -> (f64, f64, f64) {
-        let vc = volt(x, self.cp.at) - volt(x, self.cn.at);
+        let vc = x[self.cp.at] - x[self.cn.at];
         let (g, dg_dvc) = self.model.evaluate(vc);
-        (g, dg_dvc, volt(x, self.p.at) - volt(x, self.n.at))
+        (g, dg_dvc, x[self.p.at] - x[self.n.at])
     }
 }
 
@@ -1392,6 +1423,33 @@ enum NonlinearStamp {
     Mos(MosStamp),
     Diode(DiodeStamp),
     Switch(SwitchStamp),
+}
+
+impl NonlinearStamp {
+    /// Adds the device's terminal currents at the extended point `x` into
+    /// the extended residual `r`, linearized as in
+    /// [`MosStamp::linearize`] (`exact` forces the evaluation).
+    #[inline]
+    fn stamp_current(&mut self, x: &[f64], r: &mut [f64], exact: bool, tally: &mut BypassTally) {
+        match self {
+            NonlinearStamp::Mos(m) => {
+                let (_, ids) = m.linearize(x, exact, tally);
+                r[m.d.at] += ids;
+                r[m.s.at] += -ids;
+            }
+            NonlinearStamp::Diode(dio) => {
+                let (i, _) = dio.linearize(x, exact, tally);
+                r[dio.p.at] += i;
+                r[dio.n.at] += -i;
+            }
+            NonlinearStamp::Switch(sw) => {
+                let (g, _, v) = sw.linearize(x);
+                let i = g * v;
+                r[sw.p.at] += i;
+                r[sw.n.at] += -i;
+            }
+        }
+    }
 }
 
 /// One linear device of a [`StampPlan`], terminals as positions in the
@@ -1539,8 +1597,9 @@ impl<'a> StampPlan<'a> {
             position[pin.node + 1] = Some(unknowns + k);
         }
         let at = |node: NodeId| position[node.0];
+        let ground = unknowns + pins.len();
         let term = |node: NodeId| Terminal {
-            at: at(node),
+            at: at(node).unwrap_or(ground),
             var: at(node).filter(|&i| i < unknowns),
         };
 
@@ -1645,7 +1704,7 @@ impl<'a> StampPlan<'a> {
     }
 
     /// Length of the extended point: the Newton unknowns, then the pinned
-    /// nodes.
+    /// nodes. The ground slot follows at this position.
     fn extended(&self) -> usize {
         self.unknowns + self.pins.len()
     }
@@ -1662,6 +1721,22 @@ impl<'a> StampPlan<'a> {
     }
 }
 
+/// Linear bases a system keeps: enough for every step size of a
+/// fixed-grid transient (its `t_k − t_{k−1}` take a few ulp-distinct
+/// values) under both integration methods, and a recovery ladder's rungs.
+const KEPT_BASES: usize = 32;
+
+/// What the conductances of a linear base depend on besides the circuit:
+/// gmin and, once companions are installed, the integration method and
+/// the step size, which fix every companion conductance (`geq` is a
+/// function of the method, the capacitance and the step). Compared
+/// bitwise, so equal keys stamp equal bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BaseKey {
+    gmin: u64,
+    step: Option<(Method, u64)>,
+}
+
 /// The MNA nonlinear system for one time point (or the DC operating point
 /// when no companion models are installed), at one temperature and over
 /// one device list for its whole life: both are compiled into its
@@ -1669,19 +1744,21 @@ impl<'a> StampPlan<'a> {
 ///
 /// Its unknowns are the plan's Newton unknowns. Every evaluation loads
 /// them into the *extended point* `xe`, which holds the pinned node
-/// voltages after them, so every stamp reads its terminals from one
-/// vector; the *extended residual* `re` has the same layout, its pinned
-/// rows summing each pinned node's currents other than its source's.
+/// voltages after them and then a ground slot at 0 V, so every stamp
+/// reads its terminals from one vector with no test for ground; the
+/// *extended residual* `re` has the same layout, its pinned rows summing
+/// each pinned node's currents other than its source's and its ground
+/// slot a sink that nothing reads.
 ///
 /// The system assembles incrementally: everything linear in `x` (gmin
 /// leak, resistors, capacitor companions, source values and patterns) is
-/// stamped into a linear base — the conductances once per `(gmin,
-/// companion conductances)` configuration, the right-hand side once per
-/// step, with the Newton rows' terms in the pinned voltages folded in —
-/// and each residual/Jacobian evaluation is a sparse matrix-vector
-/// product (or scatter) over the Newton unknowns plus the nonlinear device
-/// stamps, with MOSFETs and diodes bypassed when their terminal voltages
-/// have not moved (unless `bypass` is off).
+/// stamped into a linear base — the conductances once per [`BaseKey`],
+/// kept for the system's life so that a transient stamps each step size
+/// once, the right-hand side once per step, with the Newton rows' terms in
+/// the pinned voltages folded in — and each residual/Jacobian evaluation
+/// is a sparse matrix-vector product (or scatter) over the Newton unknowns
+/// plus the nonlinear device stamps, with MOSFETs and diodes bypassed when
+/// their terminal voltages have not moved (unless `bypass` is off).
 struct MnaSystem<'a> {
     plan: StampPlan<'a>,
     gmin: f64,
@@ -1692,25 +1769,39 @@ struct MnaSystem<'a> {
     /// [`BYPASS_TOL`]; off, every device is evaluated on every stamp and
     /// every residual is exact.
     bypass: bool,
-    /// `true` when `lin_vals` no longer matches `gmin` and the companion
-    /// conductances.
-    jac_dirty: bool,
+    /// The configuration the base must match: `gmin` and the installed
+    /// companions' method and step.
+    key: BaseKey,
+    /// The configuration `lin_vals` was stamped for, if any.
+    lin_key: Option<BaseKey>,
+    /// Bases stamped so far, at most [`KEPT_BASES`]: their keys, and their
+    /// `lin_vals` back to back in the same order. Both are reserved when
+    /// the system is built; past the bound a base is stamped and not kept.
+    kept_keys: Vec<BaseKey>,
+    kept_vals: Vec<f64>,
+    /// Conductance halves stamped (not loaded from `kept_vals`).
+    base_builds: usize,
     /// `true` when `lin_rhs` and the pinned voltages no longer match the
     /// step's time, companion currents and conductances.
     rhs_dirty: bool,
     /// The extended point: the Newton iterate, then the pinned node
-    /// voltages at `time`.
+    /// voltages at `time`, then the ground slot.
     xe: Vec<f64>,
     /// The extended residual of the last evaluation; its pinned rows are
     /// summed by exact evaluations only.
     re: Vec<f64>,
+    /// A second extended point and residual, for the first point of a
+    /// [`MnaSystem::stamp_residual_pair`]; `xp` shares `xe`'s pinned
+    /// voltages whenever it is read.
+    xp: Vec<f64>,
+    rp: Vec<f64>,
     /// The Newton point of the last evaluation, when it was exact (so
     /// `re`'s pinned rows hold that point's sums) and the base has not
     /// been rebuilt since.
     pinned_at: Vec<f64>,
     pinned_valid: bool,
-    /// The base's conductances over the extended point, stamped densely
-    /// and gathered into `lin_vals`.
+    /// Scratch for stamping the base's conductances over the extended
+    /// point, densely, before they are gathered into `lin_vals`.
     lin_jac: DMatrix,
     /// Stamp pattern of the base (see [`MnaSystem::mark_base`]), ascending
     /// per row; row `i` is `lin_cols[lin_start[i]..lin_start[i + 1]]`,
@@ -1757,10 +1848,19 @@ impl<'a> MnaSystem<'a> {
             gmin,
             time: 0.0,
             bypass: true,
-            jac_dirty: true,
+            key: BaseKey {
+                gmin: gmin.to_bits(),
+                step: None,
+            },
+            lin_key: None,
+            kept_keys: Vec::with_capacity(KEPT_BASES),
+            kept_vals: Vec::with_capacity(KEPT_BASES * lin_cols.len()),
+            base_builds: 0,
             rhs_dirty: true,
-            xe: vec![0.0; ne],
-            re: vec![0.0; ne],
+            xe: vec![0.0; ne + 1],
+            re: vec![0.0; ne + 1],
+            xp: vec![0.0; ne + 1],
+            rp: vec![0.0; ne + 1],
             pinned_at: vec![0.0; n],
             pinned_valid: false,
             lin_jac: DMatrix::zeros(ne, ne),
@@ -1850,14 +1950,12 @@ impl<'a> MnaSystem<'a> {
         (cols, starts)
     }
 
-    /// Changes the minimum conductance, invalidating the linear base (the
-    /// gmin leak lives on its diagonal). Homotopy ladders must use this
-    /// instead of writing the field.
+    /// Changes the minimum conductance, and with it the base the system
+    /// needs (the gmin leak lives on its diagonal). Homotopy ladders must
+    /// use this instead of writing the field.
     fn set_gmin(&mut self, gmin: f64) {
-        if self.gmin != gmin {
-            self.gmin = gmin;
-            self.jac_dirty = true;
-        }
+        self.gmin = gmin;
+        self.key.gmin = gmin.to_bits();
     }
 
     /// Drains the bypass counters into a stats tally (and the process-wide
@@ -1876,25 +1974,44 @@ impl<'a> MnaSystem<'a> {
         self.bypass_misses = 0;
     }
 
-    /// Rebuilds whichever half of the linear base the step configuration
-    /// invalidated. Everything whose contribution is affine in `x` — gmin
-    /// leak, resistors, capacitor companions, source values, voltage
+    /// Brings whichever half of the linear base the step configuration
+    /// moved up to date. Everything whose contribution is affine in `x` —
+    /// gmin leak, resistors, capacitor companions, source values, voltage
     /// source patterns — lands here; per-iteration evaluations then start
-    /// from a matvec/scatter of it instead of re-stamping.
+    /// from a matvec/scatter of it instead of re-stamping. The conductance
+    /// half is loaded from the kept bases when one matches the key, and
+    /// stamped (and kept, while there is room) otherwise; equal keys stamp
+    /// equal bits, so a loaded base is the one a stamp would give. The
+    /// right-hand side's pinned-voltage terms follow the conductances, so a
+    /// new conductance half rebuilds it too.
     fn ensure_base(&mut self) {
-        if self.jac_dirty {
-            self.build_base_jac();
+        if self.lin_key != Some(self.key) {
+            let len = self.lin_vals.len();
+            match self.kept_keys.iter().position(|k| *k == self.key) {
+                Some(slot) => self
+                    .lin_vals
+                    .copy_from_slice(&self.kept_vals[slot * len..(slot + 1) * len]),
+                None => {
+                    self.build_base_jac();
+                    if self.kept_keys.len() < KEPT_BASES {
+                        self.kept_keys.push(self.key);
+                        self.kept_vals.extend_from_slice(&self.lin_vals);
+                    }
+                }
+            }
+            self.lin_key = Some(self.key);
+            self.rhs_dirty = true;
         }
         if self.rhs_dirty {
             self.build_base_rhs();
         }
     }
 
-    /// Stamps the conductance half of the base: gmin leak, resistors,
-    /// companion conductances, voltage-source patterns. The right-hand
-    /// side's pinned-voltage terms follow the conductances, so it is
-    /// rebuilt next.
+    /// Stamps the conductance half of the base into `lin_vals`: gmin
+    /// leak, resistors, companion conductances, voltage-source patterns.
     fn build_base_jac(&mut self) {
+        self.base_builds += 1;
+        dso_obs::counter!("spice.base_builds").incr();
         self.lin_jac.clear();
         for i in self.plan.node_rows() {
             self.lin_jac[(i, i)] += self.gmin;
@@ -1928,8 +2045,6 @@ impl<'a> MnaSystem<'a> {
                 self.lin_vals[k] = self.lin_jac[(i, self.lin_cols[k])];
             }
         }
-        self.jac_dirty = false;
-        self.rhs_dirty = true;
     }
 
     /// Stamps the source half of the base at the step's time: the pinned
@@ -1985,29 +2100,38 @@ impl<'a> MnaSystem<'a> {
         }
     }
 
-    /// The linear part of the extended residual at the loaded point: the
-    /// base's matvec plus its right-hand side, over the Newton rows, and
-    /// over the pinned rows too when `exact` (they are zeroed otherwise).
-    /// The matvec runs over each row's stamp pattern only, ascending: a
-    /// skipped term is an exact zero, so every nonzero row sum is the
-    /// dense product's, bit for bit.
-    fn linear_residual(&mut self, exact: bool) {
-        self.ensure_base();
+    /// The linear part of the extended residual at the extended point
+    /// `xe`, into `re`: the base's matvec plus its right-hand side, over
+    /// the Newton rows, and over the pinned rows too when `exact` (they
+    /// and the ground slot are zeroed otherwise; the ground slot always
+    /// is). The matvec runs over each row's stamp pattern only, ascending:
+    /// a skipped term is an exact zero, so every nonzero row sum is the
+    /// dense product's, bit for bit. The base must be up to date
+    /// ([`MnaSystem::ensure_base`]).
+    fn linear_rows(&self, xe: &[f64], re: &mut [f64], exact: bool) {
         let rows = if exact {
-            self.re.len()
+            self.plan.extended()
         } else {
             self.plan.unknowns
         };
-        for (i, out) in self.re[..rows].iter_mut().enumerate() {
+        for (i, out) in re[..rows].iter_mut().enumerate() {
             let row = self.lin_start[i]..self.lin_end[i];
             let sum: f64 = self.lin_vals[row.clone()]
                 .iter()
                 .zip(&self.lin_cols[row])
-                .map(|(v, &j)| v * self.xe[j])
+                .map(|(v, &j)| v * xe[j])
                 .sum();
             *out = sum + self.lin_rhs[i];
         }
-        self.re[rows..].iter_mut().for_each(|r| *r = 0.0);
+        re[rows..].iter_mut().for_each(|r| *r = 0.0);
+    }
+
+    /// [`MnaSystem::linear_rows`] at the loaded point, into `re`.
+    fn linear_residual(&mut self, exact: bool) {
+        self.ensure_base();
+        let mut re = std::mem::take(&mut self.re);
+        self.linear_rows(&self.xe, &mut re, exact);
+        self.re = re;
     }
 
     /// The extended residual at the Newton point `x`, into `re`:
@@ -2022,30 +2146,45 @@ impl<'a> MnaSystem<'a> {
         let (xe, re) = (&self.xe, &mut self.re);
         let mut tally = BypassTally::default();
         for stamp in &mut self.plan.nonlinear {
-            match stamp {
-                NonlinearStamp::Mos(m) => {
-                    let (_, ids) = m.linearize(xe, exact, &mut tally);
-                    add_res(re, m.d.at, ids);
-                    add_res(re, m.s.at, -ids);
-                }
-                NonlinearStamp::Diode(dio) => {
-                    let (i, _) = dio.linearize(xe, exact, &mut tally);
-                    add_res(re, dio.p.at, i);
-                    add_res(re, dio.n.at, -i);
-                }
-                NonlinearStamp::Switch(sw) => {
-                    let (g, _, v) = sw.linearize(xe);
-                    let i = g * v;
-                    add_res(re, sw.p.at, i);
-                    add_res(re, sw.n.at, -i);
-                }
-            }
+            stamp.stamp_current(xe, re, exact, &mut tally);
         }
         self.bypass_hits += tally.hits;
         self.bypass_misses += tally.misses;
         self.pinned_valid = exact;
         if exact {
             self.pinned_at.copy_from_slice(x);
+        }
+    }
+
+    /// [`MnaSystem::stamp_residual`] (not forced) at `a`, into `rp`, then
+    /// at `b`, into `re`, in one walk: the linear rows of both points,
+    /// then each device at `a` and at `b` in turn. A device's
+    /// linearization reads and moves its own anchor only, so taking the
+    /// devices in this order leaves every anchor, tally and residual bit
+    /// as the two calls in sequence would, and the system ends as after
+    /// the call at `b`.
+    fn stamp_residual_pair(&mut self, a: &[f64], b: &[f64]) {
+        let exact = !self.bypass;
+        let n = self.plan.unknowns;
+        self.ensure_base();
+        self.xe[..n].copy_from_slice(b);
+        let (xe, mut re) = (std::mem::take(&mut self.xe), std::mem::take(&mut self.re));
+        let (mut xp, mut rp) = (std::mem::take(&mut self.xp), std::mem::take(&mut self.rp));
+        xp.copy_from_slice(&xe);
+        xp[..n].copy_from_slice(a);
+        self.linear_rows(&xp, &mut rp, exact);
+        self.linear_rows(&xe, &mut re, exact);
+        let mut tally = BypassTally::default();
+        for stamp in &mut self.plan.nonlinear {
+            stamp.stamp_current(&xp, &mut rp, exact, &mut tally);
+            stamp.stamp_current(&xe, &mut re, exact, &mut tally);
+        }
+        (self.xe, self.re, self.xp, self.rp) = (xe, re, xp, rp);
+        self.bypass_hits += tally.hits;
+        self.bypass_misses += tally.misses;
+        self.pinned_valid = exact;
+        if exact {
+            self.pinned_at.copy_from_slice(b);
         }
     }
 
@@ -2153,6 +2292,20 @@ impl NonlinearSystem for MnaSystem<'_> {
 
     fn residual(&mut self, x: &[f64], out: &mut [f64]) -> Result<(), NumError> {
         self.assemble_residual(x, out, false);
+        Ok(())
+    }
+
+    fn residual_pair(
+        &mut self,
+        a: &[f64],
+        b: &[f64],
+        ra: &mut [f64],
+        rb: &mut [f64],
+    ) -> Result<(), NumError> {
+        self.stamp_residual_pair(a, b);
+        let n = self.plan.unknowns;
+        ra.copy_from_slice(&self.rp[..n]);
+        rb.copy_from_slice(&self.re[..n]);
         Ok(())
     }
 
@@ -2558,6 +2711,15 @@ mod tests {
         assert_eq!(result.final_voltage("mid").unwrap(), wave[10]);
         assert!(result.guess_at(t5, n + 1).is_none());
         assert!(result.guess_at(0.5 * (t5 + result.times()[6]), n).is_none());
+        // The indexed read finds the same sample, and falls back to the
+        // search when the index does not hold `t`.
+        for idx in [5, 4, 11] {
+            assert_eq!(result.sample_at(idx, t5, n), Some(sample), "index {idx}");
+        }
+        assert!(result.sample_at(5, t5, n + 1).is_none());
+        assert!(result
+            .sample_at(5, 0.5 * (t5 + result.times()[6]), n)
+            .is_none());
     }
 
     #[test]
@@ -2586,20 +2748,61 @@ mod tests {
         assert_ne!(reserved, grown);
     }
 
-    /// The linear base of `system` as bits: the dense conductances, their
-    /// gathered values, the right-hand side, the pinned voltages and the
+    /// The linear base of `system` as bits: the gathered conductances, the
+    /// right-hand side, the pinned voltages (and the ground slot) and the
     /// pattern.
     fn base_bits(system: &MnaSystem<'_>) -> Vec<Vec<u64>> {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let index = |v: &[usize]| v.iter().map(|&i| i as u64).collect::<Vec<_>>();
         vec![
-            bits(system.lin_jac.as_slice()),
             bits(&system.lin_vals),
             bits(&system.lin_rhs),
             bits(&system.xe[system.plan.unknowns..]),
             index(&system.lin_cols),
             index(&system.lin_start),
         ]
+    }
+
+    /// Builds a fresh system for `system`'s configuration (time,
+    /// companions, gmin), asserts that `system`'s base, kept or stamped, is
+    /// the fresh one bit for bit and that its conductances scattered over
+    /// the extended point are the fresh dense stamp, every other entry of
+    /// which is zero. Returns the fresh system.
+    fn assert_base_is_fresh<'c>(
+        sim: &Simulator<'_>,
+        circuit: &'c Circuit,
+        system: &MnaSystem<'_>,
+        what: &str,
+    ) -> MnaSystem<'c> {
+        let mut fresh = sim.make_system(circuit);
+        fresh.time = system.time;
+        fresh.companions = system.companions.clone();
+        fresh.key = system.key;
+        fresh.set_gmin(system.gmin);
+        fresh.ensure_base();
+        assert_eq!(fresh.base_builds, 1, "{what}: fresh build");
+        assert_eq!(system.lin_key, Some(system.key), "{what}: base is current");
+        assert!(!system.rhs_dirty, "{what}: right-hand side is current");
+        assert_eq!(base_bits(system), base_bits(&fresh), "{what}: base");
+        let bits = |m: &DMatrix| m.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&base_dense(system)),
+            bits(&fresh.lin_jac),
+            "{what}: dense conductances"
+        );
+        fresh
+    }
+
+    /// The base's conductances scattered over the extended point.
+    fn base_dense(system: &MnaSystem<'_>) -> DMatrix {
+        let ne = system.plan.extended();
+        let mut dense = DMatrix::zeros(ne, ne);
+        for (i, row) in system.lin_start.windows(2).enumerate() {
+            for k in row[0]..row[1] {
+                dense[(i, system.lin_cols[k])] = system.lin_vals[k];
+            }
+        }
+        dense
     }
 
     #[test]
@@ -2636,21 +2839,30 @@ mod tests {
         // equal steps give bitwise-equal companion conductances.
         let dt = 2.0_f64.powi(-30);
         let (be, trap, g0) = (Method::BackwardEuler, Method::Trapezoidal, sim.gmin);
-        // (event, t_prev, t_target in steps, method, gmin, Jacobian rebuilt)
+        // (event, t_prev, t_target in steps, method, gmin, conductances
+        // stamped rather than kept or current)
         let events = [
             ("BE start", 0.0, 1.0, be, g0, true),
             ("BE to TRAP", 1.0, 2.0, trap, g0, true),
             ("steady TRAP step", 2.0, 3.0, trap, g0, false),
-            ("TRAP to BE fallback", 2.0, 3.0, be, g0, true),
-            ("back to TRAP", 3.0, 4.0, trap, g0, true),
+            (
+                "TRAP to BE fallback, as at the start",
+                2.0,
+                3.0,
+                be,
+                g0,
+                false,
+            ),
+            ("back to TRAP", 3.0, 4.0, trap, g0, false),
             ("final partial step", 4.0, 4.75, trap, g0, true),
             ("BE on the partial step", 4.0, 4.75, be, g0, true),
             ("gmin ladder rung", 4.0, 4.75, be, 1e-2, true),
             ("next gmin rung", 4.0, 4.75, be, 1e-4, true),
-            ("gmin restored", 4.0, 4.75, be, g0, true),
+            ("gmin restored", 4.0, 4.75, be, g0, false),
             ("repeat at restored gmin", 4.0, 4.75, be, g0, false),
+            ("the rung again", 4.0, 4.75, be, 1e-2, false),
         ];
-        for (event, t_prev, t_target, method, gmin, rebuilt) in events {
+        for (event, t_prev, t_target, method, gmin, stamped) in events {
             for state in cap_states.iter_mut() {
                 state.v_prev += 0.01;
                 state.i_prev *= -0.5;
@@ -2658,26 +2870,13 @@ mod tests {
             sim.install_companions(&mut system, &cap_states, t_prev * dt, t_target * dt, method)
                 .unwrap();
             system.set_gmin(gmin);
-            assert_eq!(system.jac_dirty, rebuilt, "{event}: Jacobian rebuild");
+            let builds = system.base_builds;
             system.ensure_base();
+            assert_eq!(system.base_builds - builds, usize::from(stamped), "{event}");
 
-            let mut fresh = sim.make_system(&ckt);
-            fresh.time = system.time;
-            fresh.companions = system.companions.clone();
-            fresh.set_gmin(gmin);
-            fresh.ensure_base();
-            assert_eq!(base_bits(&system), base_bits(&fresh), "{event}: base");
+            let fresh = assert_base_is_fresh(&sim, &ckt, &system, event);
             let (n, ne) = (system.plan.unknowns, system.plan.extended());
             assert_eq!((n, ne), (2, 3), "{event}: V1 pins `in`");
-            for i in 0..ne {
-                let pattern = &system.lin_cols[system.lin_start[i]..system.lin_start[i + 1]];
-                for j in 0..ne {
-                    assert!(
-                        system.lin_jac[(i, j)] == 0.0 || pattern.contains(&j),
-                        "{event}: nonzero ({i}, {j}) outside the stamp pattern"
-                    );
-                }
-            }
 
             // With no nonlinear device the residual is the base alone: the
             // zero-skipping product must match the dense one over the
@@ -2693,11 +2892,11 @@ mod tests {
                     .collect();
                 let mut fast = vec![f64::NAN; n];
                 system.assemble_residual(&x, &mut fast, true);
-                let rows = fast.iter().chain(&system.re[n..]);
+                let rows = fast.iter().chain(&system.re[n..ne]);
                 for (i, got) in rows.enumerate() {
                     let cols = if i < n { n } else { ne };
                     let dense: f64 = (0..cols)
-                        .map(|j| system.lin_jac[(i, j)] * system.xe[j])
+                        .map(|j| fresh.lin_jac[(i, j)] * system.xe[j])
                         .sum();
                     assert_eq!(
                         got.to_bits(),
@@ -2706,6 +2905,93 @@ mod tests {
                     );
                 }
             }
+        }
+        assert_eq!((system.kept_keys.len(), system.base_builds), (6, 6));
+
+        // Every step of the paper column's transients on both time bases
+        // the repository uses, each from its first backward-Euler step to
+        // the final one on `t_stop`, with a gmin change and its
+        // restoration midway: the base in use is always a fresh build's,
+        // and each configuration is stamped once. The deck is the column
+        // exported by `to_deck` with the cell open O3 (true) at 200 kΩ and
+        // the waveforms of a `W0 R` sequence at the nominal stress
+        // combination (tcyc = 60 ns).
+        let deck = crate::netlist::parse(include_str!("../tests/data/column_w0r.cir")).unwrap();
+        let column = deck.circuit;
+        let sim = Simulator::new(&column);
+        let tcyc = 60e-9;
+        for fraction in [250.0, 600.0] {
+            let ics = [("bt", 1.2), ("bc", 1.2), ("senn", 1.2), ("senp", 1.2)];
+            let options = TranOptions::new(2.0 * tcyc, tcyc / fraction)
+                .unwrap()
+                .with_ic(ics.map(|(node, v)| (node.to_string(), v)));
+            let (mut system, mut state) = sim.transient_init(&options).unwrap();
+            assert_eq!(system.unknowns(), 16);
+            let mut solver = NewtonSolver::new(default_newton_options());
+            let mut trial = vec![0.0; system.unknowns()];
+            let mut stats = RecoveryStats::default();
+            let mut keys = Vec::new();
+            let steps = (options.t_stop / options.dt).round() as usize;
+            let mut t_prev = 0.0;
+            for step in 1..=steps {
+                let t_target = grid_time(&options, step, steps);
+                let method = if step == 1 { be } else { trap };
+                if step == steps / 2 {
+                    for gmin in [1e-6, sim.gmin] {
+                        system.set_gmin(gmin);
+                        sim.try_step(
+                            &mut system,
+                            &mut solver,
+                            &state.y,
+                            None,
+                            &state.caps,
+                            &mut trial,
+                            t_prev,
+                            t_target,
+                            be,
+                            &mut stats,
+                            false,
+                        )
+                        .unwrap();
+                        let what = format!("1/{fraction}, step {step} at gmin {gmin:e}");
+                        assert_base_is_fresh(&sim, &column, &system, &what);
+                        if !keys.contains(&system.key) {
+                            keys.push(system.key);
+                        }
+                    }
+                }
+                sim.advance(
+                    &mut system,
+                    &mut solver,
+                    &mut state,
+                    &mut trial,
+                    None,
+                    true,
+                    t_prev,
+                    t_target,
+                    method,
+                    0,
+                    &mut stats,
+                )
+                .unwrap();
+                assert_base_is_fresh(
+                    &sim,
+                    &column,
+                    &system,
+                    &format!("1/{fraction}, step {step}"),
+                );
+                if !keys.contains(&system.key) {
+                    keys.push(system.key);
+                }
+                t_prev = t_target;
+            }
+            assert!(stats.is_clean(), "1/{fraction}: {stats:?}");
+            assert!(
+                keys.len() <= KEPT_BASES,
+                "1/{fraction}: {} keys",
+                keys.len()
+            );
+            assert_eq!(system.base_builds, keys.len(), "1/{fraction}");
         }
     }
 
@@ -2993,6 +3279,138 @@ mod tests {
     }
 
     #[test]
+    fn forced_linearize_at_the_anchor_returns_the_evaluation() {
+        let ckt = every_device_circuit();
+        let sim = Simulator::new(&ckt);
+        let mut system = sim.make_system(&ckt);
+        let ne = system.plan.extended();
+        let mut x: Vec<f64> = (0..=ne).map(|i| 0.1 + 0.37 * i as f64).collect();
+        x[ne] = 0.0;
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut mos, mut diodes) = (0, 0);
+        for stamp in &mut system.plan.nonlinear {
+            let mut tally = BypassTally::default();
+            match stamp {
+                NonlinearStamp::Mos(m) => {
+                    mos += 1;
+                    let first = m.linearize(&x, true, &mut tally);
+                    let again = m.linearize(&x, true, &mut tally);
+                    let c = m.anchor.unwrap();
+                    let e = mos::evaluate_prepared(&m.model, c.vgs, c.vds, c.vbs);
+                    let parts =
+                        |(e, i): (mos::MosEval, f64)| bits(&[e.ids, e.gm, e.gds, e.gmbs, i]);
+                    assert_eq!(parts(again), parts((e, e.ids)));
+                    assert_eq!(parts(first), parts(again));
+                    // Both passes count as evaluations.
+                    assert_eq!((tally.hits, tally.misses), (0, 2));
+                    // The second pass read the anchor: a marked anchor
+                    // comes back at its own voltages, and with any one
+                    // terminal moved far inside the bypass window the
+                    // model is evaluated again.
+                    let marked = MosBypass {
+                        eval: mos::MosEval { ids: 7.0, ..c.eval },
+                        ..c
+                    };
+                    m.anchor = Some(marked);
+                    assert_eq!(m.linearize(&x, true, &mut tally).1, 7.0);
+                    for at in [m.d.at, m.g.at, m.s.at, m.b.at] {
+                        m.anchor = Some(marked);
+                        let held = x[at];
+                        x[at] += 1e-3 * BYPASS_TOL;
+                        let moved = m.linearize(&x, true, &mut tally);
+                        x[at] = held;
+                        let c = m.anchor.unwrap();
+                        let e = mos::evaluate_prepared(&m.model, c.vgs, c.vds, c.vbs);
+                        assert_eq!(parts(moved), parts((e, e.ids)), "terminal at {at}");
+                        assert_ne!(moved.1, 7.0, "terminal at {at}");
+                    }
+                    assert_eq!((tally.hits, tally.misses), (0, 7));
+                }
+                NonlinearStamp::Diode(d) => {
+                    diodes += 1;
+                    let first = d.linearize(&x, true, &mut tally);
+                    let again = d.linearize(&x, true, &mut tally);
+                    let vd = d.anchor.unwrap().vd;
+                    assert_eq!(bits(&[again.0, again.1]), bits(&[first.0, first.1]));
+                    let (i, g) = d.model.evaluate(vd);
+                    assert_eq!(bits(&[again.0, again.1]), bits(&[i, g]));
+                    assert_eq!((tally.hits, tally.misses), (0, 2));
+                    let marked = DiodeBypass { vd, i: 7.0, g };
+                    d.anchor = Some(marked);
+                    assert_eq!(d.linearize(&x, true, &mut tally).0, 7.0);
+                    d.anchor = Some(marked);
+                    x[d.p.at] += 1e-3 * BYPASS_TOL;
+                    let moved = d.linearize(&x, true, &mut tally);
+                    let (i, g) = d.model.evaluate(d.anchor.unwrap().vd);
+                    assert_eq!(bits(&[moved.0, moved.1]), bits(&[i, g]));
+                    assert_ne!(moved.0, 7.0);
+                    assert_eq!((tally.hits, tally.misses), (0, 4));
+                }
+                NonlinearStamp::Switch(_) => {}
+            }
+        }
+        assert_eq!((mos, diodes), (1, 1));
+    }
+
+    #[test]
+    fn paired_residuals_match_two_calls_in_order() {
+        let ckt = every_device_circuit();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let sim = Simulator::new(&ckt);
+        let state = CapState {
+            v_prev: 0.2,
+            i_prev: 1e-6,
+        };
+        let mut rng = dso_num::testing::TestRng::new(29);
+        for bypass in [true, false] {
+            let [mut seq, mut pair] = [(); 2].map(|_| {
+                let mut system = sim.make_system(&ckt);
+                system.bypass = bypass;
+                sim.install_companions(&mut system, &[state], 0.0, 1e-10, Method::Trapezoidal)
+                    .unwrap();
+                system
+            });
+            let n = seq.unknowns();
+            let mut x: Vec<f64> = (0..n).map(|_| rng.range(-0.5, 1.5)).collect();
+            for step in 0..200 {
+                // Candidates within the bypass window of each other, beyond
+                // it, equal, or far apart, as a warm step's two guesses are.
+                let mut near = |x: &[f64]| -> Vec<f64> {
+                    let scale = [0.0, 0.3 * BYPASS_TOL, 3.0 * BYPASS_TOL, 0.05][rng.index(4)];
+                    x.iter().map(|v| v + rng.range(-scale, scale)).collect()
+                };
+                let a = near(&x);
+                let b = near(&a);
+                let what = format!("bypass {bypass}, step {step}");
+                let [mut ra, mut rb, mut pa, mut pb] = [(); 4].map(|_| vec![f64::NAN; n]);
+                seq.residual(&a, &mut ra).unwrap();
+                seq.residual(&b, &mut rb).unwrap();
+                pair.residual_pair(&a, &b, &mut pa, &mut pb).unwrap();
+                assert_eq!(bits(&pa), bits(&ra), "{what}: first residual");
+                assert_eq!(bits(&pb), bits(&rb), "{what}: second residual");
+                assert_eq!(bits(&pair.xe), bits(&seq.xe), "{what}: point");
+                assert_eq!(bits(&pair.re), bits(&seq.re), "{what}: extended residual");
+                assert_eq!(plan_anchors(&pair), plan_anchors(&seq), "{what}: anchors");
+                assert_eq!(
+                    (pair.bypass_hits, pair.bypass_misses, pair.pinned_valid),
+                    (seq.bypass_hits, seq.bypass_misses, seq.pinned_valid),
+                    "{what}: tallies"
+                );
+                // Sometimes accept a candidate exactly, which moves every
+                // anchor onto it, as a converged step does.
+                if rng.index(3) == 0 {
+                    x = if rng.next_bool() { a } else { b };
+                    for system in [&mut seq, &mut pair] {
+                        system.assemble_residual(&x, &mut ra, true);
+                    }
+                }
+            }
+            assert!(seq.bypass_misses > 0);
+            assert_eq!(seq.bypass_hits > 0, bypass);
+        }
+    }
+
+    #[test]
     fn stamp_plan_matches_the_enum_walk_bit_for_bit() {
         let ckt = every_device_circuit();
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -3047,12 +3465,14 @@ mod tests {
                             let exact = rng.index(4) == 0;
                             let mut plan = vec![f64::NAN; n];
                             system.assemble_residual(&x, &mut plan, exact);
-                            let plan_rows = system.re.clone();
+                            // The ground slot is a sink; the walk has none.
+                            let ne = system.plan.extended();
+                            let plan_rows = system.re[..ne].to_vec();
                             // The linear part again, then the walk's
                             // devices over the extended point.
                             let summed = exact || !bypass;
                             system.linear_residual(summed);
-                            let mut reference = system.re.clone();
+                            let mut reference = system.re[..ne].to_vec();
                             walk.stamp(&ckt, &system.xe, Some(&mut reference), None, exact);
                             assert_eq!(bits(&plan), bits(&reference[..n]), "{what}: residual");
                             if summed {
@@ -3067,9 +3487,10 @@ mod tests {
                             let mut plan = DMatrix::zeros(n, n);
                             system.jacobian(&x, &mut plan).unwrap();
                             let mut reference = DMatrix::zeros(n, n);
+                            let base = base_dense(&system);
                             for i in 0..n {
                                 for j in 0..n {
-                                    reference[(i, j)] = system.lin_jac[(i, j)];
+                                    reference[(i, j)] = base[(i, j)];
                                 }
                             }
                             walk.stamp(&ckt, &system.xe, None, Some(&mut reference), false);

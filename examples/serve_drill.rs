@@ -42,7 +42,7 @@ use dram_stress_opt::service::{
 use dram_stress_opt::Session;
 use std::collections::BTreeMap;
 use std::io::Cursor;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Hard gate on the pooled interactive-class p99 latency. The drill's
 /// queries take tens of milliseconds at the drill's coarse time base even
@@ -196,23 +196,54 @@ fn workload() -> Vec<JobRequest> {
     jobs
 }
 
+/// A flag that threads can wait on until it is raised.
+#[derive(Default)]
+struct Latch {
+    raised: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    fn raise(&self) {
+        *self.raised.lock().expect("latch poisoned") = true;
+        self.cv.notify_all();
+    }
+
+    fn is_raised(&self) -> bool {
+        *self.raised.lock().expect("latch poisoned")
+    }
+
+    /// Waits until the flag is raised, or `limit` has passed (so a
+    /// campaign that never reports progress fails the drill's checks
+    /// instead of hanging it).
+    fn wait(&self, limit: std::time::Duration) {
+        let raised = self.raised.lock().expect("latch poisoned");
+        let _ = self
+            .cv
+            .wait_timeout_while(raised, limit, |raised| !*raised)
+            .expect("latch poisoned");
+    }
+}
+
 /// A replayer-side pacing reader: the first frame (the bulk campaign) is
-/// served immediately, every later frame after a fixed think-time gap.
-/// The gap guarantees the campaign is already running when the
-/// interactive queries arrive, so they exercise the chunk-granular
-/// preemption path instead of just overtaking in the queue; it is far
-/// shorter than the campaign, so every query still lands well before the
-/// final chunk.
+/// served immediately, the second (the first interactive query) once the
+/// reply stream has carried the campaign's first `chunk` progress frame
+/// (`campaign_running`, raised by [`SharedBuf`]), every later frame after
+/// a fixed think-time gap. So the queries arrive while the campaign has
+/// chunks left to run, whatever the host's speed, and exercise the
+/// chunk-granular preemption path instead of just overtaking in the
+/// queue.
 struct PacedReader {
     lines: Vec<Vec<u8>>,
     next: usize,
     buf: Vec<u8>,
     pos: usize,
     gap: std::time::Duration,
+    campaign_running: Arc<Latch>,
 }
 
 impl PacedReader {
-    fn new(frames: &[String], gap_ms: u64) -> PacedReader {
+    fn new(frames: &[String], gap_ms: u64, campaign_running: Arc<Latch>) -> PacedReader {
         PacedReader {
             lines: frames
                 .iter()
@@ -222,6 +253,7 @@ impl PacedReader {
             buf: Vec::new(),
             pos: 0,
             gap: std::time::Duration::from_millis(gap_ms),
+            campaign_running,
         }
     }
 }
@@ -243,8 +275,12 @@ impl std::io::BufRead for PacedReader {
             if self.next >= self.lines.len() {
                 return Ok(&[]);
             }
-            if self.next > 0 {
-                std::thread::sleep(self.gap);
+            match self.next {
+                0 => {}
+                1 => self
+                    .campaign_running
+                    .wait(std::time::Duration::from_secs(60)),
+                _ => std::thread::sleep(self.gap),
             }
             self.buf = self.lines[self.next].clone();
             self.pos = 0;
@@ -258,16 +294,31 @@ impl std::io::BufRead for PacedReader {
     }
 }
 
-/// A `Write` target shared with the connection's writer thread.
+/// A `Write` target shared with the connection's writer thread. It raises
+/// `chunk_seen` once the replies written so far hold a `chunk` progress
+/// frame.
 #[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+struct SharedBuf {
+    bytes: Arc<Mutex<Vec<u8>>>,
+    chunk_seen: Arc<Latch>,
+}
+
+impl SharedBuf {
+    /// Everything written so far.
+    fn text(&self) -> String {
+        let bytes = self.bytes.lock().expect("buffer poisoned").clone();
+        String::from_utf8(bytes).expect("replies are UTF-8")
+    }
+}
 
 impl std::io::Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .expect("buffer poisoned")
-            .extend_from_slice(buf);
+        let mut bytes = self.bytes.lock().expect("buffer poisoned");
+        bytes.extend_from_slice(buf);
+        let frame = br#""event":"chunk""#;
+        if !self.chunk_seen.is_raised() && bytes.windows(frame.len()).any(|w| w == frame) {
+            self.chunk_seen.raise();
+        }
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -315,14 +366,12 @@ fn replay(jobs: &[JobRequest], threads: usize) -> RunDigest {
     let out = SharedBuf::default();
     serve_connection(
         &daemon.handle(),
-        PacedReader::new(&frames, 150),
+        PacedReader::new(&frames, 150, Arc::clone(&out.chunk_seen)),
         out.clone(),
     )
     .expect("replay transport");
     let stats = daemon.shutdown();
-
-    let raw = out.0.lock().expect("buffer poisoned").clone();
-    let text = String::from_utf8(raw).expect("replies are UTF-8");
+    let text = out.text();
     let mut protocol_ok = true;
     let mut accepted: BTreeMap<String, usize> = BTreeMap::new();
     let mut chunks: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
@@ -531,7 +580,7 @@ fn abort_exercise() -> (u64, u64, u64, bool) {
     let out = SharedBuf::default();
     serve_connection(&daemon.handle(), Cursor::new(input), out.clone()).expect("abort transport");
     let stats = daemon.shutdown();
-    let text = String::from_utf8(out.0.lock().expect("buffer poisoned").clone()).expect("UTF-8");
+    let text = out.text();
     let mut saw = BTreeMap::new();
     for line in text.lines() {
         if let Ok(Reply::Error {
@@ -570,7 +619,7 @@ fn abort_exercise() -> (u64, u64, u64, bool) {
     let out = SharedBuf::default();
     serve_connection(&daemon.handle(), Cursor::new(input), out.clone()).expect("burst transport");
     let burst = daemon.shutdown();
-    let text = String::from_utf8(out.0.lock().expect("buffer poisoned").clone()).expect("UTF-8");
+    let text = out.text();
     let mut terminals = 0;
     let mut queue_full = 0;
     for line in text.lines() {
@@ -664,9 +713,9 @@ fn main() {
             );
             failed = true;
         }
-        // The pacing guarantees the campaign is in flight when the
-        // queries land, so every replay must exercise the preemption
-        // path at least once.
+        // The first query is released on the campaign's first progress
+        // frame, so it lands while chunks remain: every replay must
+        // exercise the preemption path at least once.
         if s.preemptions == 0 {
             eprintln!(
                 "FAIL[t{t}]: no interactive job was run inline between campaign chunks \
