@@ -40,6 +40,10 @@ use dso_num::roots::{bisect_transition_hinted, Hint, Scale};
 use dso_num::NumError;
 use dso_spice::recovery::{RecoveryPolicy, RecoveryStats};
 
+/// The unreported `w1` writes a `w0` settle run starts with
+/// ([`Analyzer::settle_trace`]).
+const SETUP_WRITES: usize = 2;
+
 /// Analysis front end: owns the column design and recovery policy, builds
 /// defect-injected engines, and implements the elementary measurements the
 /// [`crate::eval::EvalService`] executes. Analysis layers never call the
@@ -119,6 +123,10 @@ impl Analyzer {
     /// * `w0` trajectories start from the *`w1`-settled* level — two `w1`
     ///   operations from GND are applied first and not reported.
     ///
+    /// So a `w0` trace begins with the `w1` run of up to two operations:
+    /// where its time grid allows, [`Analyzer::w1_settle_in`] reads that
+    /// run's values off it instead of simulating them again.
+    ///
     /// This makes the `(1) w0 × Vsa` curve intersection directly
     /// comparable with the pass/fail border bisection; starting the `w0`
     /// plane from the ideal `vdd` rail instead (as an idealized reading of
@@ -151,9 +159,8 @@ impl Analyzer {
             0
         } else {
             let setup = physical_write(true, defect.side());
-            seq.push(setup);
-            seq.push(setup);
-            2
+            seq.extend(std::iter::repeat_n(setup, SETUP_WRITES));
+            SETUP_WRITES
         };
         seq.extend(std::iter::repeat_n(target, n_ops));
         let operation = if high { "w1 settle" } else { "w0 settle" };
@@ -162,6 +169,20 @@ impl Analyzer {
             .map_err(|e| CoreError::at_point(operation, resistance, Some(0.0), e.into()))?;
         stats.merge(trace.recovery());
         Ok((trace.vc_ends()[skip..].to_vec(), trace))
+    }
+
+    /// The values of the `w1` settle run of `n_ops` operations read off
+    /// `w0_trace`, the `w0` settle run at the same point, whose setup
+    /// writes are that run: `None` unless `n_ops` is at most the setup
+    /// writes and the trace's time grid reaches their end
+    /// ([`OpTrace::prefix_vc_ends`]). The values are the `w1` run's bit for
+    /// bit only when the two runs' seeds agree over the `w1` run's steps;
+    /// the caller checks that.
+    pub(crate) fn w1_settle_in(w0_trace: &OpTrace, n_ops: usize) -> Option<Vec<f64>> {
+        if n_ops > SETUP_WRITES {
+            return None;
+        }
+        w0_trace.prefix_vc_ends(n_ops)
     }
 
     /// The cell voltage at the *end of the write pulse* (word-line

@@ -13,7 +13,8 @@
 //! settlement curve crosses `Vsa(R)`.
 
 use super::sweep::{CampaignFaults, Confidence, PointStatus, SweepReport};
-use crate::eval::{EvalService, SimRequest, TaskOutcome, Warm};
+use super::Analyzer;
+use crate::eval::{EvalService, SimRequest, SimValue, TaskOutcome, Warm};
 use crate::exec::{self, CampaignConfig, CampaignPerfStats};
 use crate::CoreError;
 use dso_defects::Defect;
@@ -78,7 +79,11 @@ pub struct ReadPlane {
 pub struct ResultPlanes {
     /// `w0` plane.
     pub w0: WritePlane,
-    /// `w1` plane.
+    /// `w1` plane. With at most two operations per trajectory, a campaign
+    /// reads it off the `w0` settle runs, whose two unreported setup
+    /// writes are the `w1` run, wherever the time grid reaches their end
+    /// bitwise ([`dso_dram::ops::OpTrace::prefix_vc_ends`]); the values are
+    /// the `w1` run's bit for bit, and elsewhere that run is simulated.
     pub w1: WritePlane,
     /// `r` plane.
     pub r: ReadPlane,
@@ -194,60 +199,63 @@ impl PointData {
 struct WarmSeeds {
     w0: Option<OpTrace>,
     w1: Option<OpTrace>,
+    /// The point read its `w1` off its `w0` run, so the `w0` trace is its
+    /// `w1` seed too ([`WarmSeeds::w1_seed`]).
+    w1_in_w0: bool,
     below: Option<OpTrace>,
     above: Option<OpTrace>,
     vsa: Option<f64>,
 }
 
-/// Number of transients per point that accept a warm seed trace. The `Vsa`
-/// bisection is not one of them: its reads start from per-point voltages,
-/// so it takes the previous point's `Vsa` as a hint instead (which changes
-/// the reads it spends, never its value) and warm-starts only its reads
-/// from each other (`warm_probes`).
-const SEEDABLE_TRANSIENTS: usize = 4;
-
 impl WarmSeeds {
-    fn available(&self) -> usize {
-        [
-            self.w0.is_some(),
-            self.w1.is_some(),
-            self.below.is_some(),
-            self.above.is_some(),
-        ]
-        .iter()
-        .filter(|&&s| s)
-        .count()
+    /// The trace a simulated `w1` run starts warm from. A `w1` run read
+    /// off the `w0` run has the `w0` trace's samples over its steps, so
+    /// that trace seeds a `w1` run exactly as the `w1` trace would have.
+    fn w1_seed(&self) -> Option<&OpTrace> {
+        if self.w1_in_w0 {
+            self.w0.as_ref()
+        } else {
+            self.w1.as_ref()
+        }
+    }
+
+    /// Whether the `w1` seed agrees with the `w0` seed over the `w1` run's
+    /// steps, so that a `w1` read off the `w0` run is the `w1` run this
+    /// point would simulate, bit for bit: both absent, or the `w1` seed
+    /// read off the `w0` seed.
+    fn w1_follows_w0(&self) -> bool {
+        self.w1_in_w0 || (self.w0.is_none() && self.w1.is_none())
     }
 }
 
 /// Everything a worker records about one sweep point.
 struct PointOutcome {
     data: Result<PointData, CoreError>,
-    stats: RecoveryStats,
-    warm_hits: usize,
-    warm_misses: usize,
-    cache_hits: usize,
-    disk_hits: usize,
-    cache_misses: usize,
+    tally: PointTally,
 }
 
-/// Per-point tally of service-cache traffic.
+/// Per-point tally: the recovery stats of the point's evaluations, its
+/// service-cache traffic, and the seedable transients that ran, warm from
+/// a seed or cold. The seedable transients are the `w0` and `w1` settle
+/// runs and the two read trajectories; the `Vsa` bisection starts from the
+/// previous point's `Vsa` as a hint instead (which changes the reads it
+/// spends, never its value) and warm-starts only its reads from each other
+/// (`warm_probes`).
 #[derive(Default)]
-struct CacheTally {
+struct PointTally {
+    stats: RecoveryStats,
     hits: usize,
     disk: usize,
     misses: usize,
+    warm_hits: usize,
+    warm_misses: usize,
 }
 
-impl CacheTally {
-    /// Folds one evaluation's outcome into the tally and the point's
-    /// recovery stats, surfacing the value and warm-start trace.
-    fn take(
-        &mut self,
-        outcome: TaskOutcome,
-        stats: &mut RecoveryStats,
-    ) -> Result<(crate::eval::SimValue, Option<OpTrace>), CoreError> {
-        stats.merge(&outcome.stats);
+impl PointTally {
+    /// Folds one evaluation's outcome into the tally, surfacing the value
+    /// and warm-start trace.
+    fn take(&mut self, outcome: TaskOutcome) -> Result<(SimValue, Option<OpTrace>), CoreError> {
+        self.stats.merge(&outcome.stats);
         if outcome.cached {
             self.hits += 1;
             if outcome.from_disk {
@@ -258,16 +266,43 @@ impl CacheTally {
         }
         outcome.value.map(|v| (v, outcome.trace))
     }
+
+    /// Evaluates a seedable transient warm from `seed` and folds it in: a
+    /// run counts as a warm hit or miss, a cache hit as neither.
+    fn seeded(
+        &mut self,
+        service: &EvalService,
+        request: &SimRequest,
+        faults: Option<&FaultPlan>,
+        seed: Option<&OpTrace>,
+    ) -> Result<(SimValue, Option<OpTrace>), CoreError> {
+        let outcome = service.eval_seeded(request, faults, Warm::seeded(seed));
+        if !outcome.cached {
+            if seed.is_some() {
+                self.warm_hits += 1;
+            } else {
+                self.warm_misses += 1;
+            }
+        }
+        self.take(outcome)
+    }
 }
 
 /// Runs the full measurement bundle of one sweep point through the
-/// evaluation service, accumulating recovery counters into `stats` and
-/// cache traffic into `cache`. Each seedable transient is warm-started
-/// from the corresponding trace in `seeds` when present; the point's own
-/// converged traces are returned for the next point in the chunk. Cache
-/// hits return no trace, so the seed chain restarts at the next computed
-/// point. The `Vsa` search starts from the previous point's `Vsa`, cached
-/// or not: a hint is a value, and it never changes the result.
+/// evaluation service, accumulating recovery counters, cache traffic and
+/// warm-start counts into `tally`. Each seedable transient is
+/// warm-started from the corresponding trace in `seeds` when present; the
+/// point's own converged traces are returned for the next point in the
+/// chunk. Cache hits return no trace, so the seed chain restarts at the
+/// next computed point. The `Vsa` search starts from the previous point's
+/// `Vsa`, cached or not: a hint is a value, and it never changes the
+/// result.
+///
+/// The `w1` settle values are read off the `w0` settle run
+/// ([`Analyzer::w1_settle_in`]) when that run was simulated here without
+/// a fault plan and its seed agrees with the `w1` seed
+/// ([`WarmSeeds::w1_follows_w0`]): the read gives the bits the `w1` run
+/// would, so only a run that could differ is simulated.
 #[allow(clippy::too_many_arguments)]
 fn measure_point(
     service: &EvalService,
@@ -278,58 +313,58 @@ fn measure_point(
     faults: Option<&FaultPlan>,
     seeds: &WarmSeeds,
     warm_probes: bool,
-    stats: &mut RecoveryStats,
-    cache: &mut CacheTally,
+    tally: &mut PointTally,
 ) -> Result<(PointData, WarmSeeds), CoreError> {
-    let (w0_value, w0_trace) = cache.take(
-        service.eval_seeded(
-            &SimRequest::settle(defect, r, op_point, false, n_ops),
-            faults,
-            Warm::seeded(seeds.w0.as_ref()),
-        ),
-        stats,
+    let (w0_value, w0_trace) = tally.seeded(
+        service,
+        &SimRequest::settle(defect, r, op_point, false, n_ops),
+        faults,
+        seeds.w0.as_ref(),
     )?;
     let w0 = w0_value.into_series()?;
-    let (w1_value, w1_trace) = cache.take(
-        service.eval_seeded(
-            &SimRequest::settle(defect, r, op_point, true, n_ops),
-            faults,
-            Warm::seeded(seeds.w1.as_ref()),
-        ),
-        stats,
-    )?;
+    let w1_request = SimRequest::settle(defect, r, op_point, true, n_ops);
+    let w1_read = w0_trace
+        .as_ref()
+        .filter(|_| faults.is_none() && seeds.w1_follows_w0())
+        .and_then(|trace| Analyzer::w1_settle_in(trace, n_ops));
+    let (w1_value, w1_trace, w1_in_w0) = match w1_read {
+        Some(vcs) => {
+            let outcome = service.eval_derived(&w1_request, SimValue::Series(vcs));
+            // A cache hit replays a value without a trace, like any hit.
+            let in_w0 = !outcome.cached;
+            let (value, _) = tally.take(outcome)?;
+            (value, None, in_w0)
+        }
+        None => {
+            let (value, trace) = tally.seeded(service, &w1_request, faults, seeds.w1_seed())?;
+            (value, trace, false)
+        }
+    };
     let w1 = w1_value.into_series()?;
-    let (vsa_value, _) = cache.take(
-        service.eval_seeded(
-            &SimRequest::vsa(defect, r, op_point),
-            faults,
-            Warm {
-                probes: warm_probes,
-                vsa_hint: seeds.vsa,
-                ..Warm::default()
-            },
-        ),
-        stats,
-    )?;
+    let (vsa_value, _) = tally.take(service.eval_seeded(
+        &SimRequest::vsa(defect, r, op_point),
+        faults,
+        Warm {
+            probes: warm_probes,
+            vsa_hint: seeds.vsa,
+            ..Warm::default()
+        },
+    ))?;
     let vsa = vsa_value.scalar()?;
     let below_start = (vsa - READ_START_OFFSET).max(0.0);
     let above_start = (vsa + READ_START_OFFSET).min(op_point.vdd);
-    let (below_value, below_trace) = cache.take(
-        service.eval_seeded(
-            &SimRequest::reads(defect, r, op_point, below_start, n_ops),
-            faults,
-            Warm::seeded(seeds.below.as_ref()),
-        ),
-        stats,
+    let (below_value, below_trace) = tally.seeded(
+        service,
+        &SimRequest::reads(defect, r, op_point, below_start, n_ops),
+        faults,
+        seeds.below.as_ref(),
     )?;
     let (below, _) = below_value.into_outcomes()?;
-    let (above_value, above_trace) = cache.take(
-        service.eval_seeded(
-            &SimRequest::reads(defect, r, op_point, above_start, n_ops),
-            faults,
-            Warm::seeded(seeds.above.as_ref()),
-        ),
-        stats,
+    let (above_value, above_trace) = tally.seeded(
+        service,
+        &SimRequest::reads(defect, r, op_point, above_start, n_ops),
+        faults,
+        seeds.above.as_ref(),
     )?;
     let (above, _) = above_value.into_outcomes()?;
     Ok((
@@ -343,6 +378,7 @@ fn measure_point(
         WarmSeeds {
             w0: w0_trace,
             w1: w1_trace,
+            w1_in_w0,
             below: below_trace,
             above: above_trace,
             vsa: Some(vsa),
@@ -377,9 +413,7 @@ fn run_grid(
                 let span = dso_obs::span("sweep.point");
                 span.note("r_ohm", r_values[i]);
                 let t0 = std::time::Instant::now();
-                let mut stats = RecoveryStats::default();
-                let mut cache = CacheTally::default();
-                let warm_hits = seeds.available();
+                let mut tally = PointTally::default();
                 let outcome = measure_point(
                     service,
                     defect,
@@ -389,8 +423,7 @@ fn run_grid(
                     faults.plan_for(i),
                     &seeds,
                     config.warm_start,
-                    &mut stats,
-                    &mut cache,
+                    &mut tally,
                 );
                 let (data, next_seeds) = match outcome {
                     Ok((point, next)) if config.warm_start => (Ok(point), next),
@@ -398,24 +431,16 @@ fn run_grid(
                     Err(e) => (Err(e), WarmSeeds::default()),
                 };
                 seeds = next_seeds;
-                // Warm-start hit/miss latency: points whose seedable
-                // transients all ran warm vs. cold chunk heads.
+                // Warm-start hit/miss latency: points that ran a seeded
+                // transient vs. cold chunk heads (and cached points).
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                 let edges = &[10.0, 100.0, 1e3, 1e4, 1e5];
-                if warm_hits > 0 {
+                if tally.warm_hits > 0 {
                     dso_obs::histogram!("campaign.point_warm_ms", edges, nondet).observe(ms);
                 } else {
                     dso_obs::histogram!("campaign.point_cold_ms", edges, nondet).observe(ms);
                 }
-                PointOutcome {
-                    data,
-                    stats,
-                    warm_hits,
-                    warm_misses: SEEDABLE_TRANSIENTS - warm_hits,
-                    cache_hits: cache.hits,
-                    disk_hits: cache.disk,
-                    cache_misses: cache.misses,
-                }
+                PointOutcome { data, tally }
             })
             .collect()
     })
@@ -424,18 +449,18 @@ fn run_grid(
 /// Folds one point's outcome counters into a campaign-level tally.
 fn tally(perf: &mut CampaignPerfStats, outcome: &PointOutcome) {
     perf.points += 1;
-    perf.warm_hits += outcome.warm_hits;
-    perf.warm_misses += outcome.warm_misses;
-    perf.newton_iters += outcome.stats.newton_iters;
-    perf.solve_attempts += outcome.stats.solve_attempts;
-    perf.cache_hits += outcome.cache_hits;
-    perf.disk_hits += outcome.disk_hits;
-    perf.cache_misses += outcome.cache_misses;
+    perf.warm_hits += outcome.tally.warm_hits;
+    perf.warm_misses += outcome.tally.warm_misses;
+    perf.newton_iters += outcome.tally.stats.newton_iters;
+    perf.solve_attempts += outcome.tally.stats.solve_attempts;
+    perf.cache_hits += outcome.tally.hits;
+    perf.disk_hits += outcome.tally.disk;
+    perf.cache_misses += outcome.tally.misses;
     perf.failures += usize::from(outcome.data.is_err());
-    perf.lu_refactors += outcome.stats.lu_refactors;
-    perf.lu_reuses += outcome.stats.lu_reuses;
-    perf.bypass_hits += outcome.stats.bypass_hits;
-    perf.bypass_misses += outcome.stats.bypass_misses;
+    perf.lu_refactors += outcome.tally.stats.lu_refactors;
+    perf.lu_reuses += outcome.tally.stats.lu_reuses;
+    perf.bypass_hits += outcome.tally.stats.bypass_hits;
+    perf.bypass_misses += outcome.tally.stats.bypass_misses;
 }
 
 fn validate_sweep(r_values: &[f64], n_ops: usize) -> Result<(), CoreError> {
@@ -635,11 +660,11 @@ pub(crate) fn plane_campaign_hooked(
         tally(&mut perf, &outcome);
         match outcome.data {
             Ok(point) => {
-                let status = if outcome.stats.is_clean() {
+                let status = if outcome.tally.stats.is_clean() {
                     PointStatus::Converged
                 } else {
                     PointStatus::Recovered {
-                        attempts: outcome.stats.actions(),
+                        attempts: outcome.tally.stats.actions(),
                     }
                 };
                 report.record(r, status);

@@ -903,13 +903,42 @@ impl EvalService {
         })
     }
 
+    /// Answers `request` with `value`, read off the run of another request
+    /// instead of simulated (the `w1` settle values a `w0` settle run
+    /// already holds, [`Analyzer::w1_settle_in`]). A hit in either cache
+    /// tier replays the stored value as [`EvalService::eval_seeded`] would;
+    /// otherwise `value` is counted, memoized and persisted like a computed
+    /// success, with zero recovery stats: its solver work belongs to the
+    /// run it was read from.
+    pub(crate) fn eval_derived(&self, request: &SimRequest, value: SimValue) -> TaskOutcome {
+        dso_obs::counter!("eval.requests").incr();
+        let key = request.content_key(self.context_key);
+        if let Some(hit) = self.lookup(key) {
+            return hit;
+        }
+        self.finish(key, Ok(value), RecoveryStats::default(), None)
+    }
+
     /// Computes a request whose `key` [`EvalService::lookup`] marked in
     /// flight, and memoizes and persists a success. A failure is left to
     /// the caller to [`EvalService::noted`].
     fn compute(&self, key: u64, request: &SimRequest, warm: Warm<'_>) -> TaskOutcome {
+        let (value, stats, trace) = self.execute(request, None, warm);
+        self.finish(key, value, stats, trace)
+    }
+
+    /// Settles the in-flight `key` with the outcome of a miss: counts the
+    /// miss, memoizes and persists a success, drops the marker of a
+    /// failure.
+    fn finish(
+        &self,
+        key: u64,
+        value: Result<SimValue, CoreError>,
+        stats: RecoveryStats,
+        trace: Option<OpTrace>,
+    ) -> TaskOutcome {
         self.misses.fetch_add(1, Ordering::Relaxed);
         dso_obs::counter!("eval.cache_misses").incr();
-        let (value, stats, trace) = self.execute(request, None, warm);
         {
             let mut map = self.cache.lock().expect("eval cache poisoned");
             match &value {

@@ -150,6 +150,7 @@ pub struct OpTrace {
     tran: TranResult,
     storage_node: String,
     tcyc: f64,
+    dt: f64,
 }
 
 impl OpTrace {
@@ -171,6 +172,28 @@ impl OpTrace {
     /// Physical cell voltage at the end of each cycle.
     pub fn vc_ends(&self) -> Vec<f64> {
         self.cycles.iter().map(|c| c.vc_end).collect()
+    }
+
+    /// The [`OpTrace::vc_ends`] of the first `k` cycles, bit for bit as a
+    /// run of the first `k` operations alone reports them (same engine,
+    /// initial voltage and seed), or `None` when this run cannot vouch for
+    /// that.
+    ///
+    /// Up to `k·tcyc` the first `k` operations drive the same control
+    /// waveforms as the whole sequence, and a fixed-step transient's steps
+    /// do not depend on its stop time, except the last: the `k`-op run's
+    /// last step lands on its stop time `k·tcyc`, where this run's step of
+    /// the same index lands on `steps·dt`, with `steps = round(k·tcyc /
+    /// dt)`. So the prefix is returned only when those two floats are
+    /// equal. Its last value is then this run's sample at that step,
+    /// interpolated with weight 0 (`va + (vb − va)·0`), which is the sample
+    /// bit for bit unless the sample is `−0.0`; a `+0.0` value is declined
+    /// for that reason.
+    pub fn prefix_vc_ends(&self, k: usize) -> Option<Vec<f64>> {
+        let cycles = self.cycles.get(..k).filter(|c| !c.is_empty())?;
+        let last = cycles[k - 1].vc_end;
+        (on_grid(k, self.tcyc, self.dt) && last.to_bits() != 0)
+            .then(|| cycles.iter().map(|c| c.vc_end).collect())
     }
 
     /// The full storage-node waveform `(t, Vc)` for plotting.
@@ -198,6 +221,15 @@ impl OpTrace {
     pub fn tcyc(&self) -> f64 {
         self.tcyc
     }
+}
+
+/// Whether a fixed-step run with step `dt` reaches `k·tcyc` exactly: the
+/// step count a `k`-op run takes, `round(k·tcyc / dt)`, times `dt` is
+/// bitwise `k·tcyc`, the stop time that run's last step lands on.
+fn on_grid(k: usize, tcyc: f64, dt: f64) -> bool {
+    let t_stop = k as f64 * tcyc;
+    let steps = (t_stop / dt).round() as usize;
+    (steps as f64 * dt).to_bits() == t_stop.to_bits()
 }
 
 /// What an operation sequence shows at its last observation instant, from
@@ -536,6 +568,7 @@ impl OperationEngine {
             tran,
             storage_node,
             tcyc,
+            dt: prepared.tran_opts.dt,
         })
     }
 }
@@ -761,6 +794,41 @@ mod tests {
                 );
                 prev = Some((full, obs));
             }
+        }
+    }
+
+    #[test]
+    fn the_grid_reaches_two_cycles_at_the_coarse_time_base() {
+        let lands = |fraction: f64, tcyc: f64| on_grid(2, tcyc, fraction * tcyc);
+        assert!(lands(1.0 / 250.0, 60e-9));
+        assert!(lands(1.0 / 250.0, 55e-9));
+        assert!(!lands(1.0 / 600.0, 60e-9));
+        assert!(!lands(1.0 / 250.0, 50e-9));
+    }
+
+    #[test]
+    fn prefix_of_a_run_is_the_shorter_run() {
+        use Operation::{W0, W1};
+        let design = ColumnDesign {
+            dt_fraction: 1.0 / 250.0,
+            ..ColumnDesign::default()
+        };
+        for side in [BitLineSide::True, BitLineSide::Comp] {
+            let eng = OperationEngine::new(design.clone(), OperatingPoint::nominal())
+                .unwrap()
+                .with_victim(side);
+            let whole = eng.run(&[W1, W1, W0], 0.0).unwrap();
+            for k in 1..=2 {
+                let alone = eng.run(&vec![W1; k], 0.0).unwrap().vc_ends();
+                let prefix = whole.prefix_vc_ends(k).expect("on the grid");
+                assert_eq!(
+                    prefix.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    alone.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{side:?}, k = {k}"
+                );
+            }
+            assert_eq!(whole.prefix_vc_ends(0), None);
+            assert_eq!(whole.prefix_vc_ends(4), None);
         }
     }
 

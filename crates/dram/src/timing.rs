@@ -350,6 +350,66 @@ mod tests {
         assert_eq!(w.wlr_comp.eval(0.35 * tcyc), 0.0);
     }
 
+    /// Every control signal of a waveform set, named.
+    fn signals(w: &ControlWaveforms) -> [(&'static str, &Waveform); 10] {
+        [
+            ("peq", &w.peq),
+            ("wl_true", &w.wl_true),
+            ("wl_comp", &w.wl_comp),
+            ("wlr_true", &w.wlr_true),
+            ("wlr_comp", &w.wlr_comp),
+            ("senn", &w.senn),
+            ("senp", &w.senp),
+            ("csl", &w.csl),
+            ("data_true", &w.data_true),
+            ("data_comp", &w.data_comp),
+        ]
+    }
+
+    #[test]
+    fn a_prefix_drives_the_same_controls_up_to_its_end() {
+        use Operation::{Nop, R, W0, W1};
+        let design = ColumnDesign::default();
+        let all = [W0, W1, R, Nop];
+        for tcyc in [60e-9, 55e-9] {
+            let op = OperatingPoint {
+                tcyc,
+                ..OperatingPoint::nominal()
+            };
+            for fraction in [250.0, 600.0] {
+                let dt = tcyc / fraction;
+                for side in [BitLineSide::True, BitLineSide::Comp] {
+                    for (a, b) in all.iter().flat_map(|&a| all.iter().map(move |&b| (a, b))) {
+                        // The cut between `a` and `b`, after one and after
+                        // two operations.
+                        for (prefix, whole) in [(vec![a], vec![a, b]), (vec![a, a], vec![a, a, b])]
+                        {
+                            let short =
+                                ControlWaveforms::build(&prefix, side, &design, &op).unwrap();
+                            let long = ControlWaveforms::build(&whole, side, &design, &op).unwrap();
+                            let steps = (short.t_stop / dt).round() as usize;
+                            let times = (0..steps)
+                                .map(|k| k as f64 * dt)
+                                .chain(std::iter::once(short.t_stop));
+                            for t in times {
+                                for ((name, s), (_, l)) in
+                                    signals(&short).iter().zip(signals(&long))
+                                {
+                                    assert_eq!(
+                                        s.eval(t).to_bits(),
+                                        l.eval(t).to_bits(),
+                                        "{name} at {t:e}: {prefix:?} vs {whole:?}, {side:?}, \
+                                         tcyc {tcyc:e}, 1/{fraction}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn shorter_tcyc_shrinks_absolute_write_window() {
         let mut op = OperatingPoint::nominal();
